@@ -4,7 +4,7 @@
     metricflow validate --config cfg.json
 
 Exit codes: 0 success, 2 invalid configuration or violated precondition,
-3 solver failure.  METRICFLOW_THREADS caps internal parallelism.
+3 solver failure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import argparse
 import dataclasses
 import sys
 
-from .config import EXPERIMENTS, load_config
+from .config import load_config
 from .errors import ConfigError, SolverFailure
-from .experiments import run_experiment
+from .experiments import EXPERIMENTS, run_experiment
 
 
 def build_parser():

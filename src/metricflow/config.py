@@ -10,7 +10,9 @@ A config is a single JSON object:
      "params": { ... experiment-specific ... }}
 
 Unknown keys anywhere are rejected; "experiment" and "seed" are mandatory.
-``--seed`` / ``--out`` on the command line override the file's values.
+The known experiments, their params, the params' defaults and JSON types
+all come from ``experiments.EXPERIMENTS``.  ``--seed`` / ``--out`` on the
+command line override the file's values.
 """
 
 from __future__ import annotations
@@ -19,43 +21,14 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .experiments import EXPERIMENTS
 from .fields import Grid
+from .serialization import grid_to_dict
 from .transport import SolverConfig
-
-EXPERIMENTS = (
-    "we-norm",
-    "wfr-norm",
-    "submersion",
-    "divergence-sweep",
-    "second-variation",
-    "flat-factorize",
-    "seq-demo",
-    "euler-alpha",
-    "path-energy",
-    "static-eval",
-    "toy-geodesic",
-    "bounds",
-)
 
 _GRID_KEYS = {"dim", "topology", "n_per_axis", "extent"}
 _SOLVER_KEYS = {"tol", "max_iter", "lambda"}
 _TOP_KEYS = {"experiment", "grid", "solver", "seed", "output_path", "params"}
-
-# experiment-specific parameter names and their defaults
-PARAM_SCHEMAS = {
-    "we-norm": {"n_trials": 3, "modes": 3, "amplitude": 0.2},
-    "wfr-norm": {"n_trials": 3, "modes": 3, "amplitude": 0.3},
-    "submersion": {"n_trials": 20, "n_perturb": 10, "modes": 3, "amplitude": 0.15},
-    "divergence-sweep": {"n_pairs": 1000, "modes": 3, "amplitude": 0.3},
-    "second-variation": {"n_triples": 50, "step": 1e-2, "modes": 3, "amplitude": 0.3},
-    "flat-factorize": {"n_instances": 5, "n_non_flat": 3, "amplitude": 0.008},
-    "seq-demo": {"ns": [8, 12, 16, 20, 24], "n_max": 64, "quad_points": 2049},
-    "euler-alpha": {"stencil_order": 4},
-    "path-energy": {"n_paths": 10, "n_t": 8, "modes": 3, "amplitude": 0.2},
-    "static-eval": {"iters": 12, "modes": 2, "lambda_balance": 1.0, "kind": "kl_met"},
-    "toy-geodesic": {"n_t": 16, "amplitude": 0.08, "n_perturb": 10},
-    "bounds": {"n_pairs": 5, "n_t": 16, "modes": 3, "amplitude": 0.3},
-}
 
 
 @dataclass(frozen=True)
@@ -70,12 +43,7 @@ class ExperimentConfig:
     def to_dict(self):
         return {
             "experiment": self.experiment,
-            "grid": {
-                "dim": self.grid.dim,
-                "topology": self.grid.topology,
-                "n_per_axis": self.grid.n_per_axis,
-                "extent": self.grid.extent,
-            },
+            "grid": grid_to_dict(self.grid),
             "solver": {
                 "tol": self.solver.tol,
                 "max_iter": self.solver.max_iter,
@@ -98,13 +66,25 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
+def _same_json_type(value, default):
+    """JSON type check against a default: an int passes for a float, a bool never for a number."""
+    if type(default) is float and type(value) is int:
+        return True
+    if type(default) is list:
+        return type(value) is list and all(_same_json_type(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     _expect(isinstance(obj, dict), "config must be a JSON object")
     _reject_unknown(obj, _TOP_KEYS, "config")
     _expect("experiment" in obj, "config needs an 'experiment' key")
     _expect("seed" in obj, "config needs a 'seed' key")
     experiment = obj["experiment"]
-    _expect(experiment in EXPERIMENTS, f"unknown experiment {experiment!r}")
+    _expect(
+        isinstance(experiment, str) and experiment in EXPERIMENTS,
+        f"unknown experiment {experiment!r}",
+    )
     seed = obj["seed"]
     _expect(
         isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
@@ -122,19 +102,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
         merged.setdefault("extent", 1.0)
     try:
         grid = Grid(merged["dim"], merged["topology"], merged["n_per_axis"], merged["extent"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
     solver_obj = obj.get("solver", {})
     _expect(isinstance(solver_obj, dict), "'solver' must be an object")
     _reject_unknown(solver_obj, _SOLVER_KEYS, "solver")
+    for key in ("tol", "lambda"):
+        _expect(_same_json_type(solver_obj.get(key, 1.0), 1.0), f"solver {key!r} must be a number")
     try:
         solver = SolverConfig(
             tol=float(solver_obj.get("tol", 1e-10)),
             max_iter=solver_obj.get("max_iter"),
             lam=float(solver_obj.get("lambda", 1.0)),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from exc
 
     output_path = obj.get("output_path")
@@ -145,9 +127,15 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     params_obj = obj.get("params", {})
     _expect(isinstance(params_obj, dict), "'params' must be an object")
-    schema = PARAM_SCHEMAS[experiment]
-    _reject_unknown(params_obj, schema, f"params for {experiment}")
-    params = {**schema, **params_obj}
+    param_defaults = EXPERIMENTS[experiment].defaults
+    _reject_unknown(params_obj, param_defaults, f"params for {experiment}")
+    for key, value in params_obj.items():
+        _expect(
+            _same_json_type(value, param_defaults[key]),
+            f"param {key!r} for {experiment} must have the JSON type of its default "
+            f"{param_defaults[key]!r}, got {value!r}",
+        )
+    params = {**param_defaults, **params_obj}
 
     return ExperimentConfig(
         experiment=experiment,

@@ -5,6 +5,9 @@ Each experiment function takes a validated ExperimentConfig and returns
 string and the wall time, and writes the manifest plus CSV atomically
 (temp file + rename).  Given identical config and seed the manifest is
 bit-identical up to the wall-time field.
+
+EXPERIMENTS is the one registry of experiment names: the CLI subcommands,
+the config schema and the dispatch in run_experiment are all read from it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ import csv
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
 from .divergences import (
     DivergenceKind,
     StaticProblem,
@@ -58,24 +60,8 @@ from .transport import (
     wfr_tangent_norm,
 )
 
-
-def worker_count():
-    """Thread cap for concurrent trials; METRICFLOW_THREADS overrides."""
-    env = os.environ.get("METRICFLOW_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_trials(fn, args_list):
-    workers = worker_count()
-    if workers == 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +208,7 @@ def run_submersion(cfg: ExperimentConfig):
             "min_perturbation_gap": min(report.perturbation_gaps),
         }
 
-    rows = _map_trials(one, list(range(p["n_trials"])))
+    rows = [one(trial) for trial in range(p["n_trials"])]
     results = {
         "max_relative_gap": max(r["relative_gap"] for r in rows),
         "min_perturbation_gap": min(r["min_perturbation_gap"] for r in rows),
@@ -275,7 +261,7 @@ def run_divergence_sweep(cfg: ExperimentConfig):
         }
 
     tasks = [(k, cfg.seed + i) for k in kinds for i in range(p["n_pairs"])]
-    rows = _map_trials(one, tasks)
+    rows = [one(task) for task in tasks]
     min_value = min(r["value"] for r in rows)
     results = {
         "min_value": min_value,
@@ -347,7 +333,7 @@ def run_second_variation(cfg: ExperimentConfig):
     return results, header, rows
 
 
-def run_flat_factorize(cfg: ExperimentConfig, out_dir=None):
+def run_flat_factorize(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     artifacts = {}
@@ -512,7 +498,7 @@ def run_toy_geodesic(cfg: ExperimentConfig):
     p = cfg.params
     grid = cfg.grid
     if grid.topology != "box":
-        raise ValueError("toy-geodesic requires a box grid")
+        raise ValueError(f"{cfg.experiment} requires a box grid")
     coords = grid.coordinates()
     from .flatmaps import bump_and_gradient
 
@@ -589,19 +575,42 @@ def run_bounds(cfg: ExperimentConfig):
     return results, header, rows
 
 
-RUNNERS = {
-    "we-norm": run_we_norm,
-    "wfr-norm": run_wfr_norm,
-    "submersion": run_submersion,
-    "divergence-sweep": run_divergence_sweep,
-    "second-variation": run_second_variation,
-    "flat-factorize": run_flat_factorize,
-    "seq-demo": run_seq_demo,
-    "euler-alpha": run_euler_alpha,
-    "path-energy": run_path_energy,
-    "static-eval": run_static_eval,
-    "toy-geodesic": run_toy_geodesic,
-    "bounds": run_bounds,
+class Experiment(NamedTuple):
+    """A runner and its params' defaults; each default also fixes its param's JSON type."""
+
+    run: Callable
+    defaults: dict
+
+
+EXPERIMENTS = {
+    "we-norm": Experiment(run_we_norm, {"n_trials": 3, "modes": 3, "amplitude": 0.2}),
+    "wfr-norm": Experiment(run_wfr_norm, {"n_trials": 3, "modes": 3, "amplitude": 0.3}),
+    "submersion": Experiment(
+        run_submersion, {"n_trials": 20, "n_perturb": 10, "modes": 3, "amplitude": 0.15}
+    ),
+    "divergence-sweep": Experiment(
+        run_divergence_sweep, {"n_pairs": 1000, "modes": 3, "amplitude": 0.3}
+    ),
+    "second-variation": Experiment(
+        run_second_variation, {"n_triples": 50, "step": 1e-2, "modes": 3, "amplitude": 0.3}
+    ),
+    "flat-factorize": Experiment(
+        run_flat_factorize, {"n_instances": 5, "n_non_flat": 3, "amplitude": 0.008}
+    ),
+    "seq-demo": Experiment(
+        run_seq_demo, {"ns": [8, 12, 16, 20, 24], "n_max": 64, "quad_points": 2049}
+    ),
+    "euler-alpha": Experiment(run_euler_alpha, {"stencil_order": 4}),
+    "path-energy": Experiment(
+        run_path_energy, {"n_paths": 10, "n_t": 8, "modes": 3, "amplitude": 0.2}
+    ),
+    "static-eval": Experiment(
+        run_static_eval, {"iters": 12, "modes": 2, "lambda_balance": 1.0, "kind": "kl_met"}
+    ),
+    "toy-geodesic": Experiment(
+        run_toy_geodesic, {"n_t": 16, "amplitude": 0.08, "n_perturb": 10}
+    ),
+    "bounds": Experiment(run_bounds, {"n_pairs": 5, "n_t": 16, "modes": 3, "amplitude": 0.3}),
 }
 
 
@@ -637,9 +646,8 @@ def _csv_text(header, rows):
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute one experiment; returns (manifest dict, artifact paths)."""
     out_dir = out_dir or cfg.output_path or "."
-    runner = RUNNERS[cfg.experiment]
     started = time.perf_counter()
-    output = runner(cfg)
+    output = EXPERIMENTS[cfg.experiment].run(cfg)
     if len(output) == 4:
         results, header, rows, extra_artifacts = output
     else:

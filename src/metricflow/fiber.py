@@ -50,13 +50,16 @@ def optimal_lift(g: MetricField, drho, cfg: SolverConfig = SolverConfig()):
     volume tangent of dg reproduces drho up to O(spacing^2) (the finite
     difference defect between div(rho v) and (1/2) tr(g^-1 L_v g) vol(g)).
     """
-    grid = require_same_grid(g, drho)
-    rho = volume_map(g)
-    res = wfr_tangent_norm(rho, drho, cfg)
+    require_same_grid(g, drho)
+    res = wfr_tangent_norm(volume_map(g), drho, cfg)
+    return _lift(g, res), res.v, res.f
+
+
+def _lift(g: MetricField, res) -> SymTensorField:
+    """dg = -L_v g + (2 f / dim) g from a solved density tangent-norm problem."""
     lie = lie_derivative_metric(res.v, g)
-    scale = (2.0 / grid.dim) * res.f.values
-    dg = SymTensorField(grid, -lie.components + scale * g.components)
-    return dg, res.v, res.f
+    scale = (2.0 / g.grid.dim) * res.f.values
+    return SymTensorField(g.grid, -lie.components + scale * g.components)
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def verify_pi1_submersion(
     require_same_grid(g, drho)
     rho = volume_map(g)
     wfr = wfr_tangent_norm(rho, drho, cfg)
-    dg, _, _ = optimal_lift(g, drho, cfg)
+    dg = _lift(g, wfr)
     we = we_tangent_norm(g, dg, cfg)
     gaps = []
     for j in range(n_perturb):

@@ -37,8 +37,8 @@ class Grid:
     __slots__ = ("dim", "topology", "n_per_axis", "extent")
 
     def __init__(self, dim, topology, n_per_axis, extent=1.0):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
+            raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
         if topology not in (TORUS, BOX):
             raise ValueError(f"topology must be '{TORUS}' or '{BOX}', got {topology!r}")
         n_per_axis = int(n_per_axis)

@@ -35,7 +35,10 @@ from .fields import BOX, Grid, ScalarField, SymTensorField, VectorField, diff_ar
 from .tensors import (
     DisplacementMap,
     MetricField,
+    collar_mask,
     collar_max,
+    displacement_jacobian,
+    jacobian_gram,
     sqrt_components,
 )
 
@@ -203,7 +206,7 @@ def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
 
     u = phi - coords
     # remove the constant so the collar sits at the identity
-    mask = _collar_mask(grid, frame.collar_width)
+    mask = collar_mask(grid, frame.collar_width)
     for i in range(2):
         u[i] -= np.mean(u[i][mask])
     collar_resid = collar_max(u, grid, frame.collar_width)
@@ -212,18 +215,6 @@ def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
         collar_width=frame.collar_width,
         collar_tol=max(1e-12, 1.05 * collar_resid),
     )
-
-
-def _collar_mask(grid, width):
-    mask = np.zeros(grid.shape, dtype=bool)
-    n = grid.n_per_axis
-    for ax in range(grid.dim):
-        ix = [slice(None)] * grid.dim
-        ix[ax] = slice(0, width)
-        mask[tuple(ix)] = True
-        ix[ax] = slice(n - width, n)
-        mask[tuple(ix)] = True
-    return mask
 
 
 @dataclass(frozen=True)
@@ -263,15 +254,8 @@ def factorize_flat_metric(g: MetricField, collar_width=2, flat_tol=None):
 
 def reconstruction_error(phi: DisplacementMap, g: MetricField) -> float:
     """max norm of dphi^T dphi - g with the finite-difference Jacobian."""
-    from .tensors import displacement_jacobian, full_to_packed
-
-    grid = phi.grid
     du = displacement_jacobian(phi.displacement)
-    jac = du.copy()
-    for i in range(grid.dim):
-        jac[i, i] += 1.0
-    gram = np.einsum("ki...,kj...->ij...", jac, jac)
-    return float(np.max(np.abs(full_to_packed(gram, grid.dim) - g.components)))
+    return float(np.max(np.abs(jacobian_gram(du) - g.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +313,7 @@ def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008, n_bumps=2):
             u[i] += direction[i] * psi
             for j in range(2):
                 du[i, j] += direction[i] * dpsi[j]
-    jac = du.copy()
-    jac[0, 0] += 1.0
-    jac[1, 1] += 1.0
-    gram = np.einsum("ki...,kj...->ij...", jac, jac)
-    g = MetricField(SymTensorField(grid, np.stack([gram[0, 0], gram[0, 1], gram[1, 1]])))
+    g = MetricField(SymTensorField(grid, jacobian_gram(du)))
     phi0 = DisplacementMap(VectorField(grid, u), collar_width=2)
     return g, phi0
 

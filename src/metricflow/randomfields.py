@@ -1,7 +1,7 @@
 """Seeded band-limited random fields.
 
 All generators draw from ``numpy.random.Generator`` streams created by
-``substream(seed, label)``, so concurrent trials stay deterministic: the
+``substream(seed, label)``, so every trial is deterministic: the
 substream depends only on the 64-bit seed and the label string, never on
 execution order.
 
@@ -26,7 +26,7 @@ from .fields import (
     VectorField,
     sym_component_count,
 )
-from .tensors import MetricField
+from .tensors import MetricField, jacobian_gram
 
 
 def substream(seed, label: str) -> np.random.Generator:
@@ -118,18 +118,15 @@ def random_spd_metric(grid, rng, modes=4, amplitude=0.3) -> MetricField:
     peak = float(np.max(sigma_max))
     if peak > 0.0:
         entries *= cap / peak
-    jac = entries.copy()
-    jac[0, 0] += 1.0
-    jac[1, 1] += 1.0
-    g_full = np.einsum("ki...,kj...->ij...", jac, jac)
-    comps = np.stack([g_full[0, 0], 0.5 * (g_full[0, 1] + g_full[1, 0]), g_full[1, 1]])
-    return MetricField(SymTensorField(grid, comps))
+    return MetricField(SymTensorField(grid, jacobian_gram(entries)))
 
 
 def generate_field(grid, kind, seed, label="field", modes=4, amplitude=0.3):
-    """Uniform entry point used by the experiment runner.
+    """One seeded field of the given kind, drawn from substream(seed, "label:kind").
 
-    kind in {"scalar", "vector", "sym_tensor", "density", "metric"}.
+    kind in {"scalar", "vector", "sym_tensor", "density", "metric"}.  The
+    experiments call the typed generators directly; this is a convenience
+    entry point for interactive use and the tests.
     """
     rng = substream(seed, f"{label}:{kind}")
     if kind == "scalar":

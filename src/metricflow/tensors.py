@@ -139,8 +139,8 @@ class DisplacementMap:
         return self.grid.coordinates() + self.displacement.components
 
 
-def collar_max(comps, grid, width):
-    """Max |value| over the nodes within `width` rings of the box boundary."""
+def collar_mask(grid, width):
+    """Boolean mask of the nodes within `width` rings of the box boundary."""
     mask = np.zeros(grid.shape, dtype=bool)
     n = grid.n_per_axis
     for ax in range(grid.dim):
@@ -149,7 +149,12 @@ def collar_max(comps, grid, width):
         mask[tuple(ix)] = True
         ix[ax] = slice(n - width, n)
         mask[tuple(ix)] = True
-    region = np.abs(np.asarray(comps)).max(axis=0)[mask]
+    return mask
+
+
+def collar_max(comps, grid, width):
+    """Max |value| over the nodes within `width` rings of the box boundary."""
+    region = np.abs(np.asarray(comps)).max(axis=0)[collar_mask(grid, width)]
     return float(region.max()) if region.size else 0.0
 
 
@@ -182,6 +187,15 @@ def displacement_jacobian(u: VectorField, order=2):
         [np.stack([diff_array(u.components[i], grid, j, order) for j in range(grid.dim)])
          for i in range(grid.dim)]
     )
+
+
+def jacobian_gram(du):
+    """Packed (I + du)^T (I + du), the flat metric pulled back by id + u."""
+    dim = du.shape[0]
+    jac = du.copy()
+    for i in range(dim):
+        jac[i, i] += 1.0
+    return full_to_packed(np.einsum("ki...,kj...->ij...", jac, jac), dim)
 
 
 def jacobian_det(du):
@@ -233,11 +247,6 @@ def full_to_packed(full, dim):
     return np.stack([full[0, 0], sym, full[1, 1]])
 
 
-def congruence(full_a, full_b, full_c):
-    """Pointwise matrix product a.b.c on (dim, dim)+shape arrays."""
-    return np.einsum("ik...,kl...,lj...->ij...", full_a, full_b, full_c)
-
-
 def product_trace(g: MetricField, a, b) -> ScalarField:
     """tr(g^{-1} a g^{-1} b) per node."""
     grid = require_same_grid(g, a, b)
@@ -248,10 +257,6 @@ def product_trace(g: MetricField, a, b) -> ScalarField:
     m = np.einsum("ik...,kj...->ij...", ginv, fa)
     nmat = np.einsum("ik...,kj...->ij...", ginv, fb)
     return ScalarField(grid, np.einsum("ij...,ji...->...", m, nmat))
-
-
-def log_det_field(g: MetricField) -> ScalarField:
-    return ScalarField(g.grid, np.log(packed_det(g.components, g.grid.dim)))
 
 
 def pointwise(op, a, b=None):
@@ -299,13 +304,25 @@ def volume_tangent(g: MetricField, dg) -> ScalarField:
     return ScalarField(grid, 0.5 * tr * volume_map(g).values)
 
 
-def lie_derivative_metric(v: VectorField, g: MetricField, order=2) -> SymTensorField:
-    """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
-    grid = require_same_grid(v, g)
+def metric_gradient(gfull, grid, order=2):
+    """d_k g_ij as an array indexed [k, i, j] for a full-matrix metric array."""
     dim = grid.dim
-    gfull = packed_to_full(g.components, dim)
+    return np.stack(
+        [np.stack([np.stack([diff_array(gfull[i, j], grid, k, order) for j in range(dim)])
+                   for i in range(dim)])
+         for k in range(dim)]
+    )
+
+
+def _lie_derivative_full(gfull, dg, vc, grid, order=2):
+    """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, full (dim, dim) array.
+
+    gfull is the full metric, dg = metric_gradient(gfull, grid, order) and vc
+    the velocity components.
+    """
+    dim = grid.dim
     dv = np.stack(
-        [np.stack([diff_array(v.components[k], grid, i, order) for i in range(dim)])
+        [np.stack([diff_array(vc[k], grid, i, order) for i in range(dim)])
          for k in range(dim)]
     )  # dv[k, i] = d_i v^k
     out = np.zeros((dim, dim) + grid.shape)
@@ -313,10 +330,19 @@ def lie_derivative_metric(v: VectorField, g: MetricField, order=2) -> SymTensorF
         for j in range(dim):
             acc = np.zeros(grid.shape)
             for k in range(dim):
-                acc += v.components[k] * diff_array(gfull[i, j], grid, k, order)
+                acc += vc[k] * dg[k, i, j]
                 acc += gfull[k, j] * dv[k, i] + gfull[i, k] * dv[k, j]
             out[i, j] = acc
-    return SymTensorField(grid, full_to_packed(out, dim))
+    return out
+
+
+def lie_derivative_metric(v: VectorField, g: MetricField, order=2) -> SymTensorField:
+    """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
+    grid = require_same_grid(v, g)
+    gfull = packed_to_full(g.components, grid.dim)
+    dg = metric_gradient(gfull, grid, order)
+    out = _lie_derivative_full(gfull, dg, v.components, grid, order)
+    return SymTensorField(grid, full_to_packed(out, grid.dim))
 
 
 def lie_derivative_density(v: VectorField, rho, order=2) -> ScalarField:

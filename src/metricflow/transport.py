@@ -27,6 +27,7 @@ torus grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,11 +51,14 @@ from .fields import (
 from .tensors import (
     DisplacementMap,
     MetricField,
+    _lie_derivative_full,
     clamp_to_box,
     displacement_jacobian,
     full_to_packed,
     inverse_components,
     invert_displacement,
+    jacobian_gram,
+    metric_gradient,
     packed_to_full,
     product_trace,
     volume_map,
@@ -75,12 +79,15 @@ class SolverConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lambda must be strictly positive, got {self.lam}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lambda must be finite and strictly positive, got {self.lam}")
+        if self.max_iter is not None:
+            if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+                raise ValueError(f"max_iter must be an integer or null, got {self.max_iter!r}")
+            if self.max_iter < 1:
+                raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def iter_cap(self, unknowns):
         return self.max_iter if self.max_iter is not None else 10 * unknowns
@@ -212,28 +219,11 @@ class MetricNormOperator:
         self.ginv = packed_to_full(inverse_components(g.components, grid.dim), grid.dim)
         self.vol = volume_map(g).values
         # d_k g_ij, used by both the Lie derivative and its adjoint
-        self.dg = np.stack(
-            [np.stack([np.stack([diff_array(self.gfull[i, j], grid, k)
-                                 for j in range(grid.dim)]) for i in range(grid.dim)])
-             for k in range(grid.dim)]
-        )
+        self.dg = metric_gradient(self.gfull, grid)
 
     def lie(self, vc):
         """L_v g as a full-matrix array for velocity components vc."""
-        d = self.dim
-        dv = np.stack(
-            [np.stack([diff_array(vc[k], self.grid, i) for i in range(d)])
-             for k in range(d)]
-        )  # dv[k, i] = d_i v^k
-        out = np.zeros_like(self.gfull)
-        for i in range(d):
-            for j in range(d):
-                acc = np.zeros(self.grid.shape)
-                for k in range(d):
-                    acc += vc[k] * self.dg[k, i, j]
-                    acc += self.gfull[k, j] * dv[k, i] + self.gfull[i, k] * dv[k, j]
-                out[i, j] = acc
-        return out
+        return _lie_derivative_full(self.gfull, self.dg, vc, self.grid)
 
     def lie_adjoint(self, s_full):
         """Adjoint of ``lie`` w.r.t. plain sums over nodes and full entries."""
@@ -283,9 +273,9 @@ def we_tangent_norm(g: MetricField, dg, cfg: SolverConfig = SolverConfig(), x0=N
     rhs = op.rhs(dg_full)
     sol = solve_spd(op.apply, rhs, tol=cfg.tol, max_iter=cfg.iter_cap(rhs.size), x0=x0)
     v = VectorField(grid, sol.x)
-    h_full = dg_full + op.lie(sol.x)
-    h = SymTensorField(grid, full_to_packed(h_full, grid.dim))
     lv = op.lie(sol.x)
+    h_full = dg_full + lv
+    h = SymTensorField(grid, full_to_packed(h_full, grid.dim))
     resid = float(np.max(np.abs(dg_full - (-lv + h_full))))
     value = op.objective(sol.x, dg_full)
     return MetricNormResult(value, TangentDecomposition(v, h, resid), sol.iterations, sol.residual)
@@ -518,13 +508,8 @@ def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12)
 
 def pullback_metric_by(phi_inv: DisplacementMap) -> MetricField:
     """(dphi_inv)^T (dphi_inv) — the pushforward of the flat metric."""
-    grid = phi_inv.grid
     du = displacement_jacobian(phi_inv.displacement)
-    jac = du.copy()
-    for i in range(grid.dim):
-        jac[i, i] += 1.0
-    pulled = np.einsum("ki...,kj...->ij...", jac, jac)
-    return MetricField(SymTensorField(grid, full_to_packed(pulled, grid.dim)))
+    return MetricField(SymTensorField(phi_inv.grid, jacobian_gram(du)))
 
 
 def _detect_collar(f: VectorField):

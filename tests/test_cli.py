@@ -8,7 +8,7 @@ import pytest
 from metricflow.cli import main
 from metricflow.config import load_config, parse_config
 from metricflow.errors import ConfigError
-from metricflow.experiments import run_experiment, worker_count
+from metricflow.experiments import run_experiment
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -70,15 +70,30 @@ def test_validate_command(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
-def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        pytest.param("solver", {"lambda": -2.0}, id="lambda-negative"),
+        pytest.param("solver", {"lambda": float("inf")}, id="lambda-inf"),
+        pytest.param("solver", {"tol": float("nan")}, id="tol-nan"),
+        pytest.param("solver", {"tol": "1e-8"}, id="tol-string"),
+        pytest.param("solver", {"tol": 10**400}, id="tol-overflow"),
+        pytest.param("solver", {"max_iter": 1.5}, id="max_iter-float"),
+        pytest.param("solver", {"max_iter": True}, id="max_iter-bool"),
+        pytest.param("grid", {"dim": 2.0}, id="dim-float"),
+        pytest.param("params", {"n_trials": "3"}, id="n_trials-string"),
+    ],
+)
+def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys, section, value):
     bad = dict(BASE)
-    bad["solver"] = {"lambda": -2.0}
+    bad[section] = value
     path = write_config(tmp_path, bad)
     out_dir = tmp_path / "out"
     code = main(["wfr-norm", "--config", path, "--out", str(out_dir)])
     assert code == 2
     assert not out_dir.exists()
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
 
 
 def test_experiment_name_mismatch_exits_2(tmp_path, capsys):
@@ -190,15 +205,6 @@ def test_toy_geodesic_run(tmp_path):
     assert manifest["results"]["all_perturbations_increase"]
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("METRICFLOW_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("METRICFLOW_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.delenv("METRICFLOW_THREADS")
-    assert worker_count() >= 1
-
-
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -227,25 +233,6 @@ def test_divergence_sweep_csv_columns(tmp_path):
         rows = list(reader)
     assert len(rows) == 18  # 3 pairs x 6 kinds
     assert all(float(r["value"]) >= -1e-12 for r in rows)
-
-
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    cfg_obj = {
-        "experiment": "divergence-sweep",
-        "grid": {"dim": 2, "topology": "torus", "n_per_axis": 16},
-        "seed": 21,
-        "params": {"n_pairs": 4},
-    }
-    path = write_config(tmp_path, cfg_obj)
-    outputs = {}
-    for name, threads in (("serial", "1"), ("pool", "4")):
-        monkeypatch.setenv("METRICFLOW_THREADS", threads)
-        out_dir = tmp_path / name
-        assert main(["divergence-sweep", "--config", path, "--out", str(out_dir)]) == 0
-        with open(out_dir / "divergence_sweep.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        outputs[name] = [(r["kind"], r["seed"], r["value"], r["min_eigen_gap"]) for r in rows]
-    assert outputs["serial"] == outputs["pool"]
 
 
 def test_we_norm_manifest_carries_substrate_and_closed_forms(tmp_path):
