@@ -32,7 +32,8 @@ def solve_spd(
     """Solve A x = rhs with ||A x - rhs||_2 <= tol * ||rhs||_2.
 
     Raises SolverFailure (carrying the final residual) if the tolerance is
-    not reached within max_iter iterations (default 10 * unknown count).
+    not reached within max_iter iterations (default 10 * unknown count), and
+    at once if p.Ap or the residual is not finite.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -58,6 +59,12 @@ def solve_spd(
     for k in range(1, max_iter + 1):
         ap = np.asarray(apply_operator(p), dtype=float)
         pap = float(np.vdot(p, ap).real)
+        if not np.isfinite(pap):
+            raise SolverFailure(
+                f"operator returned a non-finite value (p.Ap={pap})",
+                residual=np.sqrt(rs),
+                iterations=k,
+            )
         if pap <= 0.0:
             raise SolverFailure(
                 f"operator is not positive definite along a search direction (p.Ap={pap})",
@@ -69,6 +76,10 @@ def solve_spd(
         r = r - alpha * ap
         rs_new = float(np.vdot(r, r).real)
         res = float(np.sqrt(rs_new))
+        if not np.isfinite(res):
+            raise SolverFailure(
+                f"residual became non-finite at iteration {k}", residual=res, iterations=k
+            )
         if res <= tol * norm_b:
             return CGResult(x, k, res)
         p = r + (rs_new / rs) * p

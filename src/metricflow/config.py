@@ -10,9 +10,9 @@ A config is a single JSON object:
      "params": { ... experiment-specific ... }}
 
 Unknown keys anywhere are rejected; "experiment" and "seed" are mandatory.
-The known experiments, their params, the params' defaults and JSON types
-all come from ``experiments.EXPERIMENTS``.  ``--seed`` / ``--out`` on the
-command line override the file's values.
+The known experiments, their params, the params' defaults, JSON types and
+least values all come from ``experiments.EXPERIMENTS``.  ``--seed`` /
+``--out`` on the command line override the file's values.
 """
 
 from __future__ import annotations
@@ -127,13 +127,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     params_obj = obj.get("params", {})
     _expect(isinstance(params_obj, dict), "'params' must be an object")
-    param_defaults = EXPERIMENTS[experiment].defaults
+    spec = EXPERIMENTS[experiment]
+    param_defaults = spec.defaults
     _reject_unknown(params_obj, param_defaults, f"params for {experiment}")
     for key, value in params_obj.items():
         _expect(
             _same_json_type(value, param_defaults[key]),
             f"param {key!r} for {experiment} must have the JSON type of its default "
             f"{param_defaults[key]!r}, got {value!r}",
+        )
+        entries = value if type(value) is list else [value]
+        _expect(entries != [], f"param {key!r} for {experiment} must not be empty")
+        least = spec.minimums.get(key, 1)
+        _expect(
+            all(v >= least for v in entries if type(v) is int),
+            f"param {key!r} for {experiment} must be at least {least}, got {value!r}",
         )
     params = {**param_defaults, **params_obj}
 

@@ -576,10 +576,16 @@ def run_bounds(cfg: ExperimentConfig):
 
 
 class Experiment(NamedTuple):
-    """A runner and its params' defaults; each default also fixes its param's JSON type."""
+    """A runner and its params' defaults; each default also fixes its param's JSON type.
+
+    Integer params are counts: each one, and each entry of a list param, must
+    be at least 1 unless ``minimums`` gives another least value.  A list
+    param must not be empty.
+    """
 
     run: Callable
     defaults: dict
+    minimums: dict = {}
 
 
 EXPERIMENTS = {
@@ -595,17 +601,23 @@ EXPERIMENTS = {
         run_second_variation, {"n_triples": 50, "step": 1e-2, "modes": 3, "amplitude": 0.3}
     ),
     "flat-factorize": Experiment(
-        run_flat_factorize, {"n_instances": 5, "n_non_flat": 3, "amplitude": 0.008}
+        run_flat_factorize,
+        {"n_instances": 5, "n_non_flat": 3, "amplitude": 0.008},
+        minimums={"n_non_flat": 0},
     ),
     "seq-demo": Experiment(
-        run_seq_demo, {"ns": [8, 12, 16, 20, 24], "n_max": 64, "quad_points": 2049}
+        run_seq_demo,
+        {"ns": [8, 12, 16, 20, 24], "n_max": 64, "quad_points": 2049},
+        minimums={"quad_points": 2},
     ),
     "euler-alpha": Experiment(run_euler_alpha, {"stencil_order": 4}),
     "path-energy": Experiment(
         run_path_energy, {"n_paths": 10, "n_t": 8, "modes": 3, "amplitude": 0.2}
     ),
     "static-eval": Experiment(
-        run_static_eval, {"iters": 12, "modes": 2, "lambda_balance": 1.0, "kind": "kl_met"}
+        run_static_eval,
+        {"iters": 12, "modes": 2, "lambda_balance": 1.0, "kind": "kl_met"},
+        minimums={"iters": 0},
     ),
     "toy-geodesic": Experiment(
         run_toy_geodesic, {"n_t": 16, "amplitude": 0.08, "n_perturb": 10}

@@ -41,7 +41,8 @@ class Grid:
             raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
         if topology not in (TORUS, BOX):
             raise ValueError(f"topology must be '{TORUS}' or '{BOX}', got {topology!r}")
-        n_per_axis = int(n_per_axis)
+        if isinstance(n_per_axis, bool) or not isinstance(n_per_axis, int):
+            raise ValueError(f"n_per_axis must be an integer, got {n_per_axis!r}")
         if n_per_axis < 8:
             raise ValueError(f"n_per_axis must be >= 8, got {n_per_axis}")
         extent = float(extent)

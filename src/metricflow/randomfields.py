@@ -5,15 +5,25 @@ All generators draw from ``numpy.random.Generator`` streams created by
 substream depends only on the 64-bit seed and the label string, never on
 execution order.
 
-Scalar fields are truncated Fourier series with modes up to ``modes`` per
-axis (must be resolvable, modes <= n_per_axis / 4) rescaled to a prescribed
-max amplitude.  SPD fields are built as (I + eps)^T (I + eps) with the
-perturbation eps capped strictly below 1/2 in operator norm, so positive
-definiteness holds by construction.
+Scalar fields are truncated Fourier series with modes up to m = ``modes``
+per axis (must be resolvable, m <= n_per_axis / 4) rescaled to a prescribed
+max amplitude.  The series is synthesized separably: the coefficients of
+the wavevectors (k0, k1) fill two (2m+1) x (m+1) matrices A and B, and with
+the 1D tables C[k, i] = cos(2 pi k x_i), S[k, i] = sin(2 pi k x_i) the field
+is C^T (A C+ + B S+) + S^T (B C+ - A S+), where C+ and S+ are the rows
+k >= 0: six small matrix products in place of one full-grid cos/sin per
+wavevector (in 1D, one weighted sum of the rows k = 1..m of C and S).  The
+tables depend only on the grid and m; they are cached per (grid, m) and
+read-only.
+
+SPD fields are built as (I + eps)^T (I + eps) with the perturbation eps
+capped strictly below 1/2 in operator norm, so positive definiteness holds
+by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -46,24 +56,36 @@ def _check_modes(grid, modes):
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _trig_tables(grid, modes):
+    """Read-only cos/sin(2 pi k x) over one axis's coordinates, rows k = -modes..modes."""
+    phase = 2.0 * np.pi * np.outer(np.arange(-modes, modes + 1), grid.axis_coordinates())
+    tables = np.cos(phase), np.sin(phase)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def band_limited_values(grid, rng, modes=4, amplitude=1.0):
     """Truncated Fourier series rescaled to the requested max amplitude."""
     _check_modes(grid, modes)
-    x = grid.coordinates()
-    out = np.zeros(grid.shape)
+    cos, sin = _trig_tables(grid, modes)
     if grid.dim == 1:
-        wavevectors = [(k,) for k in range(1, modes + 1)]
+        coeffs = rng.normal(size=(modes, 2))
+        out = coeffs[:, 0] @ cos[modes + 1 :] + coeffs[:, 1] @ sin[modes + 1 :]
     else:
-        wavevectors = [
-            (k0, k1)
-            for k0 in range(-modes, modes + 1)
-            for k1 in range(0, modes + 1)
-            if not (k0 == 0 and k1 == 0) and not (k1 == 0 and k0 < 0)
-        ]
-    coeffs = rng.normal(size=(len(wavevectors), 2))
-    for (kvec, (a, b)) in zip(wavevectors, coeffs):
-        phase = 2.0 * np.pi * sum(k * x[i] for i, k in enumerate(kvec))
-        out += a * np.cos(phase) + b * np.sin(phase)
+        # coefficients of the wavevectors (k0, k1), k0 in [-m, m], k1 in [0, m],
+        # drawn in row-major order over the half plane that skips (k0 <= 0, k1 = 0)
+        kept = np.ones((2 * modes + 1, modes + 1), dtype=bool)
+        kept[: modes + 1, 0] = False
+        coeffs = rng.normal(size=(int(kept.sum()), 2))
+        a = np.zeros(kept.shape)
+        b = np.zeros(kept.shape)
+        a[kept] = coeffs[:, 0]
+        b[kept] = coeffs[:, 1]
+        cos1, sin1 = cos[modes:], sin[modes:]
+        # cos(p + q) = cos p cos q - sin p sin q, sin(p + q) = sin p cos q + cos p sin q
+        out = cos.T @ (a @ cos1 + b @ sin1) + sin.T @ (b @ cos1 - a @ sin1)
     peak = float(np.max(np.abs(out)))
     if peak > 0.0 and amplitude != 0.0:
         out *= amplitude / peak

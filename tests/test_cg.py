@@ -79,3 +79,17 @@ def test_nonconvergence_raises_with_residual():
 def test_invalid_tolerance():
     with pytest.raises(ValueError):
         solve_spd(lambda x: x, np.ones(3), tol=0.0)
+
+
+def test_non_finite_operator_fails_at_first_iteration():
+    b = np.ones(512)
+    with pytest.raises(SolverFailure) as err:
+        solve_spd(lambda x: np.full_like(x, np.nan), b, tol=1e-12)
+    assert err.value.iterations == 1
+
+
+def test_overflowing_step_fails_fast():
+    # positive definite, but so small that the step length rs / p.Ap overflows
+    with pytest.raises(SolverFailure) as err:
+        solve_spd(lambda x: 5e-324 * x, np.ones(2), tol=1e-12)
+    assert err.value.iterations == 1

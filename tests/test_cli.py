@@ -71,29 +71,47 @@ def test_validate_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, value",
+    "overrides",
     [
-        pytest.param("solver", {"lambda": -2.0}, id="lambda-negative"),
-        pytest.param("solver", {"lambda": float("inf")}, id="lambda-inf"),
-        pytest.param("solver", {"tol": float("nan")}, id="tol-nan"),
-        pytest.param("solver", {"tol": "1e-8"}, id="tol-string"),
-        pytest.param("solver", {"tol": 10**400}, id="tol-overflow"),
-        pytest.param("solver", {"max_iter": 1.5}, id="max_iter-float"),
-        pytest.param("solver", {"max_iter": True}, id="max_iter-bool"),
-        pytest.param("grid", {"dim": 2.0}, id="dim-float"),
-        pytest.param("params", {"n_trials": "3"}, id="n_trials-string"),
+        pytest.param({"solver": {"lambda": -2.0}}, id="lambda-negative"),
+        pytest.param({"solver": {"lambda": float("inf")}}, id="lambda-inf"),
+        pytest.param({"solver": {"tol": float("nan")}}, id="tol-nan"),
+        pytest.param({"solver": {"tol": "1e-8"}}, id="tol-string"),
+        pytest.param({"solver": {"tol": 10**400}}, id="tol-overflow"),
+        pytest.param({"solver": {"max_iter": 1.5}}, id="max_iter-float"),
+        pytest.param({"solver": {"max_iter": True}}, id="max_iter-bool"),
+        pytest.param({"grid": {"dim": 2.0}}, id="dim-float"),
+        pytest.param({"grid": {"n_per_axis": 16.5}}, id="n_per_axis-float"),
+        pytest.param({"params": {"n_trials": "3"}}, id="n_trials-string"),
+        pytest.param({"params": {"n_trials": 0}}, id="n_trials-zero"),
+        pytest.param({"experiment": "seq-demo", "params": {"ns": []}}, id="ns-empty"),
+        pytest.param({"experiment": "seq-demo", "params": {"ns": [8, 0]}}, id="ns-entry-zero"),
+        pytest.param(
+            {"experiment": "seq-demo", "params": {"quad_points": 1}}, id="quad_points-one"
+        ),
+        pytest.param(
+            {"experiment": "divergence-sweep", "params": {"n_pairs": -1}}, id="n_pairs-negative"
+        ),
     ],
 )
-def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys, section, value):
-    bad = dict(BASE)
-    bad[section] = value
+def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys, overrides):
+    bad = {**BASE, **overrides}
     path = write_config(tmp_path, bad)
     out_dir = tmp_path / "out"
-    code = main(["wfr-norm", "--config", path, "--out", str(out_dir)])
+    code = main([bad["experiment"], "--config", path, "--out", str(out_dir)])
     assert code == 2
     assert not out_dir.exists()
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+def test_least_param_values_accepted():
+    cfg = parse_config(
+        {"experiment": "flat-factorize", "seed": 1, "params": {"n_non_flat": 0}}
+    )
+    assert cfg.params["n_non_flat"] == 0
+    cfg = parse_config({"experiment": "seq-demo", "seed": 1, "params": {"quad_points": 2}})
+    assert cfg.params["quad_points"] == 2
 
 
 def test_experiment_name_mismatch_exits_2(tmp_path, capsys):

@@ -38,6 +38,10 @@ def test_grid_validation():
         Grid(2, "klein_bottle", 16)
     with pytest.raises(ValueError):
         Grid(2, "box", 16, extent=-1.0)
+    with pytest.raises(ValueError):
+        Grid(2, "torus", 16.5)
+    with pytest.raises(ValueError):
+        Grid(2, "torus", True)
 
 
 def test_grid_spacing_conventions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metricflow import Grid, generate_field, substream
-from metricflow.randomfields import band_limited_values, random_spd_metric
+from metricflow.randomfields import _trig_tables, band_limited_values, random_spd_metric
 from metricflow.tensors import packed_det
 
 
@@ -58,3 +58,52 @@ def test_generators_require_torus():
     grid = Grid(2, "box", 16, extent=2.0)
     with pytest.raises(ValueError):
         generate_field(grid, "scalar", seed=1)
+
+
+def _loop_band_limited_values(grid, rng, modes, amplitude):
+    """Reference: one full-grid cos/sin per wavevector, in the draw order."""
+    x = grid.coordinates()
+    out = np.zeros(grid.shape)
+    if grid.dim == 1:
+        wavevectors = [(k,) for k in range(1, modes + 1)]
+    else:
+        wavevectors = [
+            (k0, k1)
+            for k0 in range(-modes, modes + 1)
+            for k1 in range(0, modes + 1)
+            if not (k0 == 0 and k1 == 0) and not (k1 == 0 and k0 < 0)
+        ]
+    coeffs = rng.normal(size=(len(wavevectors), 2))
+    for kvec, (a, b) in zip(wavevectors, coeffs):
+        phase = 2.0 * np.pi * sum(k * x[i] for i, k in enumerate(kvec))
+        out += a * np.cos(phase) + b * np.sin(phase)
+    peak = float(np.max(np.abs(out)))
+    if peak > 0.0 and amplitude != 0.0:
+        out *= amplitude / peak
+    elif amplitude == 0.0:
+        out[:] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("amplitude", [0.0, 0.3, 1.0])
+def test_separable_synthesis_matches_loop_oracle(dim, n, amplitude):
+    grid = Grid(dim, "torus", n)
+    for modes in sorted({1, 3, n // 4}):
+        label = f"oracle-{dim}-{n}-{modes}-{amplitude}"
+        rng_new, rng_ref = substream(3, label), substream(3, label)
+        values = band_limited_values(grid, rng_new, modes, amplitude)
+        expected = _loop_band_limited_values(grid, rng_ref, modes, amplitude)
+        assert values.shape == grid.shape
+        assert np.max(np.abs(values - expected)) <= 1e-13
+        # both consumed the same stretch of the stream
+        assert rng_new.normal() == rng_ref.normal()
+
+
+def test_trig_tables_are_read_only(torus16):
+    band_limited_values(torus16, substream(1, "x"), modes=3)
+    for table in _trig_tables(torus16, 3):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
