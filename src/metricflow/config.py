@@ -18,6 +18,7 @@ least values all come from ``experiments.EXPERIMENTS``.  ``--seed`` /
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -67,9 +68,12 @@ def _expect(condition, message):
 
 
 def _same_json_type(value, default):
-    """JSON type check against a default: an int passes for a float, a bool never for a number."""
+    """JSON type check against a default.
+
+    An int passes for a float if a float can hold it; a bool never passes for a number.
+    """
     if type(default) is float and type(value) is int:
-        return True
+        return abs(value) <= sys.float_info.max
     if type(default) is list:
         return type(value) is list and all(_same_json_type(v, default[0]) for v in value)
     return type(value) is type(default)

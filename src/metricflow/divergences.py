@@ -181,6 +181,12 @@ def second_variation_probe(kind: DivergenceKind, g: MetricField, h, k, step=1e-2
     kind = DivergenceKind(kind)
     if kind not in (DivergenceKind.KL_MET, DivergenceKind.TILDE_KL_MET):
         raise ValueError("the second-variation probe applies to the metric divergences")
+    half = step / 2.0
+    if not 0.0 < half * half < np.inf:
+        raise ValueError(
+            f"second-variation step must be finite and large enough that (step/2)**2 > 0, "
+            f"got {step!r}"
+        )
 
     def mixed(s):
         dpp = divergence(kind, _shifted(g, h, s), _shifted(g, k, s))

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
+from .certificates import conformal_closed_forms, discrete_calculus, toy_geodesic_probe
 from .divergences import (
     DivergenceKind,
     StaticProblem,
@@ -31,7 +32,7 @@ from .divergences import (
     static_objective,
 )
 from .fiber import euler_alpha_lagrangian, verify_pi1_submersion
-from .fields import VectorField
+from .fields import Grid, VectorField
 from .flatmaps import (
     assert_flat,
     factorize_flat_metric,
@@ -50,11 +51,8 @@ from .seqdemo import SeqSpace, vanishing_sweep
 from .serialization import dumps_result, field_to_json
 from .tensors import volume_map
 from .transport import (
-    DisplacementPath,
-    displacement_path_energy,
     linear_metric_path,
     path_energy,
-    toy_geodesic,
     we_distance_bounds,
     we_tangent_norm,
     wfr_tangent_norm,
@@ -66,77 +64,6 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # experiment bodies
-
-
-def _substrate_checks(cfg: ExperimentConfig):
-    """Discrete-calculus certificate: adjointness, dense agreement, refinement."""
-    from .fields import (
-        ScalarField,
-        diff_array,
-        divergence_array,
-        gradient_array,
-        integrate,
-        sample_array,
-    )
-    from .cg import solve_spd
-    from .fields import Grid
-
-    grid = Grid(2, "torus", 24)
-    fs = band_limited_scalar(grid, substream(cfg.seed, "substrate-f"), 4, 1.0)
-    ws = band_limited_sym_tensor(grid, substream(cfg.seed, "substrate-w"), 4, 1.0)
-    wvec = ws.components[:2]
-    ibp = integrate(
-        ScalarField(grid, fs.values * divergence_array(wvec, grid))
-    ) + integrate(ScalarField(grid, np.sum(gradient_array(fs.values, grid) * wvec, axis=0)))
-
-    g8 = Grid(2, "torus", 8)
-
-    def screened(u):
-        lap = np.zeros_like(u)
-        for ax in range(2):
-            lap += diff_array(diff_array(u, g8, ax), g8, ax)
-        return u - 0.05 * lap
-
-    n = g8.node_count
-    dense = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        dense[:, j] = screened(e.reshape(g8.shape)).ravel()
-    b = substream(cfg.seed, "substrate-rhs").normal(size=g8.shape)
-    direct = np.linalg.solve(dense, b.ravel()).reshape(g8.shape)
-    cg_err = float(np.max(np.abs(solve_spd(screened, b, tol=1e-12).x - direct)))
-
-    def derivative_err(n_axis):
-        g = Grid(2, "torus", n_axis)
-        x = g.coordinates()
-        d = diff_array(np.sin(2 * np.pi * x[0]), g, 0)
-        return float(np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x[0]))))
-
-    def interp_err(n_axis):
-        g = Grid(2, "torus", n_axis)
-        x = g.coordinates()
-        mids = (x + g.spacing / 2.0).reshape(2, -1)
-        got = sample_array(np.sin(2 * np.pi * x[0]), g, mids)
-        return float(np.max(np.abs(got - np.sin(2 * np.pi * mids[0]))))
-
-    def quad_err(n_axis):
-        g = Grid(2, "box", n_axis, extent=2.0)
-        x = g.coordinates()
-        return abs(
-            integrate(ScalarField(g, np.exp(x[0]) * np.exp(x[1])))
-            - (np.e - np.exp(-1.0)) ** 2
-        )
-
-    return {
-        "ibp_residual": abs(ibp),
-        "cg_vs_dense_error": cg_err,
-        "refinement_ratios": {
-            "derivative": derivative_err(32) / derivative_err(64),
-            "interpolation": interp_err(32) / interp_err(64),
-            "quadrature": quad_err(33) / quad_err(65),
-        },
-    }
 
 
 def run_we_norm(cfg: ExperimentConfig):
@@ -159,10 +86,14 @@ def run_we_norm(cfg: ExperimentConfig):
                 "decomposition_residual": res.decomposition.residual,
             }
         )
+    grid24 = Grid(2, "torus", 24)
+    fs = band_limited_scalar(grid24, substream(cfg.seed, "substrate-f"), 4, 1.0)
+    ws = band_limited_sym_tensor(grid24, substream(cfg.seed, "substrate-w"), 4, 1.0)
+    rhs = substream(cfg.seed, "substrate-rhs").normal(size=(8, 8))
     results = {
         "values": [r["value"] for r in rows],
         "max_iters": max(r["iters"] for r in rows),
-        "substrate": _substrate_checks(cfg),
+        "substrate": discrete_calculus(fs, ws.components[:2], rhs),
     }
     header = ["trial", "value", "iters", "residual", "decomposition_residual"]
     return results, header, rows
@@ -267,37 +198,9 @@ def run_divergence_sweep(cfg: ExperimentConfig):
         "min_value": min_value,
         "pairs_per_kind": p["n_pairs"],
         "nonnegative": min_value >= -1e-12,
-        "closed_forms": _conformal_closed_forms(cfg),
+        "closed_forms": conformal_closed_forms(cfg.solver),
     }
     return results, ["kind", "seed", "value", "min_eigen_gap", "runtime_ms"], rows
-
-
-def _conformal_closed_forms(cfg: ExperimentConfig):
-    """The conformal reference values with their exact targets."""
-    from .fields import DensityField, Grid, SymTensorField
-    from .tensors import MetricField
-
-    grid = cfg.grid if cfg.grid.topology == "torus" else Grid(2, "torus", 16)
-    eye = MetricField.euclidean(grid)
-    e_eye = MetricField.scaled_identity(grid, np.e)
-    one = DensityField.constant(grid, 1.0)
-    e_dens = DensityField.constant(grid, np.e)
-    from .divergences import kl_density_projection
-
-    dg = SymTensorField(grid, 0.5 * eye.components)
-    we_val = we_tangent_norm(eye, dg, cfg.solver).value
-    return {
-        "we_conformal": {"value": we_val, "target": grid.dim * cfg.solver.lam / 4.0 * 0.25 * grid.dim},
-        "kl_met_conformal": {"value": divergence(DivergenceKind.KL_MET, eye, e_eye), "target": 1.0},
-        "density_projection_conformal": {
-            "value": kl_density_projection(one, e_dens),
-            "target": 1.0,
-        },
-        "tilde_kl_conformal": {
-            "value": divergence(DivergenceKind.TILDE_KL_MET, eye, e_eye),
-            "target": np.e - 2.0,
-        },
-    }
 
 
 def run_second_variation(cfg: ExperimentConfig):
@@ -496,42 +399,11 @@ def run_static_eval(cfg: ExperimentConfig):
 
 def run_toy_geodesic(cfg: ExperimentConfig):
     p = cfg.params
-    grid = cfg.grid
-    if grid.topology != "box":
-        raise ValueError(f"{cfg.experiment} requires a box grid")
-    coords = grid.coordinates()
-    from .flatmaps import bump_and_gradient
-
-    psi, _ = bump_and_gradient(coords, (0.0, 0.0), 0.55 * grid.half_extent)
-    comps = np.zeros((grid.dim,) + grid.shape)
-    comps[0] = p["amplitude"] * psi
-    comps[1] = -0.5 * p["amplitude"] * psi
-    f = VectorField(grid, comps)
-    toy = toy_geodesic(f, n_t=p["n_t"])
-    spread = float(np.max(toy.interval_energies) - np.min(toy.interval_energies))
-    rel_spread = spread / max(float(np.max(toy.interval_energies)), 1e-300)
-
-    rng = substream(cfg.seed, "toy-perturb")
-    increases = []
-    base = toy.energy
-    ts = np.linspace(0.0, 1.0, p["n_t"] + 1)
-    for j in range(p["n_perturb"]):
-        center = rng.uniform(-0.2 * grid.half_extent, 0.2 * grid.half_extent, size=2)
-        radius = grid.half_extent * rng.uniform(0.35, 0.5)
-        wpsi, _ = bump_and_gradient(coords, center, radius)
-        direction = rng.normal(size=2)
-        direction *= 0.2 * p["amplitude"] / np.linalg.norm(direction)
-        from .fields import VectorField as VF
-        from .tensors import DisplacementMap
-
-        maps = []
-        for t in ts:
-            u_t = t * f.components + np.sin(np.pi * t) * np.stack(
-                [direction[0] * wpsi, direction[1] * wpsi]
-            )
-            maps.append(DisplacementMap(VF(grid, u_t), collar_width=1))
-        perturbed = displacement_path_energy(DisplacementPath(grid, maps))
-        increases.append(perturbed - base)
+    if cfg.grid.topology != "box" or cfg.grid.dim != 2:
+        raise ValueError(f"{cfg.experiment} requires a 2-D box grid")
+    toy, rel_spread, increases = toy_geodesic_probe(
+        cfg.grid, p["amplitude"], p["n_t"], substream(cfg.seed, "toy-perturb"), p["n_perturb"]
+    )
     rows = [
         {
             "interval": i,
@@ -541,7 +413,7 @@ def run_toy_geodesic(cfg: ExperimentConfig):
         for i in range(len(toy.interval_energies))
     ]
     results = {
-        "energy": base,
+        "energy": toy.energy,
         "relative_spread": rel_spread,
         "min_perturbation_increase": min(increases),
         "all_perturbations_increase": bool(all(inc > 0 for inc in increases)),

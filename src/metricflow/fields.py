@@ -31,7 +31,7 @@ class Grid:
     dim : 1 or 2
     topology : "torus" or "box"
     n_per_axis : nodes per axis, at least 8
-    extent : side length; must be 1.0 on the torus, 2*L > 0 on the box
+    extent : side length; must be 1.0 on the torus, a finite 2*L > 0 on the box
     """
 
     __slots__ = ("dim", "topology", "n_per_axis", "extent")
@@ -48,8 +48,8 @@ class Grid:
         extent = float(extent)
         if topology == TORUS and extent != 1.0:
             raise ValueError("torus grids have extent fixed to 1.0")
-        if extent <= 0.0:
-            raise ValueError(f"extent must be positive, got {extent}")
+        if not 0.0 < extent < np.inf:
+            raise ValueError(f"extent must be positive and finite, got {extent}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "n_per_axis", n_per_axis)
@@ -137,10 +137,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, fn(*grid.coordinates()))
 
 
 class DensityField:

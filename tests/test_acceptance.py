@@ -9,14 +9,11 @@ import time
 import numpy as np
 
 from metricflow import (
-    DensityField,
     DivergenceKind,
     Grid,
     MetricField,
-    ScalarField,
     SeqSpace,
     SolverConfig,
-    SymTensorField,
     VectorField,
     assert_flat,
     divergence,
@@ -24,27 +21,21 @@ from metricflow import (
     factorize_flat_metric,
     flat_pullback_instance,
     frame_and_connection,
-    integrate,
     kl_density_projection,
     linear_metric_path,
     non_flat_instance,
     path_energy,
     second_variation_probe,
-    solve_spd,
-    toy_geodesic,
     vanishing_sweep,
     verify_pi1_submersion,
     volume_map,
-    we_tangent_norm,
+)
+from metricflow.certificates import (
+    conformal_closed_forms,
+    discrete_calculus,
+    toy_geodesic_probe,
 )
 from metricflow.divergences import conformal_lift, min_eigenvalue_gap
-from metricflow.fields import (
-    diff_array,
-    divergence_array,
-    gradient_array,
-    sample_array,
-)
-from metricflow.flatmaps import bump_and_gradient
 from metricflow.randomfields import (
     band_limited_density,
     band_limited_scalar,
@@ -53,11 +44,7 @@ from metricflow.randomfields import (
     random_spd_metric,
     substream,
 )
-from metricflow.transport import (
-    DisplacementPath,
-    density_path_energy,
-    displacement_path_energy,
-)
+from metricflow.transport import density_path_energy
 
 CFG = SolverConfig()
 K = DivergenceKind
@@ -91,24 +78,19 @@ def test_criterion_01_submersion_identity():
 
 
 def test_criterion_02_conformal_closed_forms():
-    grid = Grid(2, "torus", 16)
-    eye = MetricField.euclidean(grid)
-    e_eye = MetricField.scaled_identity(grid, np.e)
-    one = DensityField.constant(grid, 1.0)
-    e_dens = DensityField.constant(grid, np.e)
-
-    we = we_tangent_norm(eye, SymTensorField.from_matrix_entries(grid, 0.5, 0.0, 0.5), CFG)
+    forms = conformal_closed_forms(CFG)
+    we = forms["we_conformal"]["value"]
     checks = [
-        abs(we.value - 0.25) <= 1e-8,
-        abs(divergence(K.KL_MET, eye, e_eye) - 1.0) <= 1e-10,
-        abs(kl_density_projection(one, e_dens) - 1.0) <= 1e-10,
-        abs(divergence(K.TILDE_KL_MET, eye, e_eye) - (np.e - 2.0)) <= 1e-10,
+        abs(we - 0.25) <= 1e-8,
+        abs(forms["kl_met_conformal"]["value"] - 1.0) <= 1e-10,
+        abs(forms["density_projection_conformal"]["value"] - 1.0) <= 1e-10,
+        abs(forms["tilde_kl_conformal"]["value"] - (np.e - 2.0)) <= 1e-10,
     ]
     report(
         2,
         "conformal closed forms reproduced:",
         all(checks),
-        f"(we {we.value:.2e}-0.25, checks {checks})",
+        f"(we {we:.2e}-0.25, checks {checks})",
     )
 
 
@@ -278,34 +260,9 @@ def test_criterion_08_distance_bound_sanity():
 
 def test_criterion_09_toy_geodesic():
     grid = Grid(2, "box", 64, extent=2.0)
-    coords = grid.coordinates()
-    psi, _ = bump_and_gradient(coords, (0.0, 0.0), 0.55 * grid.half_extent)
-    comps = np.zeros((2,) + grid.shape)
-    comps[0] = 0.08 * psi
-    comps[1] = -0.04 * psi
-    f = VectorField(grid, comps)
-    toy = toy_geodesic(f, n_t=16)
-    spread = float(np.max(toy.interval_energies) - np.min(toy.interval_energies))
-    rel_spread = spread / float(np.max(toy.interval_energies))
-
-    from metricflow.tensors import DisplacementMap
-
-    rng = substream(9, "acc9")
-    ts = np.linspace(0.0, 1.0, 17)
-    increases = []
-    for trial in range(10):
-        center = rng.uniform(-0.2, 0.2, size=2) * grid.half_extent
-        radius = grid.half_extent * rng.uniform(0.35, 0.5)
-        wpsi, _ = bump_and_gradient(coords, center, radius)
-        direction = rng.normal(size=2)
-        direction *= 0.016 / np.linalg.norm(direction)
-        maps = []
-        for t in ts:
-            u_t = t * f.components + np.sin(np.pi * t) * np.stack(
-                [direction[0] * wpsi, direction[1] * wpsi]
-            )
-            maps.append(DisplacementMap(VectorField(grid, u_t), collar_width=1))
-        increases.append(displacement_path_energy(DisplacementPath(grid, maps)) - toy.energy)
+    _, rel_spread, increases = toy_geodesic_probe(
+        grid, 0.08, n_t=16, rng=substream(9, "acc9"), n_perturb=10
+    )
     ok = rel_spread <= 1e-6 and all(inc > 0.0 for inc in increases)
     report(
         9,
@@ -316,84 +273,18 @@ def test_criterion_09_toy_geodesic():
 
 
 def test_criterion_10_discrete_calculus_base():
-    # integration by parts
     grid = Grid(2, "torus", 24)
     fs = band_limited_scalar(grid, substream(10, "acc10-f"), 4, 1.0)
     ws = band_limited_vector(grid, substream(10, "acc10-w"), 4, 1.0)
-    ibp = integrate(
-        ScalarField(grid, fs.values * divergence_array(ws.components, grid))
-    ) + integrate(
-        ScalarField(grid, np.sum(gradient_array(fs.values, grid) * ws.components, axis=0))
-    )
-
-    # CG against a dense direct solve on an 8x8 grid
-    g8 = Grid(2, "torus", 8)
-
-    def screened(u):
-        lap = np.zeros_like(u)
-        for ax in range(2):
-            lap += diff_array(diff_array(u, g8, ax), g8, ax)
-        return u - 0.05 * lap
-
-    n = g8.node_count
-    dense = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        dense[:, j] = screened(e.reshape(g8.shape)).ravel()
-    b = np.random.default_rng(10).normal(size=g8.shape)
-    direct = np.linalg.solve(dense, b.ravel()).reshape(g8.shape)
-    cg_err = float(np.max(np.abs(solve_spd(screened, b, tol=1e-12).x - direct)))
-
-    # order-2 refinement of the four calculus probes
-    ratios = {}
-
-    def errs_over(ns, fn):
-        return [fn(n) for n in ns]
-
-    def derivative_err(n):
-        g = Grid(2, "torus", n)
-        x = g.coordinates()
-        d = diff_array(np.sin(2 * np.pi * x[0]), g, 0)
-        return float(np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * x[0]))))
-
-    def box_derivative_err(n):
-        g = Grid(2, "box", n, extent=2.0)
-        x = g.coordinates()
-        d = diff_array(np.sin(x[0] + 0.3), g, 0)
-        return float(np.max(np.abs(d - np.cos(x[0] + 0.3))))
-
-    def quadrature_err(n):
-        g = Grid(2, "box", n, extent=2.0)
-        x = g.coordinates()
-        val = integrate(ScalarField(g, np.exp(x[0]) * np.exp(x[1])))
-        return abs(val - (np.e - np.exp(-1.0)) ** 2)
-
-    def interpolation_err(n):
-        g = Grid(2, "torus", n)
-        x = g.coordinates()
-        mids = (x + g.spacing / 2.0).reshape(2, -1)
-        got = sample_array(np.sin(2 * np.pi * x[0]), g, mids)
-        return float(np.max(np.abs(got - np.sin(2 * np.pi * mids[0]))))
-
-    for name, fn, ns in (
-        ("derivative", derivative_err, (32, 64)),
-        ("box_derivative", box_derivative_err, (33, 65)),
-        ("quadrature", quadrature_err, (33, 65)),
-        ("interpolation", interpolation_err, (32, 64)),
-    ):
-        e = errs_over(ns, fn)
-        ratios[name] = e[0] / e[1]
-
-    ok = (
-        abs(ibp) <= 1e-10
-        and cg_err <= 1e-8
-        and all(3.2 <= r <= 4.8 for r in ratios.values())
-    )
+    rhs = np.random.default_rng(10).normal(size=(8, 8))
+    calc = discrete_calculus(fs, ws.components, rhs)
+    ibp, cg_err = calc["ibp_residual"], calc["cg_vs_dense_error"]
+    ratios = calc["refinement_ratios"]
+    ok = ibp <= 1e-10 and cg_err <= 1e-8 and all(3.2 <= r <= 4.8 for r in ratios.values())
     report(
         10,
         "discrete calculus: adjoints, direct-solve agreement, order-2 refinement:",
         ok,
-        f"(ibp {abs(ibp):.1e}, cg-vs-dense {cg_err:.1e}, "
+        f"(ibp {ibp:.1e}, cg-vs-dense {cg_err:.1e}, "
         f"ratios {dict((k, round(v, 2)) for k, v in ratios.items())})",
     )

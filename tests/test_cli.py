@@ -82,6 +82,9 @@ def test_validate_command(tmp_path, capsys):
         pytest.param({"solver": {"max_iter": True}}, id="max_iter-bool"),
         pytest.param({"grid": {"dim": 2.0}}, id="dim-float"),
         pytest.param({"grid": {"n_per_axis": 16.5}}, id="n_per_axis-float"),
+        pytest.param(
+            {"grid": {"topology": "box", "extent": float("inf")}}, id="extent-inf"
+        ),
         pytest.param({"params": {"n_trials": "3"}}, id="n_trials-string"),
         pytest.param({"params": {"n_trials": 0}}, id="n_trials-zero"),
         pytest.param({"experiment": "seq-demo", "params": {"ns": []}}, id="ns-empty"),
@@ -91,6 +94,9 @@ def test_validate_command(tmp_path, capsys):
         ),
         pytest.param(
             {"experiment": "divergence-sweep", "params": {"n_pairs": -1}}, id="n_pairs-negative"
+        ),
+        pytest.param(
+            {"experiment": "second-variation", "params": {"step": 10**400}}, id="step-overflow"
         ),
     ],
 )
@@ -103,6 +109,37 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys, overrides):
     assert not out_dir.exists()
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(
+            {"experiment": "second-variation", "params": {"n_triples": 1, "step": 0.0}},
+            id="step-zero",
+        ),
+        pytest.param(
+            {"experiment": "second-variation", "params": {"n_triples": 1, "step": 1e-300}},
+            id="step-underflow",
+        ),
+        pytest.param(
+            {
+                "experiment": "toy-geodesic",
+                "grid": {"dim": 1, "topology": "box", "n_per_axis": 16},
+                "params": {"n_t": 2, "n_perturb": 1},
+            },
+            id="toy-geodesic-dim1",
+        ),
+    ],
+)
+def test_violated_precondition_exits_2_without_artifacts(tmp_path, capsys, cfg):
+    path = write_config(tmp_path, {**cfg, "seed": 1})
+    out_dir = tmp_path / "out"
+    code = main([cfg["experiment"], "--config", path, "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error") and err.count("\n") == 1
 
 
 def test_least_param_values_accepted():
@@ -269,25 +306,29 @@ def test_we_norm_manifest_carries_substrate_and_closed_forms(tmp_path):
     sub = manifest["results"]["substrate"]
     assert sub["ibp_residual"] <= 1e-10
     assert sub["cg_vs_dense_error"] <= 1e-8
-    assert all(3.2 <= r <= 4.8 for r in sub["refinement_ratios"].values())
+    ratios = sub["refinement_ratios"]
+    assert set(ratios) == {"derivative", "box_derivative", "quadrature", "interpolation"}
+    assert all(3.2 <= r <= 4.8 for r in ratios.values())
 
 
 def test_divergence_sweep_manifest_closed_forms(tmp_path):
-    path = write_config(
-        tmp_path,
-        {
-            "experiment": "divergence-sweep",
-            "grid": {"dim": 2, "topology": "torus", "n_per_axis": 16},
-            "seed": 2,
-            "params": {"n_pairs": 2},
-        },
-    )
-    out_dir = tmp_path / "divcf"
-    assert main(["divergence-sweep", "--config", path, "--out", str(out_dir)]) == 0
-    manifest = json.loads((out_dir / "divergence_sweep_manifest.json").read_text())
-    forms = manifest["results"]["closed_forms"]
-    for entry in forms.values():
-        assert abs(entry["value"] - entry["target"]) <= 1e-8
+    # the closed forms hold whatever grid the sweep itself runs on, 1-D included
+    for dim in (2, 1):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "divergence-sweep",
+                "grid": {"dim": dim, "topology": "torus", "n_per_axis": 16},
+                "seed": 2,
+                "params": {"n_pairs": 2},
+            },
+        )
+        out_dir = tmp_path / f"divcf{dim}"
+        assert main(["divergence-sweep", "--config", path, "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "divergence_sweep_manifest.json").read_text())
+        forms = manifest["results"]["closed_forms"]
+        for entry in forms.values():
+            assert abs(entry["value"] - entry["target"]) <= 1e-8
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):

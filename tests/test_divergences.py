@@ -169,6 +169,14 @@ def test_second_variation_identity_direction(torus16):
     assert abs(rich - 1.0) <= 1e-5
 
 
+@pytest.mark.parametrize("step", [0.0, 1e-300, float("inf"), float("nan")])
+def test_second_variation_rejects_degenerate_step(step, torus16):
+    g = MetricField.euclidean(torus16)
+    h = SymTensorField.from_matrix_entries(torus16, 1.0, 0.2, 0.5)
+    with pytest.raises(ValueError, match="step"):
+        second_variation_probe(K.KL_MET, g, h, h, step)
+
+
 def test_first_variation_vanishes_on_diagonal(torus16):
     g = random_spd_metric(torus16, substream(9, "fv-g"), 3, 0.3)
     h = band_limited_sym_tensor(torus16, substream(9, "fv-h"), 3, 0.3)

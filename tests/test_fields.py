@@ -39,6 +39,10 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(2, "box", 16, extent=-1.0)
     with pytest.raises(ValueError):
+        Grid(2, "box", 16, extent=float("inf"))
+    with pytest.raises(ValueError):
+        Grid(2, "box", 16, extent=float("nan"))
+    with pytest.raises(ValueError):
         Grid(2, "torus", 16.5)
     with pytest.raises(ValueError):
         Grid(2, "torus", True)

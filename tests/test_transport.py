@@ -23,7 +23,7 @@ from metricflow import (
     we_tangent_norm,
     wfr_tangent_norm,
 )
-from metricflow.flatmaps import bump_and_gradient
+from metricflow.certificates import toy_field, toy_geodesic_probe
 from metricflow.randomfields import (
     band_limited_density,
     band_limited_scalar,
@@ -33,11 +33,9 @@ from metricflow.randomfields import (
     substream,
 )
 from metricflow.transport import (
-    DisplacementPath,
     MetricNormOperator,
     MetricPath,
     density_path_energy,
-    displacement_path_energy,
     wfr_normal_operator,
 )
 
@@ -321,15 +319,6 @@ def test_midpoint_guard_raises_on_degenerate_sample(torus16):
 # toy geodesic on the box
 
 
-def _toy_field(grid, amplitude=0.08):
-    coords = grid.coordinates()
-    psi, _ = bump_and_gradient(coords, (0.0, 0.0), 0.55 * grid.half_extent)
-    comps = np.zeros((2,) + grid.shape)
-    comps[0] = amplitude * psi
-    comps[1] = -0.5 * amplitude * psi
-    return VectorField(grid, comps)
-
-
 def test_toy_geodesic_zero_field(box64):
     toy = toy_geodesic(VectorField.zero(box64), n_t=4, collar_width=1)
     assert toy.energy == 0.0
@@ -338,16 +327,16 @@ def test_toy_geodesic_zero_field(box64):
 
 
 def test_toy_geodesic_constant_speed(box64):
-    toy = toy_geodesic(_toy_field(box64), n_t=8)
+    toy = toy_geodesic(toy_field(box64, 0.08), n_t=8)
     spread = float(np.max(toy.interval_energies) - np.min(toy.interval_energies))
     assert spread <= 1e-6 * float(np.max(toy.interval_energies))
     # material energies equal the closed-form integral of |f|^2
-    f = _toy_field(box64)
+    f = toy_field(box64, 0.08)
     assert toy.interval_energies[0] == pytest.approx(integrate(f.euclidean_square()), rel=1e-12)
 
 
 def test_toy_geodesic_eulerian_cross_check(box64):
-    toy = toy_geodesic(_toy_field(box64), n_t=4)
+    toy = toy_geodesic(toy_field(box64, 0.08), n_t=4)
     rel = np.max(
         np.abs(toy.interval_energies_eulerian - toy.interval_energies)
     ) / np.max(toy.interval_energies)
@@ -356,32 +345,13 @@ def test_toy_geodesic_eulerian_cross_check(box64):
 
 def test_toy_geodesic_orientation_failure(box64):
     with pytest.raises(DegeneratePathError) as err:
-        toy_geodesic(_toy_field(box64, amplitude=3.0), n_t=4)
+        toy_geodesic(toy_field(box64, 3.0), n_t=4)
     assert err.value.time is not None
 
 
 def test_perturbed_paths_cost_more(box64):
-    f = _toy_field(box64)
-    toy = toy_geodesic(f, n_t=8)
-    coords = box64.coordinates()
-    rng = substream(99, "perturb")
-    ts = np.linspace(0.0, 1.0, 9)
-    from metricflow.tensors import DisplacementMap
-
-    for trial in range(3):
-        wpsi, _ = bump_and_gradient(
-            coords, rng.uniform(-0.2, 0.2, size=2), 0.4 * box64.half_extent
-        )
-        direction = rng.normal(size=2)
-        direction *= 0.01 / np.linalg.norm(direction)
-        maps = []
-        for t in ts:
-            u_t = t * f.components + np.sin(np.pi * t) * np.stack(
-                [direction[0] * wpsi, direction[1] * wpsi]
-            )
-            maps.append(DisplacementMap(VectorField(box64, u_t), collar_width=1))
-        perturbed = displacement_path_energy(DisplacementPath(box64, maps))
-        assert perturbed > toy.energy
+    _, _, increases = toy_geodesic_probe(box64, 0.08, 8, substream(99, "perturb"), 3)
+    assert all(inc > 0.0 for inc in increases)
 
 
 # ---------------------------------------------------------------------------
