@@ -76,12 +76,30 @@ _REFINEMENT_PROBES = {
 }
 
 
-def discrete_calculus(f: ScalarField, w, rhs):
+def refinement_ratio(name):
+    """Coarse-to-fine error ratio of one calculus probe: 4 for a second-order stencil."""
+    err, coarse, fine = _REFINEMENT_PROBES[name]
+    return float(err(coarse) / err(fine))
+
+
+def screened_laplacian(grid: Grid, eps=0.05):
+    """The SPD operator ``u -> u - eps lap u`` on a torus grid."""
+
+    def apply(u):
+        lap = np.zeros_like(u)
+        for ax in range(grid.dim):
+            lap += diff_array(diff_array(u, grid, ax), grid, ax)
+        return u - eps * lap
+
+    return apply
+
+
+def discrete_calculus(f: ScalarField, w, rng):
     """Adjointness, CG-vs-dense agreement and order-2 refinement of the stencils.
 
     ``f`` is a scalar field and ``w`` an array of vector components on the
-    same torus grid; ``rhs`` is an 8x8 right-hand side for the screened
-    Laplacian ``u - 0.05 lap u`` on the 8x8 torus.  Returns the
+    same torus grid; ``rng`` draws a standard normal right-hand side for the
+    screened Laplacian ``u - 0.05 lap u`` on the 8x8 torus.  Returns the
     integration-by-parts residual ``|Int f div w + Int grad f . w|``, the
     largest difference between the CG solve and a dense direct solve, and the
     coarse-to-fine error ratio of four calculus probes (4 for second order).
@@ -92,13 +110,8 @@ def discrete_calculus(f: ScalarField, w, rhs):
     )
 
     g8 = Grid(2, "torus", 8)
-
-    def screened(u):
-        lap = np.zeros_like(u)
-        for ax in range(2):
-            lap += diff_array(diff_array(u, g8, ax), g8, ax)
-        return u - 0.05 * lap
-
+    screened = screened_laplacian(g8)
+    rhs = rng.normal(size=g8.shape)
     n = g8.node_count
     dense = np.zeros((n, n))
     for j in range(n):
@@ -111,10 +124,7 @@ def discrete_calculus(f: ScalarField, w, rhs):
     return {
         "ibp_residual": abs(ibp),
         "cg_vs_dense_error": cg_err,
-        "refinement_ratios": {
-            name: float(err(coarse) / err(fine))
-            for name, (err, coarse, fine) in _REFINEMENT_PROBES.items()
-        },
+        "refinement_ratios": {name: refinement_ratio(name) for name in _REFINEMENT_PROBES},
     }
 
 

@@ -89,11 +89,12 @@ def run_we_norm(cfg: ExperimentConfig):
     grid24 = Grid(2, "torus", 24)
     fs = band_limited_scalar(grid24, substream(cfg.seed, "substrate-f"), 4, 1.0)
     ws = band_limited_sym_tensor(grid24, substream(cfg.seed, "substrate-w"), 4, 1.0)
-    rhs = substream(cfg.seed, "substrate-rhs").normal(size=(8, 8))
     results = {
         "values": [r["value"] for r in rows],
         "max_iters": max(r["iters"] for r in rows),
-        "substrate": discrete_calculus(fs, ws.components[:2], rhs),
+        "substrate": discrete_calculus(
+            fs, ws.components[:2], substream(cfg.seed, "substrate-rhs")
+        ),
     }
     header = ["trial", "value", "iters", "residual", "decomposition_residual"]
     return results, header, rows

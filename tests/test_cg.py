@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metricflow import Grid, SolverFailure, solve_spd
-from metricflow.fields import diff_array
+from metricflow.certificates import screened_laplacian
 
 
 def test_identity_system_one_iteration():
@@ -26,21 +26,11 @@ def test_zero_rhs_short_circuits():
     assert np.all(res.x == 0.0)
 
 
-def _screened_laplacian(grid, eps=0.05):
-    def apply_op(u):
-        lap = np.zeros_like(u)
-        for ax in range(grid.dim):
-            lap += diff_array(diff_array(u, grid, ax), grid, ax)
-        return u - eps * lap
-
-    return apply_op
-
-
 def test_cg_matches_dense_direct_solve_oracle():
     # oracle: assemble the operator column by column on an 8x8 torus and
     # solve with LAPACK
     grid = Grid(2, "torus", 8)
-    apply_op = _screened_laplacian(grid)
+    apply_op = screened_laplacian(grid)
     n = grid.node_count
     dense = np.zeros((n, n))
     for j in range(n):
@@ -58,7 +48,7 @@ def test_cg_matches_dense_direct_solve_oracle():
 
 def test_restart_from_solution_costs_at_most_one_iteration():
     grid = Grid(2, "torus", 8)
-    apply_op = _screened_laplacian(grid)
+    apply_op = screened_laplacian(grid)
     b = np.random.default_rng(7).normal(size=grid.shape)
     first = solve_spd(apply_op, b, tol=1e-10)
     second = solve_spd(apply_op, b, tol=1e-10, x0=first.x)
@@ -68,7 +58,7 @@ def test_restart_from_solution_costs_at_most_one_iteration():
 
 def test_nonconvergence_raises_with_residual():
     grid = Grid(2, "torus", 8)
-    apply_op = _screened_laplacian(grid, eps=1.0)
+    apply_op = screened_laplacian(grid, eps=1.0)
     b = np.random.default_rng(1).normal(size=grid.shape)
     with pytest.raises(SolverFailure) as err:
         solve_spd(apply_op, b, tol=1e-14, max_iter=2)

@@ -17,6 +17,7 @@ from metricflow import (
     partial_derivative,
     sample,
 )
+from metricflow.certificates import refinement_ratio
 from metricflow.fields import (
     diff_array,
     divergence_array,
@@ -108,14 +109,7 @@ def test_box_derivative_exact_on_affine():
 
 
 def test_box_derivative_second_order_including_boundary():
-    errs = []
-    for n in (33, 65):
-        grid = Grid(2, "box", n, extent=2.0)
-        x = grid.coordinates()
-        f = ScalarField(grid, np.sin(x[0] + 0.3))
-        exact = np.cos(x[0] + 0.3)
-        errs.append(float(np.max(np.abs(partial_derivative(f, 0).values - exact))))
-    assert 3.2 <= errs[0] / errs[1] <= 4.8
+    assert 3.2 <= refinement_ratio("box_derivative") <= 4.8
 
 
 def test_fourth_order_stencil_is_more_accurate():
@@ -169,14 +163,7 @@ def test_box_trapezoid_weights_sum_to_area():
 
 
 def test_box_quadrature_second_order():
-    errs = []
-    for n in (33, 65):
-        grid = Grid(2, "box", n, extent=2.0)
-        x = grid.coordinates()
-        f = ScalarField(grid, np.exp(x[0]) * np.exp(x[1]))
-        exact = (np.e - np.exp(-1.0)) ** 2
-        errs.append(abs(integrate(f) - exact))
-    assert 3.2 <= errs[0] / errs[1] <= 4.8
+    assert 3.2 <= refinement_ratio("quadrature") <= 4.8
 
 
 def test_grid_mismatch_rejected(torus16):
@@ -207,15 +194,7 @@ def test_bilinear_exact_on_affine_box():
 
 
 def test_midpoint_sampling_second_order():
-    errs = []
-    for n in (32, 64):
-        grid = Grid(2, "torus", n)
-        x = grid.coordinates()
-        f = ScalarField(grid, np.sin(2 * np.pi * x[0]))
-        mids = (x + grid.spacing / 2.0).reshape(2, -1)
-        got = sample(f, mids)
-        errs.append(float(np.max(np.abs(got - np.sin(2 * np.pi * mids[0])))))
-    assert 3.2 <= errs[0] / errs[1] <= 4.8
+    assert 3.2 <= refinement_ratio("interpolation") <= 4.8
 
 
 def test_torus_sampling_wraps():

@@ -23,7 +23,8 @@ from metricflow import (
     we_tangent_norm,
     wfr_tangent_norm,
 )
-from metricflow.certificates import toy_field, toy_geodesic_probe
+from metricflow.certificates import toy_field
+from metricflow.flatmaps import bump_and_gradient
 from metricflow.randomfields import (
     band_limited_density,
     band_limited_scalar,
@@ -33,9 +34,11 @@ from metricflow.randomfields import (
     substream,
 )
 from metricflow.transport import (
+    DisplacementPath,
     MetricNormOperator,
     MetricPath,
     density_path_energy,
+    displacement_path_energy,
     wfr_normal_operator,
 )
 
@@ -350,8 +353,27 @@ def test_toy_geodesic_orientation_failure(box64):
 
 
 def test_perturbed_paths_cost_more(box64):
-    _, _, increases = toy_geodesic_probe(box64, 0.08, 8, substream(99, "perturb"), 3)
-    assert all(inc > 0.0 for inc in increases)
+    f = toy_field(box64, 0.08)
+    toy = toy_geodesic(f, n_t=8)
+    coords = box64.coordinates()
+    rng = substream(99, "perturb")
+    ts = np.linspace(0.0, 1.0, 9)
+    from metricflow.tensors import DisplacementMap
+
+    for trial in range(3):
+        wpsi, _ = bump_and_gradient(
+            coords, rng.uniform(-0.2, 0.2, size=2), 0.4 * box64.half_extent
+        )
+        direction = rng.normal(size=2)
+        direction *= 0.01 / np.linalg.norm(direction)
+        maps = []
+        for t in ts:
+            u_t = t * f.components + np.sin(np.pi * t) * np.stack(
+                [direction[0] * wpsi, direction[1] * wpsi]
+            )
+            maps.append(DisplacementMap(VectorField(box64, u_t), collar_width=1))
+        perturbed = displacement_path_energy(DisplacementPath(box64, maps))
+        assert perturbed > toy.energy
 
 
 # ---------------------------------------------------------------------------
