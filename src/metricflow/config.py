@@ -98,6 +98,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     grid_obj = obj.get("grid", {})
     _expect(isinstance(grid_obj, dict), "'grid' must be an object")
     _reject_unknown(grid_obj, _GRID_KEYS, "grid")
+    _expect(
+        _same_json_type(grid_obj.get("extent", 1.0), 1.0), "grid 'extent' must be a number"
+    )
     defaults = {"dim": 2, "topology": "torus", "n_per_axis": 16}
     merged = {**defaults, **grid_obj}
     if merged["topology"] == "box":

@@ -14,6 +14,7 @@ on box grids, an extra integer entry "collar_width".
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -101,23 +102,33 @@ def field_from_json(text: str):
 
 
 def dumps_result(obj) -> str:
-    """Deterministic JSON for result payloads (sorted keys, 17g reals)."""
+    """Deterministic JSON for result payloads (sorted keys, 17g reals).
 
-    def encode(v):
+    JSON has no inf or NaN: a non-finite real raises ValueError naming its
+    key path (``results.values[2]``) rather than giving an artifact that
+    ``json.load`` rejects.
+    """
+
+    def encode(v, path):
         if isinstance(v, dict):
             return "{" + ", ".join(
-                json.dumps(str(k)) + ": " + encode(v[k]) for k in sorted(v)
+                json.dumps(str(k)) + ": " + encode(v[k], f"{path}.{k}" if path else str(k))
+                for k in sorted(v)
             ) + "}"
         if isinstance(v, (list, tuple)):
-            return "[" + ", ".join(encode(e) for e in v) + "]"
+            return "[" + ", ".join(encode(e, f"{path}[{i}]") for i, e in enumerate(v)) + "]"
         if isinstance(v, (bool, np.bool_)):
             return "true" if v else "false"
         if isinstance(v, (int, np.integer)):
             return str(int(v))
         if isinstance(v, (float, np.floating)):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"result {path or '(top level)'} is {float(v)}, which JSON cannot hold"
+                )
             return format_real(v)
         if v is None:
             return "null"
         return json.dumps(str(v))
 
-    return encode(obj)
+    return encode(obj, "")

@@ -23,6 +23,20 @@ Both normal operators are assembled by composing the central-difference
 operators with their discrete adjoints, which on the torus are exact
 (skew-adjointness under the rectangle rule); the solvers therefore require
 torus grids.
+
+Both solves are preconditioned (``cg.solve_spd``) by the inverse of a
+constant-coefficient operator, applied by FFT (``fourier_inverse``): on the
+torus the central stencils are circulant, so such an operator is one
+Hermitian dim x dim matrix per Fourier mode.  Its inverse is SPD whenever
+the operator is, and the iteration counts no longer grow with the grid:
+
+  * metric norm: the normal operator at the grid-mean metric;
+  * density norm: the normal operator factors as A = R B R with R = diag(rho)
+    and B = 1/rho - lam grad (1/rho) div, so M = R Bbar R with Bbar the
+    density normal operator at the constant mean(1/rho); B and Bbar are
+    spectrally equivalent with ratio at most max rho / min rho, whatever
+    the spacing.  (Preconditioning A itself at the mean density barely helps
+    on rough densities.)
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cg import solve_spd
-from .errors import DegeneratePathError, PositivityViolation
+from .errors import DegeneratePathError, PositivityViolation, SolverFailure
 from .fields import (
     TORUS,
     DensityField,
@@ -138,6 +152,60 @@ def _require_torus(grid, what):
         )
 
 
+def fourier_inverse(apply_op, grid):
+    """r -> A^-1 r for a constant-coefficient SPD operator A on the torus.
+
+    A acts on velocity arrays of shape (dim,) + grid.shape and commutes with
+    grid translations, so it is a circular convolution: its symbol at each
+    Fourier mode is the dim x dim matrix whose column j is the transform of
+    A's response to a unit impulse in component j at node 0.  Symmetric A
+    has Hermitian symbols, positive definite A positive definite ones, so the
+    returned map (closed-form inverse per mode) is SPD as well.
+    """
+    d = grid.dim
+    axes = tuple(range(1, d + 1))
+    cols = []
+    for j in range(d):
+        impulse = np.zeros((d,) + grid.shape)
+        impulse[(j,) + (0,) * d] = 1.0
+        cols.append(np.fft.rfftn(apply_op(impulse), axes=axes))
+    if d == 1:
+        inverse = 1.0 / cols[0][None].real
+    else:
+        a, c, b = cols[0][0].real, cols[1][1].real, cols[1][0]
+        det = a * c - (b * b.conj()).real
+        inverse = np.stack([np.stack([c, -b]), np.stack([-b.conj(), a])]) / det
+
+    def precondition(r):
+        r_hat = np.fft.rfftn(r, axes=axes)
+        out_hat = np.einsum("ij...,j...->i...", inverse, r_hat)
+        return np.fft.irfftn(out_hat, s=grid.shape, axes=axes)
+
+    return precondition
+
+
+def _solve(what, field, apply_op, rhs, cfg, x0, preconditioner):
+    """Preconditioned CG; a SolverFailure names the norm and the grid.
+
+    ``preconditioner(field, cfg)`` builds M^-1.  A zero right-hand side is
+    solved by x = 0 without iterating, so it skips the build (and the FFT).
+    """
+    precondition = preconditioner(field, cfg) if np.any(rhs) else None
+    try:
+        return solve_spd(
+            apply_op,
+            rhs,
+            tol=cfg.tol,
+            max_iter=cfg.iter_cap(rhs.size),
+            x0=x0,
+            precondition=precondition,
+        )
+    except SolverFailure as exc:
+        raise SolverFailure(
+            f"{what} on {field.grid!r}: {exc}", residual=exc.residual, iterations=exc.iterations
+        ) from exc
+
+
 # ---------------------------------------------------------------------------
 # pointwise norms
 
@@ -179,6 +247,18 @@ def wfr_normal_operator(rho: DensityField, cfg: SolverConfig):
     return apply_op
 
 
+def density_norm_preconditioner(rho: DensityField, cfg: SolverConfig):
+    """r -> M^-1 r with M = R Bbar R, R = diag(rho).
+
+    Bbar is the normal operator at the constant density mean(1/rho), inverted
+    by FFT (the A = R B R factorization is in the module docstring).
+    """
+    r = rho.values
+    mean_inverse = DensityField.constant(rho.grid, np.mean(1.0 / r))
+    bbar_inverse = fourier_inverse(wfr_normal_operator(mean_inverse, cfg), rho.grid)
+    return lambda res: bbar_inverse(res / r) / r
+
+
 def wfr_tangent_norm(rho: DensityField, drho, cfg: SolverConfig = SolverConfig(), x0=None):
     """Minimize Int |v|^2 rho + lam Int f^2 rho over the continuity equation.
 
@@ -192,7 +272,7 @@ def wfr_tangent_norm(rho: DensityField, drho, cfg: SolverConfig = SolverConfig()
     dr = drho.values if hasattr(drho, "values") else np.asarray(drho, float)
     apply_op = wfr_normal_operator(rho, cfg)
     rhs = lam * r * gradient_array(dr / r, grid)
-    sol = solve_spd(apply_op, rhs, tol=cfg.tol, max_iter=cfg.iter_cap(rhs.size), x0=x0)
+    sol = _solve("wfr_tangent_norm", rho, apply_op, rhs, cfg, x0, density_norm_preconditioner)
     v = VectorField(grid, sol.x)
     f_vals = (dr + divergence_array(r * sol.x, grid)) / r
     f = ScalarField(grid, f_vals)
@@ -257,6 +337,18 @@ class MetricNormOperator:
         return float(np.sum(kinetic + self.weight * quad) * cell)
 
 
+def metric_norm_preconditioner(g: MetricField, cfg: SolverConfig):
+    """r -> M^-1 r with M the metric normal operator at the grid-mean metric.
+
+    The mean of SPD matrices is SPD, and at a constant metric the operator
+    has constant coefficients, so FFT inverts it exactly.
+    """
+    grid = g.grid
+    mean = np.mean(g.components, axis=tuple(range(1, grid.dim + 1)), keepdims=True)
+    gbar = MetricField.from_components(grid, np.broadcast_to(mean, g.components.shape))
+    return fourier_inverse(MetricNormOperator(gbar, cfg).apply, grid)
+
+
 def we_tangent_norm(g: MetricField, dg, cfg: SolverConfig = SolverConfig(), x0=None):
     """Minimize the transport + source energy over velocities v.
 
@@ -271,7 +363,7 @@ def we_tangent_norm(g: MetricField, dg, cfg: SolverConfig = SolverConfig(), x0=N
         dg.components if hasattr(dg, "components") else np.asarray(dg, float), grid.dim
     )
     rhs = op.rhs(dg_full)
-    sol = solve_spd(op.apply, rhs, tol=cfg.tol, max_iter=cfg.iter_cap(rhs.size), x0=x0)
+    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, x0, metric_norm_preconditioner)
     v = VectorField(grid, sol.x)
     lv = op.lie(sol.x)
     h_full = dg_full + lv

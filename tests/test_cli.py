@@ -85,6 +85,8 @@ def test_validate_command(tmp_path, capsys):
         pytest.param(
             {"grid": {"topology": "box", "extent": float("inf")}}, id="extent-inf"
         ),
+        pytest.param({"grid": {"topology": "box", "extent": "2.0"}}, id="extent-string"),
+        pytest.param({"grid": {"topology": "box", "extent": True}}, id="extent-bool"),
         pytest.param({"params": {"n_trials": "3"}}, id="n_trials-string"),
         pytest.param({"params": {"n_trials": 0}}, id="n_trials-zero"),
         pytest.param({"experiment": "seq-demo", "params": {"ns": []}}, id="ns-empty"),
@@ -149,6 +151,22 @@ def test_least_param_values_accepted():
     assert cfg.params["n_non_flat"] == 0
     cfg = parse_config({"experiment": "seq-demo", "seed": 1, "params": {"quad_points": 2}})
     assert cfg.params["quad_points"] == 2
+
+
+def test_non_finite_result_exits_2_without_artifacts(tmp_path, capsys, monkeypatch):
+    from metricflow import experiments
+
+    def run_inf(cfg):
+        return {"values": [1.0, float("inf")]}, ["trial", "value"], [{"trial": 0, "value": 1.0}]
+
+    spec = experiments.EXPERIMENTS["wfr-norm"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "wfr-norm", spec._replace(run=run_inf))
+    path = write_config(tmp_path, BASE)
+    out_dir = tmp_path / "out"
+    assert main(["wfr-norm", "--config", path, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "results.values[1] is inf" in err
 
 
 def test_experiment_name_mismatch_exits_2(tmp_path, capsys):
@@ -345,4 +363,8 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     )
     code = main(["wfr-norm", "--config", path, "--out", str(tmp_path / "sf")])
     assert code == 3
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure") and err.count("\n") == 1
+    # the message names the norm and the grid it was solved on
+    assert "wfr_tangent_norm" in err
+    assert "Grid(dim=2, topology='torus', n_per_axis=16, extent=1.0)" in err

@@ -265,3 +265,21 @@ def test_json_displacement_collar():
     back, extra = field_from_json(text)
     assert isinstance(back, DisplacementMap)
     assert back.collar_width == 3
+
+
+def test_dumps_result_round_trips_and_rejects_non_finite():
+    from metricflow.serialization import dumps_result
+
+    payload = {"b": [1, 2.5, None, True], "a": {"x": np.float64(0.1), "name": "ok"}}
+    assert json.loads(dumps_result(payload)) == {
+        "a": {"name": "ok", "x": 0.1},
+        "b": [1, 2.5, None, True],
+    }
+    with pytest.raises(ValueError, match=r"^result a is inf"):
+        dumps_result({"a": float("inf")})
+    # the first offender in output order (sorted keys) is named by its full path
+    bad = {"results": {"values": [0.5, np.float64(np.nan), -np.inf]}, "z": float("inf")}
+    with pytest.raises(ValueError, match=r"^result results\.values\[1\] is nan"):
+        dumps_result(bad)
+    with pytest.raises(ValueError, match=r"^result \(top level\) is -inf"):
+        dumps_result(-np.inf)

@@ -10,6 +10,7 @@ from metricflow import (
     MetricField,
     ScalarField,
     SolverConfig,
+    SolverFailure,
     SymTensorField,
     VectorField,
     ebin_inner,
@@ -24,6 +25,7 @@ from metricflow import (
     wfr_tangent_norm,
 )
 from metricflow.certificates import toy_field
+from metricflow.fields import gradient_array
 from metricflow.flatmaps import bump_and_gradient
 from metricflow.randomfields import (
     band_limited_density,
@@ -37,8 +39,11 @@ from metricflow.transport import (
     DisplacementPath,
     MetricNormOperator,
     MetricPath,
+    density_norm_preconditioner,
     density_path_energy,
     displacement_path_energy,
+    fourier_inverse,
+    metric_norm_preconditioner,
     wfr_normal_operator,
 )
 
@@ -252,6 +257,106 @@ def test_we_requires_torus():
     g = MetricField.euclidean(grid)
     with pytest.raises(ValueError):
         we_tangent_norm(g, SymTensorField.zero(grid), CFG)
+
+
+# ---------------------------------------------------------------------------
+# spectral preconditioners
+
+
+def _pc_problem(grid, seed):
+    g = random_spd_metric(grid, substream(seed, "pc-g"), 3, 0.15)
+    dg = band_limited_sym_tensor(grid, substream(seed, "pc-dg"), 3, 0.15)
+    rho = band_limited_density(grid, substream(seed, "pc-rho"), 3, 0.3)
+    drho = band_limited_scalar(grid, substream(seed, "pc-drho"), 3, 0.3)
+    return g, dg, rho, drho
+
+
+def _constant_metric(grid):
+    entries = (1.7,) if grid.dim == 1 else (2.0, 0.3, 1.0)
+    return MetricField.from_components(
+        grid, np.stack([np.full(grid.shape, e) for e in entries])
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fourier_inverse_exact_at_constant_coefficients(dim):
+    grid = Grid(dim, "torus", 16)
+    v = band_limited_vector(grid, substream(dim, "fi-v"), 3, 1.0).components
+    for apply_op in (
+        MetricNormOperator(_constant_metric(grid), CFG).apply,
+        wfr_normal_operator(DensityField.constant(grid, 1.7), CFG),
+    ):
+        back = fourier_inverse(apply_op, grid)(apply_op(v))
+        assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_coefficients_converge_in_two_iterations(dim):
+    grid = Grid(dim, "torus", 32)
+    _, dg, _, drho = _pc_problem(grid, 3)
+    assert we_tangent_norm(_constant_metric(grid), dg, CFG).iterations <= 2
+    assert wfr_tangent_norm(DensityField.constant(grid, 1.7), drho, CFG).iterations <= 2
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_preconditioned_values_match_plain_cg_oracle(n, monkeypatch):
+    from metricflow import solve_spd, transport
+
+    grid = Grid(2, "torus", n)
+    g, dg, rho, drho = _pc_problem(grid, n)
+    pcg = [we_tangent_norm(g, dg, CFG), wfr_tangent_norm(rho, drho, CFG)]
+
+    def plain_cg(apply_op, rhs, precondition=None, **kw):
+        return solve_spd(apply_op, rhs, **kw)
+
+    monkeypatch.setattr(transport, "solve_spd", plain_cg)
+    plain = [we_tangent_norm(g, dg, CFG), wfr_tangent_norm(rho, drho, CFG)]
+    for fast, oracle in zip(pcg, plain):
+        assert fast.iterations < oracle.iterations
+        assert abs(fast.value - oracle.value) <= 1e-9 * abs(oracle.value)
+
+
+def test_preconditioned_iterations_bounded_at_n128():
+    # plain CG takes about 560 (metric) and 680 (density) iterations here
+    grid = Grid(2, "torus", 128)
+    g, dg, rho, drho = _pc_problem(grid, 128)
+    assert we_tangent_norm(g, dg, CFG).iterations <= 40
+    assert wfr_tangent_norm(rho, drho, CFG).iterations <= 40
+
+
+def test_preconditioned_energy_never_rises_as_tol_tightens():
+    from metricflow import solve_spd
+    from metricflow.tensors import packed_to_full
+
+    grid = Grid(2, "torus", 32)
+    g, dg, rho, drho = _pc_problem(grid, 5)
+    op = MetricNormOperator(g, CFG)
+    wfr_op = wfr_normal_operator(rho, CFG)
+    wfr_rhs = CFG.lam * rho.values * gradient_array(drho.values / rho.values, grid)
+    systems = [
+        (op.apply, op.rhs(packed_to_full(dg.components, 2)), metric_norm_preconditioner(g, CFG)),
+        (wfr_op, wfr_rhs, density_norm_preconditioner(rho, CFG)),
+    ]
+    for apply_op, b, precondition in systems:
+        energies = []
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            x = solve_spd(apply_op, b, tol=tol, precondition=precondition).x
+            energies.append(0.5 * float(np.vdot(apply_op(x), x)) - float(np.vdot(b, x)))
+        # slack: the roundoff of evaluating the energy itself, not of the iterates
+        assert all(
+            later <= earlier + 1e-13 * abs(earlier)
+            for earlier, later in zip(energies, energies[1:])
+        )
+
+
+def test_solver_failure_names_norm_and_grid(torus16):
+    g, dg, rho, drho = _pc_problem(torus16, 7)
+    capped = SolverConfig(max_iter=1)
+    where = r"on Grid\(dim=2, topology='torus', n_per_axis=16, extent=1.0\)"
+    with pytest.raises(SolverFailure, match="^we_tangent_norm " + where):
+        we_tangent_norm(g, dg, capped)
+    with pytest.raises(SolverFailure, match="^wfr_tangent_norm " + where):
+        wfr_tangent_norm(rho, drho, capped)
 
 
 # ---------------------------------------------------------------------------
