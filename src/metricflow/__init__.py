@@ -51,7 +51,7 @@ from .flatmaps import (
     non_flat_instance,
     reconstruct_diffeo,
 )
-from .randomfields import generate_field, substream
+from .randomfields import substream
 from .seqdemo import (
     SeqSpace,
     baseline_distances,
@@ -66,7 +66,6 @@ from .tensors import (
     invert_displacement,
     lie_derivative_density,
     lie_derivative_metric,
-    pointwise,
     pullback_metric,
     pushforward_metric,
     trace_decompose,
@@ -81,7 +80,6 @@ from .transport import (
     linear_metric_path,
     path_energy,
     path_length,
-    result_to_json,
     toy_geodesic,
     wasserstein_orbit_norm,
     we_distance_bounds,

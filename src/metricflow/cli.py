@@ -3,8 +3,8 @@
     metricflow <experiment> --config cfg.json [--seed N] [--out DIR]
     metricflow validate --config cfg.json
 
-Exit codes: 0 success, 2 invalid configuration or violated precondition,
-3 solver failure.
+Exit codes: 0 success, 2 invalid configuration, violated precondition or a
+result that cannot be written (non-finite), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from .config import load_config
-from .errors import ConfigError, SolverFailure
+from .errors import ConfigError, InvalidResultError, SolverFailure
 from .experiments import EXPERIMENTS, run_experiment
 
 
@@ -68,6 +68,9 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except InvalidResultError as exc:
+        print(f"invalid result: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2

@@ -50,6 +50,10 @@ class ConfigError(ValueError):
     """An experiment configuration failed schema validation."""
 
 
+class InvalidResultError(ValueError):
+    """A computed result cannot be written as an artifact (e.g. a non-finite real)."""
+
+
 class SolverFailure(RuntimeError):
     """Conjugate gradient did not reach the requested tolerance."""
 

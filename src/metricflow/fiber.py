@@ -22,11 +22,10 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
-    diff_array,
+    gradient_array,
     integrate,
     require_same_grid,
 )
-from .serialization import dumps_result
 from .tensors import (
     MetricField,
     lie_derivative_metric,
@@ -88,17 +87,6 @@ class LiftReport:
                 f"a perturbed lift fell below the density norm by {-worst:.3e} "
                 f"(tolerance {self.tolerance:.1e}): submersion inequality violated"
             )
-
-    def to_json(self) -> str:
-        return dumps_result(
-            {
-                "wfr_value": self.wfr_value,
-                "we_value_of_lift": self.we_value_of_lift,
-                "gap": self.gap,
-                "perturbation_gaps": list(self.perturbation_gaps),
-                "tolerance": self.tolerance,
-            }
-        )
 
 
 def trace_free_perturbation(g: MetricField, rng, modes=4, amplitude=0.2) -> SymTensorField:
@@ -192,11 +180,7 @@ def euler_alpha_lagrangian(v: VectorField, stencil_order=4):
     grid = v.grid
     if grid.topology != "torus":
         raise ValueError("flat-background fiber form is evaluated on torus grids")
-    d = grid.dim
-    dv = np.stack(
-        [np.stack([diff_array(v.components[j], grid, i, order=stencil_order)
-                   for j in range(d)]) for i in range(d)]
-    )  # dv[i, j] = d_i v_j
+    dv = gradient_array(v.components, grid, stencil_order)  # dv[i, j] = d_i v_j
     lie = dv + np.swapaxes(dv, 0, 1)
     trace_sq = np.einsum("ij...,ji...->...", lie, lie)
     trace_form = 0.25 * integrate(ScalarField(grid, trace_sq))

@@ -142,23 +142,3 @@ def random_spd_metric(grid, rng, modes=4, amplitude=0.3) -> MetricField:
         entries *= cap / peak
     return MetricField(SymTensorField(grid, jacobian_gram(entries)))
 
-
-def generate_field(grid, kind, seed, label="field", modes=4, amplitude=0.3):
-    """One seeded field of the given kind, drawn from substream(seed, "label:kind").
-
-    kind in {"scalar", "vector", "sym_tensor", "density", "metric"}.  The
-    experiments call the typed generators directly; this is a convenience
-    entry point for interactive use and the tests.
-    """
-    rng = substream(seed, f"{label}:{kind}")
-    if kind == "scalar":
-        return band_limited_scalar(grid, rng, modes, amplitude)
-    if kind == "vector":
-        return band_limited_vector(grid, rng, modes, amplitude)
-    if kind == "sym_tensor":
-        return band_limited_sym_tensor(grid, rng, modes, amplitude)
-    if kind == "density":
-        return band_limited_density(grid, rng, modes, amplitude)
-    if kind == "metric":
-        return random_spd_metric(grid, rng, modes, amplitude)
-    raise ValueError(f"unknown field kind {kind!r}")

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidResultError
 from .fields import (
     DensityField,
     Grid,
@@ -70,6 +71,8 @@ def field_to_json(field, kind=None, extra=None) -> str:
 def field_from_json(text: str):
     """Parse the wire format back into the matching field object.
 
+    Kept as the reader that proves the ``displacement.json`` wire format
+    round-trips.
     Returns (field, extra) where extra holds any auxiliary entries such as
     "collar_width".  Metric and displacement kinds are resolved lazily to
     avoid a circular import with the tensor module.
@@ -104,8 +107,8 @@ def field_from_json(text: str):
 def dumps_result(obj) -> str:
     """Deterministic JSON for result payloads (sorted keys, 17g reals).
 
-    JSON has no inf or NaN: a non-finite real raises ValueError naming its
-    key path (``results.values[2]``) rather than giving an artifact that
+    JSON has no inf or NaN: a non-finite real raises InvalidResultError naming
+    its key path (``results.values[2]``) rather than giving an artifact that
     ``json.load`` rejects.
     """
 
@@ -123,7 +126,7 @@ def dumps_result(obj) -> str:
             return str(int(v))
         if isinstance(v, (float, np.floating)):
             if not math.isfinite(v):
-                raise ValueError(
+                raise InvalidResultError(
                     f"result {path or '(top level)'} is {float(v)}, which JSON cannot hold"
                 )
             return format_real(v)

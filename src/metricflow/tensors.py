@@ -16,8 +16,8 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
-    diff_array,
     divergence_array,
+    gradient_array,
     require_same_grid,
     sample_array,
     sym_component_count,
@@ -182,11 +182,7 @@ def clamp_to_box(pos, phi: DisplacementMap):
 
 def displacement_jacobian(u: VectorField, order=2):
     """du entries, shape (dim, dim) + grid.shape; du[i, j] = d_j u^i."""
-    grid = u.grid
-    return np.stack(
-        [np.stack([diff_array(u.components[i], grid, j, order) for j in range(grid.dim)])
-         for i in range(grid.dim)]
-    )
+    return np.swapaxes(gradient_array(u.components, u.grid, order), 0, 1)
 
 
 def jacobian_gram(du):
@@ -259,29 +255,6 @@ def product_trace(g: MetricField, a, b) -> ScalarField:
     return ScalarField(grid, np.einsum("ij...,ji...->...", m, nmat))
 
 
-def pointwise(op, a, b=None):
-    """Dispatcher over the closed-form nodewise operations.
-
-    op in {"inverse", "sqrt", "product_trace", "log_det", "eigenvalues"};
-    product_trace takes (g, a, b) with the tr(g^{-1} a g^{-1} b) convention.
-    """
-    if op == "inverse":
-        spd_check(_packed(a), a.grid.dim, what="inverse argument")
-        return SymTensorField(a.grid, inverse_components(_packed(a), a.grid.dim))
-    if op == "sqrt":
-        spd_check(_packed(a), a.grid.dim, what="sqrt argument")
-        return SymTensorField(a.grid, sqrt_components(_packed(a), a.grid.dim))
-    if op == "log_det":
-        spd_check(_packed(a), a.grid.dim, what="log_det argument")
-        return ScalarField(a.grid, np.log(packed_det(_packed(a), a.grid.dim)))
-    if op == "eigenvalues":
-        return eigenvalue_components(_packed(a), a.grid.dim)
-    if op == "product_trace":
-        g, x, y = a if isinstance(a, tuple) else (a, b[0], b[1])
-        return product_trace(g, x, y)
-    raise ValueError(f"unknown pointwise op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # volume map and Lie derivatives
 
@@ -291,47 +264,36 @@ def volume_map(g: MetricField) -> DensityField:
     return DensityField(g.grid, np.sqrt(packed_det(g.components, g.grid.dim)))
 
 
+def _g_trace(g, h, dim):
+    """tr(g^{-1} h) per node for packed components g and h."""
+    ginv = inverse_components(g, dim)
+    if dim == 1:
+        return ginv[0] * h[0]
+    return ginv[0] * h[0] + 2.0 * ginv[1] * h[1] + ginv[2] * h[2]
+
+
 def volume_tangent(g: MetricField, dg) -> ScalarField:
     """Derivative of vol at g in direction dg: (1/2) tr(g^{-1} dg) vol(g)."""
     grid = require_same_grid(g, dg)
-    dim = grid.dim
-    ginv = inverse_components(g.components, dim)
-    dgc = _packed(dg)
-    if dim == 1:
-        tr = ginv[0] * dgc[0]
-    else:
-        tr = ginv[0] * dgc[0] + 2.0 * ginv[1] * dgc[1] + ginv[2] * dgc[2]
+    tr = _g_trace(g.components, _packed(dg), grid.dim)
     return ScalarField(grid, 0.5 * tr * volume_map(g).values)
-
-
-def metric_gradient(gfull, grid, order=2):
-    """d_k g_ij as an array indexed [k, i, j] for a full-matrix metric array."""
-    dim = grid.dim
-    return np.stack(
-        [np.stack([np.stack([diff_array(gfull[i, j], grid, k, order) for j in range(dim)])
-                   for i in range(dim)])
-         for k in range(dim)]
-    )
 
 
 def _lie_derivative_full(gfull, dg, vc, grid, order=2):
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, full (dim, dim) array.
 
-    gfull is the full metric, dg = metric_gradient(gfull, grid, order) and vc
-    the velocity components.
+    gfull is the full metric, dg = gradient_array(gfull, grid, order)
+    (dg[k, i, j] = d_k g_ij) and vc the velocity components.
     """
     dim = grid.dim
-    dv = np.stack(
-        [np.stack([diff_array(vc[k], grid, i, order) for i in range(dim)])
-         for k in range(dim)]
-    )  # dv[k, i] = d_i v^k
+    dv = gradient_array(vc, grid, order)  # dv[i, k] = d_i v^k
     out = np.zeros((dim, dim) + grid.shape)
     for i in range(dim):
         for j in range(dim):
             acc = np.zeros(grid.shape)
             for k in range(dim):
                 acc += vc[k] * dg[k, i, j]
-                acc += gfull[k, j] * dv[k, i] + gfull[i, k] * dv[k, j]
+                acc += gfull[k, j] * dv[i, k] + gfull[i, k] * dv[j, k]
             out[i, j] = acc
     return out
 
@@ -340,7 +302,7 @@ def lie_derivative_metric(v: VectorField, g: MetricField, order=2) -> SymTensorF
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
     grid = require_same_grid(v, g)
     gfull = packed_to_full(g.components, grid.dim)
-    dg = metric_gradient(gfull, grid, order)
+    dg = gradient_array(gfull, grid, order)
     out = _lie_derivative_full(gfull, dg, v.components, grid, order)
     return SymTensorField(grid, full_to_packed(out, grid.dim))
 
@@ -356,12 +318,8 @@ def trace_decompose(g: MetricField, h):
     """Split h = z + (r/dim) g with tr(g^{-1} z) = 0; r = tr(g^{-1} h)."""
     grid = require_same_grid(g, h)
     dim = grid.dim
-    ginv = inverse_components(g.components, dim)
     hc = _packed(h)
-    if dim == 1:
-        r = ginv[0] * hc[0]
-    else:
-        r = ginv[0] * hc[0] + 2.0 * ginv[1] * hc[1] + ginv[2] * hc[2]
+    r = _g_trace(g.components, hc, dim)
     z = hc - (r / dim) * g.components
     return SymTensorField(grid, z), ScalarField(grid, r)
 

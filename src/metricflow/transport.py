@@ -67,12 +67,12 @@ from .tensors import (
     MetricField,
     _lie_derivative_full,
     clamp_to_box,
+    collar_max,
     displacement_jacobian,
     full_to_packed,
     inverse_components,
     invert_displacement,
     jacobian_gram,
-    metric_gradient,
     packed_to_full,
     product_trace,
     volume_map,
@@ -128,20 +128,6 @@ class MetricNormResult(NamedTuple):
     decomposition: TangentDecomposition
     iterations: int
     residual: float
-
-
-def result_to_json(result, flags=()) -> str:
-    """Wire format for solver results: {"value", "iters", "residual", "flags"}."""
-    from .serialization import dumps_result
-
-    return dumps_result(
-        {
-            "value": result.value,
-            "iters": result.iterations,
-            "residual": result.residual,
-            "flags": list(flags),
-        }
-    )
 
 
 def _require_torus(grid, what):
@@ -299,7 +285,7 @@ class MetricNormOperator:
         self.ginv = packed_to_full(inverse_components(g.components, grid.dim), grid.dim)
         self.vol = volume_map(g).values
         # d_k g_ij, used by both the Lie derivative and its adjoint
-        self.dg = metric_gradient(self.gfull, grid)
+        self.dg = gradient_array(self.gfull, grid)
 
     def lie(self, vc):
         """L_v g as a full-matrix array for velocity components vc."""
@@ -309,11 +295,12 @@ class MetricNormOperator:
         """Adjoint of ``lie`` w.r.t. plain sums over nodes and full entries."""
         d = self.dim
         sg = np.einsum("ik...,kj...->ij...", s_full, self.gfull)
+        dsg = [diff_array(sg[i], self.grid, i) for i in range(d)]  # dsg[i][k] = d_i sg[i, k]
         out = np.zeros((d,) + self.grid.shape)
         for k in range(d):
             acc = np.einsum("ij...,ij...->...", self.dg[k], s_full)
             for i in range(d):
-                acc -= 2.0 * diff_array(sg[i, k], self.grid, i)
+                acc -= 2.0 * dsg[i][k]
             out[k] = acc
         return out
 
@@ -378,25 +365,17 @@ def we_tangent_norm(g: MetricField, dg, cfg: SolverConfig = SolverConfig(), x0=N
 
 
 class MetricPath:
-    """Uniformly time-sampled path of metrics on [0, 1].
+    """Uniformly time-sampled path of metrics on [0, 1]."""
 
-    ``velocities`` optionally carries the transporting vector field per
-    sample; pure-metric data does not determine it, so orbit-type energies
-    require it.
-    """
-
-    def __init__(self, grid, metrics, velocities=None):
+    def __init__(self, grid, metrics):
         if len(metrics) < 2:
             raise ValueError("a path needs at least two samples (n_t >= 1)")
         for m in metrics:
             require_same_grid(m, metrics[0])
         if grid != metrics[0].grid:
             raise ValueError("grid does not match the metric samples")
-        if velocities is not None and len(velocities) != len(metrics):
-            raise ValueError("one velocity sample per metric sample required")
         self.grid = grid
         self.metrics = list(metrics)
-        self.velocities = list(velocities) if velocities is not None else None
         self.times = np.linspace(0.0, 1.0, len(metrics))
 
     @property
@@ -428,8 +407,7 @@ def _midpoint_metric(a: MetricField, b: MetricField, t_mid) -> MetricField:
 def path_interval_norms(path: MetricPath, cfg: SolverConfig, which="we"):
     """Squared tangent norm of each interval's difference quotient.
 
-    which: "we" (transport + source), "ebin" (pure source), or "orbit"
-    (transport norm of the stored velocities; requires them).
+    which: "we" (transport + source) or "ebin" (pure source).
     """
     dt = 1.0 / path.n_intervals
     norms = []
@@ -442,14 +420,6 @@ def path_interval_norms(path: MetricPath, cfg: SolverConfig, which="we"):
             norms.append(ebin_inner(gbar, gdot, gdot))
         elif which == "we":
             norms.append(we_tangent_norm(gbar, gdot, cfg).value)
-        elif which == "orbit":
-            if path.velocities is None:
-                raise ValueError("orbit path energies need per-sample velocities")
-            vbar = VectorField(
-                path.grid,
-                0.5 * (path.velocities[i].components + path.velocities[i + 1].components),
-            )
-            norms.append(wasserstein_orbit_norm(gbar, vbar))
         else:
             raise ValueError(f"unknown energy kind {which!r}")
     return np.array(norms)
@@ -530,21 +500,26 @@ def displacement_path_energy(path: DisplacementPath) -> float:
 
 
 class ToyGeodesic(NamedTuple):
-    path: MetricPath
+    """Per-interval transport energies of a toy geodesic and its action.
+
+    ``interval_energies`` are material, ``interval_energies_eulerian`` the
+    independent Eulerian cross-check; ``energy`` is the material action.
+    """
+
     interval_energies: np.ndarray
     interval_energies_eulerian: np.ndarray
     energy: float
 
 
 def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12):
-    """Straight transport path phi(t) = id + t f pushing the flat metric.
+    """Straight transport path phi(t) = id + t f pushing the flat metric g0 = I.
 
-    Returns the path of pushforward metrics g(t) = phi(t)_* g0 (g0 = I)
-    with per-sample velocities f o phi(t)^{-1}, plus per-interval transport
-    energies.  The reported energies are computed in material coordinates,
-    where they equal Int |f|^2 vol(g0) identically in t; an independent
-    Eulerian evaluation (inversion + interpolation at each interval
-    midpoint) is reported alongside and agrees to O(spacing^2).
+    Returns the per-interval transport energies of the path of pushforward
+    metrics g(t) = phi(t)_* g0.  They are computed in material coordinates,
+    where they equal Int |f|^2 vol(g0) identically in t.  An independent
+    Eulerian evaluation is reported alongside: at each interval midpoint,
+    Int |f o phi^{-1}|^2 vol(phi_* g0) with the inverse map and the
+    interpolation; it agrees to O(spacing^2).
     """
     grid = f.grid
     if grid.topology != "box":
@@ -566,17 +541,6 @@ def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12)
                 f"id + t f is not orientation preserving at t = {t}", time=float(t)
             ) from exc
 
-    metrics = []
-    velocities = []
-    inverses = []
-    for t, phi in zip(ts, maps):
-        phi_inv = invert_displacement(phi, tol=inversion_tol)
-        inverses.append(phi_inv)
-        metrics.append(pullback_metric_by(phi_inv))
-        v_comps = sample_array(f.components, grid, clamp_to_box(phi_inv.positions(), phi_inv))
-        velocities.append(VectorField(grid, v_comps))
-    path = MetricPath(grid, metrics, velocities=velocities)
-
     dpath = DisplacementPath(grid, maps)
     material = displacement_path_interval_energies(dpath)
 
@@ -595,7 +559,7 @@ def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12)
     eulerian = np.array(eulerian)
 
     energy = float(np.sum(material) / n_t)
-    return ToyGeodesic(path, material, eulerian, energy)
+    return ToyGeodesic(material, eulerian, energy)
 
 
 def pullback_metric_by(phi_inv: DisplacementMap) -> MetricField:
@@ -607,19 +571,8 @@ def pullback_metric_by(phi_inv: DisplacementMap) -> MetricField:
 def _detect_collar(f: VectorField):
     """Widest boundary ring on which f vanishes identically."""
     grid = f.grid
-    n = grid.n_per_axis
-    mags = np.abs(f.components).max(axis=0)
     width = 0
-    while width < n // 2:
-        ring = []
-        for ax in range(grid.dim):
-            ix = [slice(None)] * grid.dim
-            ix[ax] = width
-            ring.append(np.max(mags[tuple(ix)]))
-            ix[ax] = n - 1 - width
-            ring.append(np.max(mags[tuple(ix)]))
-        if max(ring) > 0.0:
-            break
+    while width < grid.n_per_axis // 2 and collar_max(f.components, grid, width + 1) == 0.0:
         width += 1
     if width == 0:
         raise ValueError("displacement field must vanish on the box boundary")

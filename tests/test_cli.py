@@ -167,6 +167,7 @@ def test_non_finite_result_exits_2_without_artifacts(tmp_path, capsys, monkeypat
     assert not out_dir.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "results.values[1] is inf" in err
+    assert err.startswith("invalid result: ") and "precondition error" not in err
 
 
 def test_experiment_name_mismatch_exits_2(tmp_path, capsys):

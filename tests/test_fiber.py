@@ -113,17 +113,6 @@ def test_lift_report_invariant_enforced():
         LiftReport(wfr_value=1.0, we_value_of_lift=1.0, gap=0.0, perturbation_gaps=(-1.0,))
 
 
-def test_lift_report_json(torus16):
-    g = MetricField.euclidean(torus16)
-    report = verify_pi1_submersion(g, ScalarField.constant(torus16, 0.2), n_perturb=2, seed=1)
-    text = report.to_json()
-    import json
-
-    obj = json.loads(text)
-    assert obj["wfr_value"] == report.wfr_value
-    assert len(obj["perturbation_gaps"]) == 2
-
-
 # ---------------------------------------------------------------------------
 # orbit submersion
 

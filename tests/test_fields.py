@@ -124,6 +124,18 @@ def test_fourth_order_stencil_is_more_accurate():
         diff_array(f, Grid(2, "box", 64, extent=2.0), 0, order=4)
 
 
+@pytest.mark.parametrize("topology,order", [("torus", 2), ("torus", 4), ("box", 2)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_gradient_array_of_stacked_components_is_bitwise_per_component(topology, order, lead):
+    grid = Grid(2, topology, 16, extent=1.0 if topology == "torus" else 2.0)
+    values = substream(5, f"stack-{topology}").normal(size=lead + grid.shape)
+    flat = values.reshape((-1,) + grid.shape)
+    expected = np.stack(
+        [np.stack([diff_array(c, grid, k, order) for c in flat]) for k in range(grid.dim)]
+    ).reshape((grid.dim,) + values.shape)
+    assert np.array_equal(gradient_array(values, grid, order), expected)
+
+
 def test_discrete_integration_by_parts_torus():
     grid = Grid(2, "torus", 24)
     f = band_limited_scalar(grid, substream(11, "ibp-f"), modes=4, amplitude=1.0)

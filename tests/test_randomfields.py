@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
-from metricflow import Grid, generate_field, substream
-from metricflow.randomfields import _trig_tables, band_limited_values, random_spd_metric
+from metricflow import Grid, substream
+from metricflow.randomfields import (
+    _trig_tables,
+    band_limited_density,
+    band_limited_scalar,
+    band_limited_values,
+    random_spd_metric,
+)
 from metricflow.tensors import packed_det
 
 
 def test_same_seed_bitwise_identical(torus16):
-    a = generate_field(torus16, "metric", seed=99, label="demo")
-    b = generate_field(torus16, "metric", seed=99, label="demo")
+    a = random_spd_metric(torus16, substream(99, "demo"))
+    b = random_spd_metric(torus16, substream(99, "demo"))
     assert np.array_equal(a.components, b.components)
-    c = generate_field(torus16, "metric", seed=100, label="demo")
+    c = random_spd_metric(torus16, substream(100, "demo"))
     assert not np.array_equal(a.components, c.components)
 
 
@@ -27,17 +33,17 @@ def test_substream_depends_on_label_not_call_order():
 
 
 def test_amplitude_zero_gives_background(torus16):
-    f = generate_field(torus16, "scalar", seed=1, amplitude=0.0)
+    f = band_limited_scalar(torus16, substream(1, "scalar"), amplitude=0.0)
     assert np.all(f.values == 0.0)
-    g = generate_field(torus16, "metric", seed=1, amplitude=0.0)
+    g = random_spd_metric(torus16, substream(1, "metric"), amplitude=0.0)
     assert np.allclose(g.components[0], 1.0)
     assert np.all(g.components[1] == 0.0)
-    rho = generate_field(torus16, "density", seed=1, amplitude=0.0)
+    rho = band_limited_density(torus16, substream(1, "density"), amplitude=0.0)
     assert np.all(rho.values == 1.0)
 
 
 def test_amplitude_controls_max(torus16):
-    f = generate_field(torus16, "scalar", seed=2, amplitude=0.37)
+    f = band_limited_scalar(torus16, substream(2, "scalar"), amplitude=0.37)
     assert np.max(np.abs(f.values)) == pytest.approx(0.37, abs=1e-12)
 
 
@@ -57,7 +63,7 @@ def test_unresolvable_modes_rejected(torus16):
 def test_generators_require_torus():
     grid = Grid(2, "box", 16, extent=2.0)
     with pytest.raises(ValueError):
-        generate_field(grid, "scalar", seed=1)
+        band_limited_scalar(grid, substream(1, "scalar"))
 
 
 def _loop_band_limited_values(grid, rng, modes, amplitude):

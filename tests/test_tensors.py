@@ -17,7 +17,6 @@ from metricflow import (
     invert_displacement,
     lie_derivative_density,
     lie_derivative_metric,
-    pointwise,
     pullback_metric,
     pushforward_metric,
     trace_decompose,
@@ -31,7 +30,14 @@ from metricflow.randomfields import (
     random_spd_metric,
     substream,
 )
-from metricflow.tensors import product_trace
+from metricflow.tensors import (
+    eigenvalue_components,
+    inverse_components,
+    packed_det,
+    product_trace,
+    spd_check,
+    sqrt_components,
+)
 from metricflow.transport import ebin_inner
 
 
@@ -51,22 +57,22 @@ def test_spd_check_rejects_and_names_node(torus16):
 
 def test_pointwise_inverse_scalar_matrix(torus16):
     g = MetricField.scaled_identity(torus16, 4.0)
-    inv = pointwise("inverse", g)
-    assert np.allclose(inv.components[0], 0.25)
-    assert np.allclose(inv.components[1], 0.0)
-    assert np.allclose(inv.components[2], 0.25)
+    inv = inverse_components(g.components, 2)
+    assert np.allclose(inv[0], 0.25)
+    assert np.allclose(inv[1], 0.0)
+    assert np.allclose(inv[2], 0.25)
 
 
 def test_pointwise_sqrt_diagonal(torus16):
     g = diag_metric(torus16, 4.0, 9.0)
-    s = pointwise("sqrt", g)
-    assert np.allclose(s.components[0], 2.0)
-    assert np.allclose(s.components[2], 3.0)
+    s = sqrt_components(g.components, 2)
+    assert np.allclose(s[0], 2.0)
+    assert np.allclose(s[2], 3.0)
 
 
 def test_sqrt_squares_back_to_input(torus16):
     g = random_spd_metric(torus16, substream(2, "sqrt"), modes=3, amplitude=0.4)
-    s = pointwise("sqrt", g).components
+    s = sqrt_components(g.components, 2)
     g11 = s[0] ** 2 + s[1] ** 2
     g12 = s[1] * (s[0] + s[2])
     g22 = s[1] ** 2 + s[2] ** 2
@@ -82,14 +88,14 @@ def test_product_trace_identity(torus16):
 
 def test_eigenvalues_closed_form(torus16):
     g = diag_metric(torus16, 2.0, 5.0)
-    lams = pointwise("eigenvalues", g)
+    lams = eigenvalue_components(g.components, 2)
     assert np.allclose(lams[0], 2.0)
     assert np.allclose(lams[1], 5.0)
 
 
-def test_log_det(torus16):
+def test_packed_det_diagonal(torus16):
     g = diag_metric(torus16, 2.0, 8.0)
-    assert np.allclose(pointwise("log_det", g).values, np.log(16.0))
+    assert np.allclose(packed_det(g.components, 2), 16.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,5 +369,5 @@ def test_spd_closure_under_pullback_and_inverse():
         g = random_spd_metric(grid, substream(50 + trial, "clo"), modes=3, amplitude=0.45)
         u, _ = smooth_displacement(grid, amplitude=0.03)
         pullback_metric(DisplacementMap(u), g)  # SPD check inside
-        pointwise("inverse", g)
-        pointwise("sqrt", g)
+        spd_check(inverse_components(g.components, 2), 2, what="inverse")
+        spd_check(sqrt_components(g.components, 2), 2, what="sqrt")
