@@ -27,12 +27,7 @@ from .fields import (
 )
 from .flatmaps import bump_and_gradient
 from .tensors import DisplacementMap, MetricField
-from .transport import (
-    DisplacementPath,
-    displacement_path_energy,
-    toy_geodesic,
-    we_tangent_norm,
-)
+from .transport import displacement_path_energy, toy_geodesic, we_tangent_norm
 
 # ---------------------------------------------------------------------------
 # criterion 10: the discrete calculus
@@ -210,5 +205,5 @@ def toy_geodesic_probe(grid: Grid, amplitude, n_t, rng, n_perturb):
             )
             for t in ts
         ]
-        increases.append(displacement_path_energy(DisplacementPath(grid, maps)) - toy.energy)
+        increases.append(displacement_path_energy(maps) - toy.energy)
     return toy, relative_spread, increases

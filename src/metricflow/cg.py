@@ -6,10 +6,11 @@ caller's contract.  An optional preconditioner ``r -> M^-1 r`` turns the
 loop into standard preconditioned CG (PCG); M must be symmetric positive
 definite too, so that <r, M^-1 r> is an inner product and the iterates
 minimize the energy over the Krylov spaces of M^-1 A.  Either way the stop
-rule is on the true residual, ||A x - b||_2 <= tol ||b||_2, and starting
-from zero makes the quadratic energy 1/2 <Ax, x> - <b, x> monotonically
-nonincreasing along the iterates, which several competitor-bound checks in
-the test suite rely on.
+rule is on the true residual, ||A x - b||_2 <= tol ||b||_2.  The iteration
+always starts from x = 0 (there is no initial-guess argument), which makes
+the quadratic energy 1/2 <Ax, x> - <b, x> monotonically nonincreasing along
+the iterates, which several competitor-bound checks in the test suite rely
+on.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ def solve_spd(
     rhs: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    x0: np.ndarray | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
-    """Solve A x = rhs with ||A x - rhs||_2 <= tol * ||rhs||_2.
+    """Solve A x = rhs with ||A x - rhs||_2 <= tol * ||rhs||_2, starting from x = 0.
 
     ``precondition`` applies M^-1 for an SPD M; None is plain CG.  Raises
     SolverFailure (carrying the final residual) if the tolerance is not
@@ -55,13 +55,9 @@ def solve_spd(
     if norm_b == 0.0:
         return CGResult(np.zeros_like(b), 0, 0.0)
 
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - np.asarray(apply_operator(x), dtype=float)
-    res = float(np.sqrt(np.vdot(r, r).real))
+    x = np.zeros_like(b)
+    r = b.copy()
+    res = norm_b
     if res <= tol * norm_b:
         return CGResult(x, 0, res)
 

@@ -13,6 +13,8 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from .config import load_config
 from .errors import ConfigError, InvalidResultError, SolverFailure
 from .experiments import EXPERIMENTS, run_experiment
@@ -55,7 +57,11 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_path=args.out)
-        manifest, paths = run_experiment(cfg, out_dir=args.out)
+        # floating-point warnings would precede the one-line error message;
+        # non-finite values are refused by the fields, the solver guards and
+        # dumps_result instead
+        with np.errstate(all="ignore"):
+            manifest, paths = run_experiment(cfg, out_dir=args.out)
         print(f"wrote {paths['manifest']}")
         print(f"wrote {paths['csv']}")
         for key, path in paths.items():

@@ -121,17 +121,16 @@ def divergence(kind: DivergenceKind, a, b) -> float:
     return integrate(ScalarField(grid, r - np.log(r) - 1.0), b)
 
 
-def kl_density_projection(rho0: DensityField, rho1: DensityField, dim=None) -> float:
+def kl_density_projection(rho0: DensityField, rho1: DensityField) -> float:
     """Volume projection of the metric relative entropy: Int f_d(rho0/rho1) rho1.
 
     The infimum over lifts with prescribed volumes is attained exactly on the
     conformal pair g0 = (rho0/rho1)^(2/d) g1, which makes this equal to the
-    metric divergence at that pair.
+    metric divergence at that pair; d is the grid dimension.
     """
     grid = require_same_grid(rho0, rho1)
-    d = grid.dim if dim is None else int(dim)
     r = _safe_ratio(rho0.values, rho1.values)
-    return integrate(ScalarField(grid, burg_generator(r, d)), rho1)
+    return integrate(ScalarField(grid, burg_generator(r, grid.dim)), rho1)
 
 
 def conformal_lift(rho0: DensityField, g1: MetricField) -> MetricField:
@@ -166,8 +165,7 @@ def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
 
 
 def _shifted(g: MetricField, h, s) -> MetricField:
-    comps = h.components if hasattr(h, "components") else np.asarray(h, float)
-    return MetricField(SymTensorField(g.grid, g.components + s * comps))
+    return MetricField(SymTensorField(g.grid, g.components + s * h.components))
 
 
 def second_variation_probe(kind: DivergenceKind, g: MetricField, h, k, step=1e-2):

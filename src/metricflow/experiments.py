@@ -49,7 +49,6 @@ from .randomfields import (
 )
 from .seqdemo import SeqSpace, vanishing_sweep
 from .serialization import dumps_result, field_to_json
-from .tensors import volume_map
 from .transport import (
     linear_metric_path,
     path_energy,
@@ -352,10 +351,7 @@ def run_path_energy(cfg: ExperimentConfig):
         path = linear_metric_path(g0, g1, n_t=p["n_t"])
         we = path_energy(path, cfg.solver, which="we")
         ebin = path_energy(path, cfg.solver, which="ebin")
-        densities = [volume_map(m) for m in path.metrics]
-        from .transport import density_path_energy
-
-        wfr = density_path_energy(densities, cfg.solver)
+        wfr = path_energy(path, cfg.solver, which="wfr")
         d, lam = cfg.grid.dim, cfg.solver.lam
         rows.append(
             {

@@ -210,15 +210,11 @@ class SymTensorField:
 def _values_of(field):
     if isinstance(field, (ScalarField, DensityField)):
         return field.values
-    if isinstance(field, VectorField):
-        return field.components
-    if isinstance(field, SymTensorField):
-        return field.components
-    return np.asarray(field, dtype=float)
+    return field.components
 
 
 def require_same_grid(*fields):
-    grids = [f.grid for f in fields if hasattr(f, "grid")]
+    grids = [f.grid for f in fields]
     for g in grids[1:]:
         if g != grids[0]:
             raise GridMismatchError(f"fields live on different grids: {grids[0]} vs {g}")
@@ -266,7 +262,7 @@ def diff_array(values, grid, axis, order=2):
 
 
 def partial_derivative(field, axis, order=2):
-    """Central-difference partial derivative of a scalar field (or raw array)."""
+    """Central-difference partial derivative of a scalar or density field."""
     if isinstance(field, (ScalarField, DensityField)):
         return ScalarField(field.grid, diff_array(field.values, field.grid, axis, order))
     raise TypeError("partial_derivative expects a ScalarField or DensityField")

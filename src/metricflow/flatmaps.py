@@ -224,17 +224,16 @@ class FactorizationReport:
     reconstruction_error: float
 
 
-def factorize_flat_metric(g: MetricField, collar_width=2, flat_tol=None):
+def factorize_flat_metric(g: MetricField, collar_width=2):
     """Full pipeline: frame, flatness gate, development, reconstruction.
 
-    flat_tol defaults to 10 spacing^2 scaled by the metric's derivative
-    magnitude; a metric failing the gate raises FlatnessInconsistencyError.
+    The flatness gate is a curvature residual of at most 10 spacing^2; a
+    metric failing it raises FlatnessInconsistencyError.
     Returns (displacement, frame, theta, report).
     """
     grid = g.grid
     frame = frame_and_connection(g, collar_width=collar_width)
-    if flat_tol is None:
-        flat_tol = 10.0 * grid.spacing**2
+    flat_tol = 10.0 * grid.spacing**2
     if not assert_flat(frame, flat_tol):
         raise FlatnessInconsistencyError(
             f"curvature residual {np.max(np.abs(frame.curvature_residual.values)):.3e} "
@@ -280,8 +279,8 @@ def bump_and_gradient(coords, center, radius):
     return psi, dpsi
 
 
-def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008, n_bumps=2):
-    """Pullback of the flat metric by a compactly supported map, sampled exactly.
+def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008):
+    """Pullback of the flat metric by a two-bump compactly supported map, sampled exactly.
 
     The displacement and its Jacobian are evaluated analytically, so the
     returned metric is a true flat metric sampled on the nodes, not a
@@ -298,7 +297,7 @@ def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008, n_bumps=2):
     # twice, so the curvature residual budget 10 h^2 needs |d^3 psi| modest;
     # the geometry is resolution independent so refinement studies compare
     # the same continuum instance
-    for _ in range(n_bumps):
+    for _ in range(2):
         radius = half * rng.uniform(0.78, 0.84)
         center = rng.uniform(-0.05, 0.05, size=2) * half
         if float(np.max(np.abs(center))) + radius > half - 3.0 * grid.spacing:
@@ -318,8 +317,8 @@ def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008, n_bumps=2):
     return g, phi0
 
 
-def non_flat_instance(grid: Grid, seed=0, amplitude=0.4):
-    """Collar-Euclidean metric with order-one curvature inside a bump."""
+def non_flat_instance(grid: Grid, seed=0):
+    """Collar-Euclidean metric with order-one curvature inside a bump (amplitude 0.4)."""
     _require_flat_domain(grid)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x63757276]))
     half = grid.half_extent
@@ -329,6 +328,6 @@ def non_flat_instance(grid: Grid, seed=0, amplitude=0.4):
     psi, _ = bump_and_gradient(coords, center, radius)
     wobble = np.sin(2.0 * np.pi * coords[0] / grid.extent + rng.uniform(0.0, np.pi))
     comps = np.stack(
-        [np.ones(grid.shape), np.zeros(grid.shape), 1.0 + amplitude * psi * wobble]
+        [np.ones(grid.shape), np.zeros(grid.shape), 1.0 + 0.4 * psi * wobble]
     )
     return MetricField(SymTensorField(grid, comps))

@@ -80,15 +80,12 @@ class SeqSpace:
         return v
 
 
-def ic_speed(space: SeqSpace, x, u, split_grid=None) -> float:
+def ic_speed(space: SeqSpace, x, u) -> float:
     """Closed-form infimal-convolution speed: harmonic-mean weights.
 
-    ``split_grid`` is a brute-force verification knob: when given, the
-    coordinatewise split is searched on a uniform grid instead of using the
-    closed form (slower, upper-bounds the closed form by O(split_grid^-2)).
+    ``ic_speed_grid_search`` is its brute-force check over the coordinatewise
+    splits.
     """
-    if split_grid is not None:
-        return ic_speed_grid_search(space, x, u, split_grid)
     f_val = float(space.conformal_f(float(np.dot(x, x))))
     weights = space.weights * f_val / (space.weights + f_val)
     return float(np.dot(weights, np.asarray(u, float) ** 2))

@@ -26,10 +26,6 @@ from .fields import (
 SPD_TOL = 1e-12
 
 
-def _packed(field):
-    return field.components if hasattr(field, "components") else np.asarray(field, float)
-
-
 def packed_det(comps, dim):
     if dim == 1:
         return comps[0]
@@ -180,9 +176,9 @@ def clamp_to_box(pos, phi: DisplacementMap):
     return np.clip(pos, -half, half)
 
 
-def displacement_jacobian(u: VectorField, order=2):
+def displacement_jacobian(u: VectorField):
     """du entries, shape (dim, dim) + grid.shape; du[i, j] = d_j u^i."""
-    return np.swapaxes(gradient_array(u.components, u.grid, order), 0, 1)
+    return np.swapaxes(gradient_array(u.components, u.grid), 0, 1)
 
 
 def jacobian_gram(du):
@@ -248,8 +244,8 @@ def product_trace(g: MetricField, a, b) -> ScalarField:
     grid = require_same_grid(g, a, b)
     dim = grid.dim
     ginv = packed_to_full(inverse_components(g.components, dim), dim)
-    fa = packed_to_full(_packed(a), dim)
-    fb = packed_to_full(_packed(b), dim)
+    fa = packed_to_full(a.components, dim)
+    fb = packed_to_full(b.components, dim)
     m = np.einsum("ik...,kj...->ij...", ginv, fa)
     nmat = np.einsum("ik...,kj...->ij...", ginv, fb)
     return ScalarField(grid, np.einsum("ij...,ji...->...", m, nmat))
@@ -272,21 +268,21 @@ def _g_trace(g, h, dim):
     return ginv[0] * h[0] + 2.0 * ginv[1] * h[1] + ginv[2] * h[2]
 
 
-def volume_tangent(g: MetricField, dg) -> ScalarField:
+def volume_tangent(g: MetricField, dg: SymTensorField) -> ScalarField:
     """Derivative of vol at g in direction dg: (1/2) tr(g^{-1} dg) vol(g)."""
     grid = require_same_grid(g, dg)
-    tr = _g_trace(g.components, _packed(dg), grid.dim)
+    tr = _g_trace(g.components, dg.components, grid.dim)
     return ScalarField(grid, 0.5 * tr * volume_map(g).values)
 
 
-def _lie_derivative_full(gfull, dg, vc, grid, order=2):
+def _lie_derivative_full(gfull, dg, vc, grid):
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, full (dim, dim) array.
 
-    gfull is the full metric, dg = gradient_array(gfull, grid, order)
+    gfull is the full metric, dg = gradient_array(gfull, grid)
     (dg[k, i, j] = d_k g_ij) and vc the velocity components.
     """
     dim = grid.dim
-    dv = gradient_array(vc, grid, order)  # dv[i, k] = d_i v^k
+    dv = gradient_array(vc, grid)  # dv[i, k] = d_i v^k
     out = np.zeros((dim, dim) + grid.shape)
     for i in range(dim):
         for j in range(dim):
@@ -298,27 +294,27 @@ def _lie_derivative_full(gfull, dg, vc, grid, order=2):
     return out
 
 
-def lie_derivative_metric(v: VectorField, g: MetricField, order=2) -> SymTensorField:
+def lie_derivative_metric(v: VectorField, g: MetricField) -> SymTensorField:
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
     grid = require_same_grid(v, g)
     gfull = packed_to_full(g.components, grid.dim)
-    dg = gradient_array(gfull, grid, order)
-    out = _lie_derivative_full(gfull, dg, v.components, grid, order)
+    dg = gradient_array(gfull, grid)
+    out = _lie_derivative_full(gfull, dg, v.components, grid)
     return SymTensorField(grid, full_to_packed(out, grid.dim))
 
 
-def lie_derivative_density(v: VectorField, rho, order=2) -> ScalarField:
+def lie_derivative_density(v: VectorField, rho: DensityField) -> ScalarField:
     """L_v rho = div(rho v) for densities stored w.r.t. Lebesgue."""
     grid = require_same_grid(v, rho)
     comps = rho.values * v.components
-    return ScalarField(grid, divergence_array(comps, grid, order))
+    return ScalarField(grid, divergence_array(comps, grid))
 
 
-def trace_decompose(g: MetricField, h):
+def trace_decompose(g: MetricField, h: SymTensorField):
     """Split h = z + (r/dim) g with tr(g^{-1} z) = 0; r = tr(g^{-1} h)."""
     grid = require_same_grid(g, h)
     dim = grid.dim
-    hc = _packed(h)
+    hc = h.components
     r = _g_trace(g.components, hc, dim)
     z = hc - (r / dim) * g.components
     return SymTensorField(grid, z), ScalarField(grid, r)
@@ -342,12 +338,13 @@ def pullback_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
     return MetricField(SymTensorField(grid, full_to_packed(pulled, dim)))
 
 
-def invert_displacement(phi: DisplacementMap, tol=1e-12, max_iter=200) -> DisplacementMap:
+def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
     """Fixed-point inverse of phi = id + u: u_inv(x) = -u(x + u_inv(x)).
 
     Requires the contraction condition ||du||_inf < 1 (max row sum of the
-    finite-difference Jacobian).  The composite phi o phi^{-1} deviates from
-    the identity by <= 10 * tol in the interpolated sense.
+    finite-difference Jacobian) and gives up after 200 sweeps.  The composite
+    phi o phi^{-1} deviates from the identity by <= 10 * tol in the
+    interpolated sense.
     """
     grid = phi.grid
     u = phi.displacement.components
@@ -359,7 +356,7 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12, max_iter=200) -> Displa
         )
     x = grid.coordinates()
     uinv = -u.copy()
-    for _ in range(max_iter):
+    for _ in range(200):
         new = -sample_array(u, grid, clamp_to_box(x + uinv, phi))
         step = float(np.max(np.abs(new - uinv)))
         uinv = new
@@ -382,6 +379,6 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12, max_iter=200) -> Displa
     )
 
 
-def pushforward_metric(phi: DisplacementMap, g: MetricField, tol=1e-12) -> MetricField:
+def pushforward_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
     """phi_* g computed as pullback along the fixed-point inverse of phi."""
-    return pullback_metric(invert_displacement(phi, tol=tol), g)
+    return pullback_metric(invert_displacement(phi), g)

@@ -83,9 +83,9 @@ from .tensors import (
 class SolverConfig:
     """Tolerance, iteration cap and source-penalty weight for the solvers.
 
-    ``lam`` must be strictly positive: with lam = 0 the source penalty
-    vanishes and the infimum over decompositions is degenerate off the
-    transport orbit.
+    ``max_iter`` None is ``solve_spd``'s default of 10 per unknown.  ``lam``
+    must be strictly positive: with lam = 0 the source penalty vanishes and
+    the infimum over decompositions is degenerate off the transport orbit.
     """
 
     tol: float = 1e-10
@@ -102,9 +102,6 @@ class SolverConfig:
                 raise ValueError(f"max_iter must be an integer or null, got {self.max_iter!r}")
             if self.max_iter < 1:
                 raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    def iter_cap(self, unknowns):
-        return self.max_iter if self.max_iter is not None else 10 * unknowns
 
 
 class TangentDecomposition(NamedTuple):
@@ -170,7 +167,7 @@ def fourier_inverse(apply_op, grid):
     return precondition
 
 
-def _solve(what, field, apply_op, rhs, cfg, x0, preconditioner):
+def _solve(what, field, apply_op, rhs, cfg, preconditioner):
     """Preconditioned CG; a SolverFailure names the norm and the grid.
 
     ``preconditioner(field, cfg)`` builds M^-1.  A zero right-hand side is
@@ -179,12 +176,7 @@ def _solve(what, field, apply_op, rhs, cfg, x0, preconditioner):
     precondition = preconditioner(field, cfg) if np.any(rhs) else None
     try:
         return solve_spd(
-            apply_op,
-            rhs,
-            tol=cfg.tol,
-            max_iter=cfg.iter_cap(rhs.size),
-            x0=x0,
-            precondition=precondition,
+            apply_op, rhs, tol=cfg.tol, max_iter=cfg.max_iter, precondition=precondition
         )
     except SolverFailure as exc:
         raise SolverFailure(
@@ -245,7 +237,7 @@ def density_norm_preconditioner(rho: DensityField, cfg: SolverConfig):
     return lambda res: bbar_inverse(res / r) / r
 
 
-def wfr_tangent_norm(rho: DensityField, drho, cfg: SolverConfig = SolverConfig(), x0=None):
+def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = SolverConfig()):
     """Minimize Int |v|^2 rho + lam Int f^2 rho over the continuity equation.
 
     The growth rate is eliminated, f = (drho + div(rho v)) / rho, and the
@@ -255,10 +247,10 @@ def wfr_tangent_norm(rho: DensityField, drho, cfg: SolverConfig = SolverConfig()
     grid = require_same_grid(rho, drho)
     lam = cfg.lam
     r = rho.values
-    dr = drho.values if hasattr(drho, "values") else np.asarray(drho, float)
+    dr = drho.values
     apply_op = wfr_normal_operator(rho, cfg)
     rhs = lam * r * gradient_array(dr / r, grid)
-    sol = _solve("wfr_tangent_norm", rho, apply_op, rhs, cfg, x0, density_norm_preconditioner)
+    sol = _solve("wfr_tangent_norm", rho, apply_op, rhs, cfg, density_norm_preconditioner)
     v = VectorField(grid, sol.x)
     f_vals = (dr + divergence_array(r * sol.x, grid)) / r
     f = ScalarField(grid, f_vals)
@@ -336,7 +328,7 @@ def metric_norm_preconditioner(g: MetricField, cfg: SolverConfig):
     return fourier_inverse(MetricNormOperator(gbar, cfg).apply, grid)
 
 
-def we_tangent_norm(g: MetricField, dg, cfg: SolverConfig = SolverConfig(), x0=None):
+def we_tangent_norm(g: MetricField, dg: SymTensorField, cfg: SolverConfig = SolverConfig()):
     """Minimize the transport + source energy over velocities v.
 
     Returns the minimum value together with the feasible decomposition
@@ -346,11 +338,9 @@ def we_tangent_norm(g: MetricField, dg, cfg: SolverConfig = SolverConfig(), x0=N
     """
     grid = require_same_grid(g, dg)
     op = MetricNormOperator(g, cfg)
-    dg_full = packed_to_full(
-        dg.components if hasattr(dg, "components") else np.asarray(dg, float), grid.dim
-    )
+    dg_full = packed_to_full(dg.components, grid.dim)
     rhs = op.rhs(dg_full)
-    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, x0, metric_norm_preconditioner)
+    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, metric_norm_preconditioner)
     v = VectorField(grid, sol.x)
     lv = op.lie(sol.x)
     h_full = dg_full + lv
@@ -407,21 +397,31 @@ def _midpoint_metric(a: MetricField, b: MetricField, t_mid) -> MetricField:
 def path_interval_norms(path: MetricPath, cfg: SolverConfig, which="we"):
     """Squared tangent norm of each interval's difference quotient.
 
-    which: "we" (transport + source) or "ebin" (pure source).
+    which: "we" (transport + source), "ebin" (pure source) or "wfr"
+    (transport + growth of the volume-projected path vol(g(t)): midpoint
+    density and difference quotient of the sampled volumes).  The three
+    bracket the submersion: E_wfr <= E_we <= (d lam / 4) E_ebin.
     """
-    dt = 1.0 / path.n_intervals
+    if which not in ("we", "ebin", "wfr"):
+        raise ValueError(f"unknown energy kind {which!r}")
+    grid, dt = path.grid, 1.0 / path.n_intervals
+    if which == "wfr":
+        vols = [volume_map(m).values for m in path.metrics]
     norms = []
     for i in range(path.n_intervals):
+        if which == "wfr":
+            mid = DensityField(grid, 0.5 * (vols[i] + vols[i + 1]))
+            delta = ScalarField(grid, (vols[i + 1] - vols[i]) / dt)
+            norms.append(wfr_tangent_norm(mid, delta, cfg).value)
+            continue
         t_mid = (path.times[i] + path.times[i + 1]) / 2.0
         gbar = _midpoint_metric(path.metrics[i], path.metrics[i + 1], t_mid)
         dstep = (path.metrics[i + 1].components - path.metrics[i].components) / dt
-        gdot = SymTensorField(path.grid, dstep)
+        gdot = SymTensorField(grid, dstep)
         if which == "ebin":
             norms.append(ebin_inner(gbar, gdot, gdot))
-        elif which == "we":
-            norms.append(we_tangent_norm(gbar, gdot, cfg).value)
         else:
-            raise ValueError(f"unknown energy kind {which!r}")
+            norms.append(we_tangent_norm(gbar, gdot, cfg).value)
     return np.array(norms)
 
 
@@ -436,67 +436,30 @@ def path_length(path: MetricPath, cfg: SolverConfig = SolverConfig(), which="we"
     return float(np.sum(np.sqrt(np.maximum(norms, 0.0))) / path.n_intervals)
 
 
-def density_path_interval_norms(densities, cfg: SolverConfig = SolverConfig()):
-    """Squared transport+growth norms of a density path's difference quotients."""
-    if len(densities) < 2:
-        raise ValueError("a density path needs at least two samples")
-    grid = densities[0].grid
-    dt = 1.0 / (len(densities) - 1)
-    norms = []
-    for i in range(len(densities) - 1):
-        mid = DensityField(grid, 0.5 * (densities[i].values + densities[i + 1].values))
-        delta = ScalarField(grid, (densities[i + 1].values - densities[i].values) / dt)
-        norms.append(wfr_tangent_norm(mid, delta, cfg).value)
-    return np.array(norms)
-
-
-def density_path_energy(densities, cfg: SolverConfig = SolverConfig()) -> float:
-    """Midpoint-rule transport+growth energy of a density path."""
-    norms = density_path_interval_norms(densities, cfg)
-    return float(np.sum(norms) / len(norms))
-
-
-def density_path_length(densities, cfg: SolverConfig = SolverConfig()) -> float:
-    norms = density_path_interval_norms(densities, cfg)
-    return float(np.sum(np.sqrt(np.maximum(norms, 0.0))) / len(norms))
-
-
 # ---------------------------------------------------------------------------
 # transport orbit paths on the box (material form)
 
 
-class DisplacementPath:
-    """Uniformly time-sampled family of displacement maps phi(t) = id + u(t)."""
+def displacement_path_interval_energies(maps):
+    """Material-coordinates transport energy of each interval of a map path.
 
-    def __init__(self, grid, displacements):
-        if len(displacements) < 2:
-            raise ValueError("a displacement path needs at least two samples")
-        self.grid = grid
-        self.maps = list(displacements)
-        self.times = np.linspace(0.0, 1.0, len(displacements))
-
-    @property
-    def n_intervals(self):
-        return len(self.maps) - 1
-
-
-def displacement_path_interval_energies(path: DisplacementPath):
-    """Material-coordinates transport energy of each interval.
-
-    Int |phi_dot|^2 vol(g0) with phi_dot the per-interval difference
-    quotient; the change of variables to material coordinates is exact
-    nodewise, so no inversion or interpolation enters.
+    ``maps`` samples phi(t) = id + u(t) uniformly on [0, 1] (at least two
+    maps).  Each interval gives Int |phi_dot|^2 vol(g0) with phi_dot its
+    difference quotient; the change of variables to material coordinates is
+    exact nodewise, so no inversion or interpolation enters.
     """
-    dt = 1.0 / path.n_intervals
+    grid, n_intervals = maps[0].grid, len(maps) - 1
+    dt = 1.0 / n_intervals
     out = []
-    for i in range(path.n_intervals):
-        du = (path.maps[i + 1].displacement.components - path.maps[i].displacement.components) / dt
-        out.append(integrate(VectorField(path.grid, du).euclidean_square()))
+    for i in range(n_intervals):
+        du = (maps[i + 1].displacement.components - maps[i].displacement.components) / dt
+        out.append(integrate(VectorField(grid, du).euclidean_square()))
     return np.array(out)
 
 
-def displacement_path_energy(path: DisplacementPath) -> float:
-    return float(np.sum(displacement_path_interval_energies(path)) / path.n_intervals)
+def displacement_path_energy(maps) -> float:
+    """Midpoint-rule action of a map path; see displacement_path_interval_energies."""
+    return float(np.sum(displacement_path_interval_energies(maps)) / (len(maps) - 1))
 
 
 class ToyGeodesic(NamedTuple):
@@ -511,7 +474,7 @@ class ToyGeodesic(NamedTuple):
     energy: float
 
 
-def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12):
+def toy_geodesic(f: VectorField, n_t=16):
     """Straight transport path phi(t) = id + t f pushing the flat metric g0 = I.
 
     Returns the per-interval transport energies of the path of pushforward
@@ -519,13 +482,13 @@ def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12)
     where they equal Int |f|^2 vol(g0) identically in t.  An independent
     Eulerian evaluation is reported alongside: at each interval midpoint,
     Int |f o phi^{-1}|^2 vol(phi_* g0) with the inverse map and the
-    interpolation; it agrees to O(spacing^2).
+    interpolation; it agrees to O(spacing^2).  The maps' collar is the widest
+    boundary ring on which f vanishes.
     """
     grid = f.grid
     if grid.topology != "box":
         raise ValueError("toy geodesics are defined on box grids")
-    if collar_width is None:
-        collar_width = _detect_collar(f)
+    collar_width = _detect_collar(f)
     ts = np.linspace(0.0, 1.0, n_t + 1)
 
     maps = []
@@ -541,8 +504,7 @@ def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12)
                 f"id + t f is not orientation preserving at t = {t}", time=float(t)
             ) from exc
 
-    dpath = DisplacementPath(grid, maps)
-    material = displacement_path_interval_energies(dpath)
+    material = displacement_path_interval_energies(maps)
 
     eulerian = []
     for i in range(n_t):
@@ -550,7 +512,7 @@ def toy_geodesic(f: VectorField, n_t=16, collar_width=None, inversion_tol=1e-12)
         phi_mid = DisplacementMap(
             VectorField(grid, t_mid * f.components), collar_width=collar_width
         )
-        inv_mid = invert_displacement(phi_mid, tol=inversion_tol)
+        inv_mid = invert_displacement(phi_mid)
         g_mid = pullback_metric_by(inv_mid)
         v_mid = VectorField(
             grid, sample_array(f.components, grid, clamp_to_box(inv_mid.positions(), inv_mid))
@@ -626,8 +588,7 @@ def we_distance_bounds(
         lower = float(mass_bound)
         flag = "conformal-volumes-exact-wfr"
     else:
-        densities = [volume_map(m) for m in path.metrics]
-        lower = density_path_length(densities, cfg)
+        lower = path_length(path, cfg, which="wfr")
         flag = "projected-path-wfr-length-estimate"
     return DistanceBounds(lower, float(upper), flag,
                           "linear-path-upper-bound", float(mass_bound))

@@ -44,7 +44,6 @@ from metricflow.randomfields import (
     random_spd_metric,
     substream,
 )
-from metricflow.transport import density_path_energy
 
 CFG = SolverConfig()
 K = DivergenceKind
@@ -244,7 +243,7 @@ def test_criterion_08_distance_bound_sanity():
         path = linear_metric_path(g0, g1, n_t=6)
         we = path_energy(path, CFG, which="we")
         ebin = path_energy(path, CFG, which="ebin")
-        wfr = density_path_energy([volume_map(m) for m in path.metrics], CFG)
+        wfr = path_energy(path, CFG, which="wfr")
         lower_ok = we >= wfr - 1e-8
         upper_ok = we <= d_lam_quarter * ebin + 1e-8
         ok = ok and lower_ok and upper_ok

@@ -46,16 +46,6 @@ def test_cg_matches_dense_direct_solve_oracle():
     assert np.max(np.abs(res.x - expected)) <= 1e-8
 
 
-def test_restart_from_solution_costs_at_most_one_iteration():
-    grid = Grid(2, "torus", 8)
-    apply_op = screened_laplacian(grid)
-    b = np.random.default_rng(7).normal(size=grid.shape)
-    first = solve_spd(apply_op, b, tol=1e-10)
-    second = solve_spd(apply_op, b, tol=1e-10, x0=first.x)
-    assert second.iterations <= 1
-    assert np.max(np.abs(second.x - first.x)) <= 1e-8
-
-
 def test_nonconvergence_raises_with_residual():
     grid = Grid(2, "torus", 8)
     apply_op = screened_laplacian(grid, eps=1.0)

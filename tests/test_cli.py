@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import metricflow
 from metricflow.cli import main
 from metricflow.config import load_config, parse_config
 from metricflow.errors import ConfigError
@@ -369,3 +373,35 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     # the message names the norm and the grid it was solved on
     assert "wfr_tangent_norm" in err
     assert "Grid(dim=2, topology='torus', n_per_axis=16, extent=1.0)" in err
+
+
+@pytest.mark.parametrize(
+    "cfg, code, prefix",
+    [
+        pytest.param(
+            {"experiment": "we-norm", "params": {"amplitude": 1e308, "n_trials": 1}},
+            3,
+            "solver failure: ",
+            id="we-norm-overflow",
+        ),
+        pytest.param(
+            {"experiment": "divergence-sweep", "params": {"amplitude": 800.0, "n_pairs": 1}},
+            2,
+            "precondition error: ",
+            id="divergence-sweep-exp-overflow",
+        ),
+    ],
+)
+def test_overflowing_run_prints_one_stderr_line(tmp_path, cfg, code, prefix):
+    # a fresh process, so that NumPy's floating-point warnings would reach
+    # stderr as they do from the command line
+    path = write_config(tmp_path, {**cfg, "seed": 1})
+    src = os.path.dirname(os.path.dirname(metricflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "metricflow.cli", cfg["experiment"], "--config", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr

@@ -101,7 +101,7 @@ def test_divergences_1d(line64):
     assert divergence(DivergenceKind.KL_MET, g0, g1) == pytest.approx(expected, abs=1e-12)
     rho0 = DensityField.constant(line64, 1.0)
     rho1 = DensityField.constant(line64, np.e)
-    proj = kl_density_projection(rho0, rho1, dim=1)
+    proj = kl_density_projection(rho0, rho1)
     # f_1(r) = (1/2)(r^2 - 2 log r - 1) at r = 1/e
     expected_proj = 0.5 * (np.e**-2 + 2.0 - 1.0) * np.e
     assert proj == pytest.approx(expected_proj, abs=1e-12)

@@ -263,8 +263,6 @@ def test_static_local_search_monotone_decrease(torus16):
 
 
 def test_extreme_ratio_clamp_warns(torus16):
-    import warnings
-
     tiny = DensityField.constant(torus16, 1e-250)
     huge = DensityField.constant(torus16, 1e250)
     with pytest.warns(RuntimeWarning, match="clamped"):

@@ -126,11 +126,3 @@ def test_simpson_quadrature_converges():
     ]
     assert vals[0] == pytest.approx(vals[1], rel=1e-6)
 
-
-def test_split_grid_knob_routes_to_brute_force(space):
-    x = space.vector([0.2])
-    u = space.vector([0.0, 1.0, -0.5])
-    closed = ic_speed(space, x, u)
-    brute = ic_speed(space, x, u, split_grid=500)
-    assert brute >= closed - 1e-12
-    assert brute == ic_speed_grid_search(space, x, u, 500)

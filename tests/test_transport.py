@@ -37,13 +37,12 @@ from metricflow.randomfields import (
 )
 from metricflow.tensors import DisplacementMap, invert_displacement
 from metricflow.transport import (
-    DisplacementPath,
     MetricNormOperator,
     MetricPath,
     _detect_collar,
     density_norm_preconditioner,
-    density_path_energy,
     displacement_path_energy,
+    path_interval_norms,
     fourier_inverse,
     metric_norm_preconditioner,
     pullback_metric_by,
@@ -122,16 +121,6 @@ def test_wfr_conformal_closed_form(torus16):
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert np.max(np.abs(res.v.components)) <= 1e-12
     assert np.allclose(res.f.values, 0.5, atol=1e-12)
-
-
-def test_wfr_value_independent_of_initial_guess(torus16):
-    rho = band_limited_density(torus16, substream(3, "wfr-rho"), modes=3, amplitude=0.4)
-    drho = band_limited_scalar(torus16, substream(3, "wfr-dr"), modes=3, amplitude=0.4)
-    base = wfr_tangent_norm(rho, drho, CFG)
-    for trial in range(3):
-        x0 = band_limited_vector(torus16, substream(trial, "wfr-x0"), 3, 1.0).components
-        again = wfr_tangent_norm(rho, drho, CFG, x0=x0)
-        assert again.value == pytest.approx(base.value, rel=1e-9, abs=1e-12)
 
 
 def test_wfr_pure_transport_competitor_bound(torus16):
@@ -391,6 +380,29 @@ def test_constant_path_zero_energy(torus16):
     path = linear_metric_path(g, g, n_t=4)
     assert path_energy(path, CFG, which="ebin") == 0.0
     assert path_energy(path, CFG, which="we") == 0.0
+    assert path_energy(path, CFG, which="wfr") == 0.0
+
+
+def test_wfr_path_of_scaled_identities_closed_form(torus16):
+    # g(t) = (1 - t + c t) I has spatially constant volumes rho(t), so each
+    # interval is pure growth: lam (drho/dt)^2 / rho_mid per unit volume
+    c = 3.0
+    path = linear_metric_path(
+        MetricField.euclidean(torus16), MetricField.scaled_identity(torus16, c), n_t=4
+    )
+    vols = [float(volume_map(m).values[0, 0]) for m in path.metrics]
+    for lam in (0.5, 2.0):
+        norms = path_interval_norms(path, SolverConfig(lam=lam), which="wfr")
+        for i, norm in enumerate(norms):
+            rho_mid = 0.5 * (vols[i] + vols[i + 1])
+            rate = (vols[i + 1] - vols[i]) * path.n_intervals
+            assert norm == pytest.approx(lam * rate**2 / rho_mid, rel=1e-12)
+
+
+def test_path_interval_norms_unknown_kind(torus16):
+    g = MetricField.euclidean(torus16)
+    with pytest.raises(ValueError, match="unknown energy kind 'orbit'"):
+        path_interval_norms(linear_metric_path(g, g, n_t=2), CFG, which="orbit")
 
 
 def test_linear_conformal_path_ebin_energy_closed_form():
@@ -415,7 +427,7 @@ def test_we_path_energy_sandwich(torus16):
         path = linear_metric_path(g0, g1, n_t=4)
         we = path_energy(path, CFG, which="we")
         ebin = path_energy(path, CFG, which="ebin")
-        wfr = density_path_energy([volume_map(m) for m in path.metrics], CFG)
+        wfr = path_energy(path, CFG, which="wfr")
         assert wfr - 1e-8 <= we <= (torus16.dim * CFG.lam / 4.0) * ebin + 1e-8
 
 
@@ -451,7 +463,7 @@ def test_midpoint_guard_raises_on_degenerate_sample(torus16):
 
 
 def test_toy_geodesic_zero_field(box64):
-    toy = toy_geodesic(VectorField.zero(box64), n_t=4, collar_width=1)
+    toy = toy_geodesic(VectorField.zero(box64), n_t=4)
     assert toy.energy == 0.0
     assert np.all(toy.interval_energies_eulerian == 0.0)
     # every metric on the path is the flat metric pushed forward by the identity
@@ -510,7 +522,7 @@ def test_perturbed_paths_cost_more(box64):
                 [direction[0] * wpsi, direction[1] * wpsi]
             )
             maps.append(DisplacementMap(VectorField(box64, u_t), collar_width=1))
-        perturbed = displacement_path_energy(DisplacementPath(box64, maps))
+        perturbed = displacement_path_energy(maps)
         assert perturbed > toy.energy
 
 
