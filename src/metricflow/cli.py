@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,10 +58,12 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_path=args.out)
-        # floating-point warnings would precede the one-line error message;
-        # non-finite values are refused by the fields, the solver guards and
-        # dumps_result instead
-        with np.errstate(all="ignore"):
+        # floating-point and Python warnings (such as the divergences' ratio
+        # clamp) would precede the one-line error message or print on a
+        # successful run; non-finite values are refused by the fields, the
+        # solver guards and dumps_result instead
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             manifest, paths = run_experiment(cfg, out_dir=args.out)
         print(f"wrote {paths['manifest']}")
         print(f"wrote {paths['csv']}")

@@ -225,6 +225,18 @@ def require_same_grid(*fields):
 # finite differences
 
 
+def _periodic_shift(a, s, ax):
+    """Periodic neighbour array: entry i along axis ax is a[(i + s) mod n].
+
+    Built from two slices, the same values np.roll(a, -s, axis=ax) gives.
+    """
+    ix = [slice(None)] * a.ndim
+    ix[ax] = slice(s, None)
+    head = a[tuple(ix)]
+    ix[ax] = slice(None, s)
+    return np.concatenate((head, a[tuple(ix)]), axis=ax)
+
+
 def diff_array(values, grid, axis, order=2):
     """Partial derivative of a nodal array along one coordinate axis.
 
@@ -239,12 +251,12 @@ def diff_array(values, grid, axis, order=2):
     h = grid.spacing
     ax = a.ndim - grid.dim + axis
     if grid.topology == TORUS:
-        fwd = np.roll(a, -1, axis=ax)
-        bwd = np.roll(a, 1, axis=ax)
+        fwd = _periodic_shift(a, 1, ax)
+        bwd = _periodic_shift(a, -1, ax)
         if order == 2:
             return (fwd - bwd) / (2.0 * h)
-        fwd2 = np.roll(a, -2, axis=ax)
-        bwd2 = np.roll(a, 2, axis=ax)
+        fwd2 = _periodic_shift(a, 2, ax)
+        bwd2 = _periodic_shift(a, -2, ax)
         return (8.0 * (fwd - bwd) - (fwd2 - bwd2)) / (12.0 * h)
     if order == 4:
         raise ValueError("fourth-order stencils are only available on torus grids")
@@ -328,7 +340,9 @@ def sample_array(values, grid, positions):
         raise ValueError(f"positions must have leading dim {grid.dim}")
     n, h = grid.n_per_axis, grid.spacing
     lead = a.shape[: a.ndim - grid.dim]
-    flat = a.reshape((-1,) + grid.shape)
+    # corners are gathered by flat node index (row * n + column): one np.take
+    # per corner costs about half of a two-array fancy index on the node axes
+    flat = a.reshape(-1, grid.node_count)
 
     if grid.topology == TORUS:
         t = np.mod(pos, grid.extent) / h
@@ -349,15 +363,19 @@ def sample_array(values, grid, positions):
         frac = t - i0
         i1 = i0 + 1
 
+    def corner(index):
+        return np.take(flat, index, axis=1)
+
     if grid.dim == 1:
-        v = flat[:, i0[0]] * (1.0 - frac[0]) + flat[:, i1[0]] * frac[0]
+        v = corner(i0[0]) * (1.0 - frac[0]) + corner(i1[0]) * frac[0]
     else:
         f0, f1 = frac[0], frac[1]
+        r0, r1 = i0[0] * n, i1[0] * n
         v = (
-            flat[:, i0[0], i0[1]] * (1.0 - f0) * (1.0 - f1)
-            + flat[:, i1[0], i0[1]] * f0 * (1.0 - f1)
-            + flat[:, i0[0], i1[1]] * (1.0 - f0) * f1
-            + flat[:, i1[0], i1[1]] * f0 * f1
+            corner(r0 + i0[1]) * (1.0 - f0) * (1.0 - f1)
+            + corner(r1 + i0[1]) * f0 * (1.0 - f1)
+            + corner(r0 + i1[1]) * (1.0 - f0) * f1
+            + corner(r1 + i1[1]) * f0 * f1
         )
     return v.reshape(lead + pos.shape[1:])
 

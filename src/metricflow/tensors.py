@@ -338,13 +338,31 @@ def pullback_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
     return MetricField(SymTensorField(grid, full_to_packed(pulled, dim)))
 
 
-def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
-    """Fixed-point inverse of phi = id + u: u_inv(x) = -u(x + u_inv(x)).
+def _inverse_jacobian_apply(dw, v):
+    """(I + dw) v per node in closed form, with dw[k, i] = d_k w^i."""
+    if dw.shape[0] == 1:
+        return (1.0 + dw[0, 0]) * v
+    return np.stack(
+        [
+            (1.0 + dw[0, 0]) * v[0] + dw[1, 0] * v[1],
+            dw[0, 1] * v[0] + (1.0 + dw[1, 1]) * v[1],
+        ]
+    )
 
-    Requires the contraction condition ||du||_inf < 1 (max row sum of the
-    finite-difference Jacobian) and gives up after 200 sweeps.  The composite
-    phi o phi^{-1} deviates from the identity by <= 10 * tol in the
-    interpolated sense.
+
+def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
+    """Newton inverse of phi = id + u: solve F(w) = w + u(x + w) = 0 for w.
+
+    phi^{-1} = id + w.  Each step is w <- w - D(phi^{-1}) F(w), where the
+    Jacobian of the inverse comes from the identity
+    D(phi^{-1}) = (Dphi)^{-1} o phi^{-1} and is taken as I + dw, the
+    finite-difference Jacobian of the current iterate on the grid.  A step
+    thus costs one interpolation of u and one gradient of w, and no matrix
+    inverse.  The iteration starts from w = -u, requires the contraction
+    condition ||du||_inf < 1 (max row sum of the finite-difference
+    Jacobian), stops once max |step| < tol and gives up after 200 steps.
+    The composite phi o phi^{-1} deviates from the identity by <= 10 * tol
+    in the interpolated sense.
     """
     grid = phi.grid
     u = phi.displacement.components
@@ -355,19 +373,22 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
             f"contraction condition violated: ||du||_inf = {row_sum:.3f} >= 1"
         )
     x = grid.coordinates()
+
+    def residual_of(w):
+        return w + sample_array(u, grid, clamp_to_box(x + w, phi))
+
     uinv = -u.copy()
     for _ in range(200):
-        new = -sample_array(u, grid, clamp_to_box(x + uinv, phi))
-        step = float(np.max(np.abs(new - uinv)))
-        uinv = new
-        if step < tol:
+        step = _inverse_jacobian_apply(gradient_array(uinv, grid), residual_of(uinv))
+        uinv = uinv - step
+        size = float(np.max(np.abs(step)))
+        if size < tol:
             break
     else:
         raise NonInvertibleMapError(
-            f"fixed-point inversion stalled (last update {step:.3e} > tol {tol:.3e})"
+            f"Newton inversion stalled (last step {size:.3e} > tol {tol:.3e})"
         )
-    residual = uinv + sample_array(u, grid, clamp_to_box(x + uinv, phi))
-    dev = float(np.max(np.abs(residual)))
+    dev = float(np.max(np.abs(residual_of(uinv))))
     if dev > 10.0 * tol:
         raise NonInvertibleMapError(
             f"phi o phi^(-1) deviates from identity by {dev:.3e} > 10 tol"
@@ -380,5 +401,11 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
 
 
 def pushforward_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
-    """phi_* g computed as pullback along the fixed-point inverse of phi."""
+    """phi_* g = (phi^{-1})^* g: the pullback along the Newton inverse of phi.
+
+    The pullback's Jacobian is the finite-difference D(phi^{-1}) of the
+    inverse map on the grid, the same matrix whose identity
+    D(phi^{-1}) = (Dphi)^{-1} o phi^{-1} drives the Newton steps of
+    invert_displacement.
+    """
     return pullback_metric(invert_displacement(phi), g)

@@ -375,6 +375,19 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert "Grid(dim=2, topology='torus', n_per_axis=16, extent=1.0)" in err
 
 
+def run_cli_process(tmp_path, cfg):
+    # a fresh process, so that NumPy's floating-point warnings and Python
+    # warnings would reach stderr as they do from the command line
+    path = write_config(tmp_path, {**cfg, "seed": 1})
+    src = os.path.dirname(os.path.dirname(metricflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "metricflow.cli", cfg["experiment"], "--config", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "cfg, code, prefix",
     [
@@ -390,18 +403,26 @@ def test_solver_failure_exits_3(tmp_path, capsys):
             "precondition error: ",
             id="divergence-sweep-exp-overflow",
         ),
+        pytest.param(
+            # the density ratio is clamped (a Python warning) before the
+            # non-finite field is refused
+            {"experiment": "divergence-sweep", "params": {"amplitude": 600.0, "n_pairs": 1}},
+            2,
+            "precondition error: ",
+            id="divergence-sweep-ratio-clamp",
+        ),
     ],
 )
 def test_overflowing_run_prints_one_stderr_line(tmp_path, cfg, code, prefix):
-    # a fresh process, so that NumPy's floating-point warnings would reach
-    # stderr as they do from the command line
-    path = write_config(tmp_path, {**cfg, "seed": 1})
-    src = os.path.dirname(os.path.dirname(metricflow.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "metricflow.cli", cfg["experiment"], "--config", path,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_process(tmp_path, cfg)
     assert proc.returncode == code
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_clamped_ratio_run_succeeds_silently(tmp_path):
+    # the ratio clamp warns at this amplitude, yet every value stays finite
+    cfg = {"experiment": "divergence-sweep", "params": {"amplitude": 400.0, "n_pairs": 1}}
+    proc = run_cli_process(tmp_path, cfg)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+

@@ -136,6 +136,29 @@ def test_gradient_array_of_stacked_components_is_bitwise_per_component(topology,
     assert np.array_equal(gradient_array(values, grid, order), expected)
 
 
+def roll_diff_oracle(values, grid, axis, order):
+    """The periodic stencil written with np.roll, as diff_array once was."""
+    ax = values.ndim - grid.dim + axis
+    h = grid.spacing
+    fwd, bwd = np.roll(values, -1, axis=ax), np.roll(values, 1, axis=ax)
+    if order == 2:
+        return (fwd - bwd) / (2.0 * h)
+    fwd2, bwd2 = np.roll(values, -2, axis=ax), np.roll(values, 2, axis=ax)
+    return (8.0 * (fwd - bwd) - (fwd2 - bwd2)) / (12.0 * h)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 16, 33, 64])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_periodic_slice_stencil_is_bitwise_roll(dim, n, order, lead):
+    grid = Grid(dim, "torus", n)
+    values = substream(6, f"roll-{dim}-{n}").normal(size=lead + grid.shape)
+    for axis in range(dim):
+        expected = roll_diff_oracle(values, grid, axis, order)
+        assert np.array_equal(diff_array(values, grid, axis, order), expected)
+
+
 def test_discrete_integration_by_parts_torus():
     grid = Grid(2, "torus", 24)
     f = band_limited_scalar(grid, substream(11, "ibp-f"), modes=4, amplitude=1.0)
@@ -222,6 +245,67 @@ def test_box_sampling_outside_domain_fails():
     f = ScalarField.constant(grid, 1.0)
     with pytest.raises(OutOfDomainError):
         sample(f, np.array([[1.5], [0.0]]))
+
+
+def fancy_index_sample_oracle(values, grid, pos):
+    """Bilinear sampling with the two-array corner index sample_array once used."""
+    n, h = grid.n_per_axis, grid.spacing
+    lead = values.shape[: values.ndim - grid.dim]
+    flat = values.reshape((-1,) + grid.shape)
+    if grid.topology == "torus":
+        t = np.mod(pos, grid.extent) / h
+        i0 = np.floor(t).astype(int)
+        frac = t - i0
+        i0 = np.mod(i0, n)
+        i1 = np.mod(i0 + 1, n)
+    else:
+        half = grid.half_extent
+        t = (np.clip(pos, -half, half) + half) / h
+        i0 = np.clip(np.floor(t).astype(int), 0, n - 2)
+        frac = t - i0
+        i1 = i0 + 1
+    if grid.dim == 1:
+        v = flat[:, i0[0]] * (1.0 - frac[0]) + flat[:, i1[0]] * frac[0]
+    else:
+        f0, f1 = frac[0], frac[1]
+        v = (
+            flat[:, i0[0], i0[1]] * (1.0 - f0) * (1.0 - f1)
+            + flat[:, i1[0], i0[1]] * f0 * (1.0 - f1)
+            + flat[:, i0[0], i1[1]] * (1.0 - f0) * f1
+            + flat[:, i1[0], i1[1]] * f0 * f1
+        )
+    return v.reshape(lead + pos.shape[1:])
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_flat_index_gather_is_bitwise_fancy_index(topology, dim, lead):
+    grid = Grid(dim, topology, 17, extent=1.0 if topology == "torus" else 2.0)
+    rng = substream(9, f"gather-{topology}-{dim}")
+    values = rng.normal(size=lead + grid.shape)
+    half = grid.half_extent
+    nodes = grid.coordinates().reshape(dim, -1)
+    # the last cell, where the box clips i0 to n - 2, and both ends of the box
+    last_cell = np.full((dim, 3), half - 0.25 * grid.spacing)
+    last_cell[:, 1] = half
+    ends = np.stack([np.full(dim, -half), np.full(dim, half)], axis=1)
+    inside = rng.uniform(-half, half, size=(dim, 40))
+    pos = np.concatenate([nodes, last_cell, ends, inside], axis=1)
+    if topology == "torus":
+        pos = np.concatenate([pos, rng.uniform(-3.0, 3.0, size=(dim, 40))], axis=1)
+    pos = pos.reshape((dim, 2, -1))
+    got = sample_array(values, grid, pos)
+    assert got.shape == lead + pos.shape[1:]
+    assert np.array_equal(got, fancy_index_sample_oracle(values, grid, pos))
+    if topology == "box":
+        # roundoff beyond +-L is clamped, anything larger raises
+        edge = np.full((dim, 1), half + 1e-12)
+        assert np.array_equal(
+            sample_array(values, grid, edge), fancy_index_sample_oracle(values, grid, edge)
+        )
+        with pytest.raises(OutOfDomainError):
+            sample_array(values, grid, np.full((dim, 1), half + 1e-6))
 
 
 def test_vector_field_sampling_shape(torus16):

@@ -23,6 +23,9 @@ from metricflow import (
     volume_map,
     volume_tangent,
 )
+from metricflow import tensors
+from metricflow.certificates import toy_field
+from metricflow.fields import sample_array
 from metricflow.randomfields import (
     band_limited_scalar,
     band_limited_sym_tensor,
@@ -31,6 +34,7 @@ from metricflow.randomfields import (
     substream,
 )
 from metricflow.tensors import (
+    clamp_to_box,
     eigenvalue_components,
     inverse_components,
     packed_det,
@@ -38,7 +42,7 @@ from metricflow.tensors import (
     spd_check,
     sqrt_components,
 )
-from metricflow.transport import ebin_inner
+from metricflow.transport import _detect_collar, ebin_inner
 
 
 def diag_metric(grid, a, b):
@@ -306,7 +310,6 @@ def test_pullback_translation_equals_lattice_resample(torus16):
 def test_pullback_volume_naturality():
     # vol(phi* g) = det(I + du) vol(g) o phi, both sides computed separately
     grid = Grid(2, "torus", 64)
-    from metricflow.fields import sample_array
     from metricflow.tensors import displacement_jacobian, jacobian_det
 
     g = random_spd_metric(grid, substream(44, "nat"), modes=2, amplitude=0.2)
@@ -337,8 +340,6 @@ def test_invert_smooth_bump_self_consistent():
     u, _ = smooth_displacement(grid)
     phi = DisplacementMap(u)
     inv = invert_displacement(phi, tol=1e-12)
-    from metricflow.fields import sample_array
-
     resid = inv.displacement.components + sample_array(
         u.components, grid, grid.coordinates() + inv.displacement.components
     )
@@ -352,6 +353,72 @@ def test_invert_rejects_non_contraction(torus16):
     # orientation flips too; constructor itself must reject
     with pytest.raises(NonInvertibleMapError):
         DisplacementMap(VectorField(torus16, u))
+
+
+def fixed_point_inverse(phi, tol=1e-12):
+    """Displacement of phi^{-1} by the fixed-point sweeps w <- -u(x + w).
+
+    The linearly convergent scheme of M. Chen et al., Med. Phys. 35(1), 2008,
+    which invert_displacement used before its Newton steps.
+    """
+    grid, u = phi.grid, phi.displacement.components
+    x = grid.coordinates()
+    uinv = -u.copy()
+    for _ in range(200):
+        new = -sample_array(u, grid, clamp_to_box(x + uinv, phi))
+        step = float(np.max(np.abs(new - uinv)))
+        uinv = new
+        if step < tol:
+            return uinv
+    raise AssertionError("fixed-point oracle stalled")
+
+
+def box_toy_map():
+    grid = Grid(2, "box", 128, extent=2.0)
+    f = toy_field(grid, 0.08)
+    return DisplacementMap(f, collar_width=_detect_collar(f))
+
+
+def torus_1d_bump_map():
+    grid = Grid(1, "torus", 64)
+    x = grid.coordinates()
+    bump = np.maximum(1.0 - ((x[0] - 0.5) / 0.3) ** 2, 0.0) ** 6
+    return DisplacementMap(VectorField(grid, 0.05 * bump[None]))
+
+
+@pytest.mark.parametrize(
+    "make_phi",
+    [
+        pytest.param(box_toy_map, id="box128-toy-t1"),
+        pytest.param(lambda: DisplacementMap(smooth_displacement(Grid(2, "torus", 64))[0]),
+                     id="torus64-smooth"),
+        pytest.param(torus_1d_bump_map, id="torus1d-bump"),
+    ],
+)
+def test_newton_inverse_matches_fixed_point_oracle(make_phi):
+    phi = make_phi()
+    inv = invert_displacement(phi)
+    assert np.max(np.abs(inv.displacement.components - fixed_point_inverse(phi))) <= 1e-12
+
+
+def test_newton_inversion_needs_few_interpolations(monkeypatch):
+    # at t = 1 the fixed-point sweeps need 25 interpolations plus the check
+    phi = box_toy_map()
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sample_array(*args)
+
+    monkeypatch.setattr(tensors, "sample_array", counted)
+    invert_displacement(phi)
+    assert 2 <= len(calls) <= 12
+
+
+def test_inversion_stall_is_reported(torus16):
+    u, _ = smooth_displacement(torus16)
+    with pytest.raises(NonInvertibleMapError, match="stalled"):
+        invert_displacement(DisplacementMap(u), tol=0.0)
 
 
 def test_pushforward_round_trip():
