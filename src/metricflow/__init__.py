@@ -84,5 +84,6 @@ from .transport import (
     wasserstein_orbit_norm,
     we_distance_bounds,
     we_tangent_norm,
+    we_tangent_norms,
     wfr_tangent_norm,
 )

@@ -1,4 +1,4 @@
-"""Matrix-free (preconditioned) conjugate gradient for SPD systems.
+"""Matrix-free (preconditioned) conjugate gradient for SPD systems, in lanes.
 
 The caller provides the operator as a closure over ndarray unknowns of any
 shape; symmetry and positive definiteness on the discrete space are the
@@ -11,6 +11,18 @@ always starts from x = 0 (there is no initial-guess argument), which makes
 the quadratic energy 1/2 <Ax, x> - <b, x> monotonically nonincreasing along
 the iterates, which several competitor-bound checks in the test suite rely
 on.
+
+Lanes.  ``solve_spd(..., lanes=True)`` solves L independent systems that
+share the operator and the preconditioner: the right-hand side has shape
+(L,) + shape, and ``apply_operator`` and ``precondition`` take and return
+arrays of shape (m,) + shape, lane by lane, for the m lanes still iterating.
+Every lane has its own step length, residual, stop rule and iteration
+count.  A lane that meets its tolerance is frozen: it leaves the stack, so
+it stops at exactly the iteration its single solve would, with the iterate
+its single solve returns (the inner products are taken lane by lane, with
+the same ``np.vdot`` as a single solve).  A single-system call is a one-lane
+call through the same loop, with the operator and the preconditioner seen
+without the lane axis.
 """
 
 from __future__ import annotations
@@ -23,13 +35,33 @@ from .errors import SolverFailure
 
 
 class CGResult(NamedTuple):
+    """Solution, iteration counts and final residuals.
+
+    ``iterations`` is a Python int: the largest lane count, which is the
+    number of operator applies; ``residual`` is the largest final residual.
+    ``lane_iterations`` and ``lane_residuals`` hold the per-lane values (one
+    entry for a single-system call).
+    """
+
     x: np.ndarray
     iterations: int
     residual: float
+    lane_iterations: tuple
+    lane_residuals: tuple
 
 
 def _identity(r):
     return r
+
+
+def _one_lane(fn):
+    """A single-system closure as a one-lane one."""
+    return lambda a: np.asarray(fn(a[0]), dtype=float)[None]
+
+
+def _lane_dots(a, b):
+    """<a_l, b_l> for every lane l, each by the np.vdot of a single solve."""
+    return np.array([np.vdot(al, bl).real for al, bl in zip(a, b)])
 
 
 def solve_spd(
@@ -38,67 +70,102 @@ def solve_spd(
     tol: float = 1e-10,
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    lanes: bool = False,
 ) -> CGResult:
     """Solve A x = rhs with ||A x - rhs||_2 <= tol * ||rhs||_2, starting from x = 0.
 
-    ``precondition`` applies M^-1 for an SPD M; None is plain CG.  Raises
-    SolverFailure (carrying the final residual) if the tolerance is not
-    reached within max_iter iterations (default 10 * unknown count), and at
-    once if p.Ap or the residual is not finite.
+    ``precondition`` applies M^-1 for an SPD M; None is plain CG.  With
+    ``lanes`` the leading axis of rhs indexes independent systems (module
+    docstring); a zero lane returns x = 0 after 0 iterations.  Raises
+    SolverFailure (carrying the final residual) if a lane does not reach the
+    tolerance within max_iter iterations (default 10 * unknowns per lane),
+    and at once if a lane's p.Ap or residual is not finite or p.Ap <= 0;
+    the error's ``lane`` is the lane's index, and with more than one lane
+    the message names it too.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     b = np.asarray(rhs, dtype=float)
+    if not lanes:
+        b = b[None]
+        apply_operator = _one_lane(apply_operator)
+        if precondition is not None:
+            precondition = _one_lane(precondition)
+    n_lanes = b.shape[0]
     if max_iter is None:
-        max_iter = 10 * b.size
-    norm_b = float(np.sqrt(np.vdot(b, b).real))
-    if norm_b == 0.0:
-        return CGResult(np.zeros_like(b), 0, 0.0)
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    res = norm_b
-    if res <= tol * norm_b:
-        return CGResult(x, 0, res)
-
+        max_iter = 10 * (b[0].size if n_lanes else 0)
     if precondition is None:
         precondition = _identity
+
+    def result():
+        return CGResult(
+            x if lanes else x[0],
+            int(iters.max(initial=0)),
+            float(res.max(initial=0.0)),
+            tuple(int(k) for k in iters),
+            tuple(float(s) for s in res),
+        )
+
+    def fail(message, lane, k):
+        where = f"lane {lane}: " if n_lanes > 1 else ""
+        return SolverFailure(where + message, residual=float(res[lane]), iterations=k, lane=lane)
+
+    def guard(bad, values, k, template):
+        """Fail on the first live lane flagged by ``bad``; {} is its value."""
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise fail(template.format(float(values[j])), int(live[j]), k)
+
+    x = np.zeros_like(b)
+    norm_b = np.sqrt(_lane_dots(b, b))
+    target = tol * norm_b
+    res = norm_b.copy()
+    iters = np.zeros(n_lanes, dtype=int)
+    # zero lanes are solved by x = 0; NaN lanes iterate, and fail at once
+    live = np.flatnonzero(~(res <= target))
+    if live.size == 0:
+        return result()
+
+    unit = (-1,) + (1,) * (b.ndim - 1)
+    r = b[live]
+    xs = np.zeros_like(r)
     z = np.asarray(precondition(r), dtype=float)
     p = z.copy()
-    rz = float(np.vdot(r, z).real)
+    rz = _lane_dots(r, z)
     for k in range(1, max_iter + 1):
         ap = np.asarray(apply_operator(p), dtype=float)
-        pap = float(np.vdot(p, ap).real)
-        if not np.isfinite(pap):
-            raise SolverFailure(
-                f"operator returned a non-finite value (p.Ap={pap})",
-                residual=res,
-                iterations=k,
-            )
-        if pap <= 0.0:
-            raise SolverFailure(
-                f"operator is not positive definite along a search direction (p.Ap={pap})",
-                residual=res,
-                iterations=k,
-            )
-        alpha = rz / pap
-        x = x + alpha * p
+        pap = _lane_dots(p, ap)
+        guard(~np.isfinite(pap), pap, k, "operator returned a non-finite value (p.Ap={})")
+        guard(
+            pap <= 0.0,
+            pap,
+            k,
+            "operator is not positive definite along a search direction (p.Ap={})",
+        )
+        with np.errstate(over="ignore"):  # an infinite step fails the residual guard
+            alpha = (rz / pap).reshape(unit)
+        xs = xs + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.vdot(r, r).real)
-        res = float(np.sqrt(rs_new))
-        if not np.isfinite(res):
-            raise SolverFailure(
-                f"residual became non-finite at iteration {k}", residual=res, iterations=k
-            )
-        if res <= tol * norm_b:
-            return CGResult(x, k, res)
+        lane_res = np.sqrt(_lane_dots(r, r))
+        res[live] = lane_res
+        iters[live] = k
+        guard(~np.isfinite(lane_res), lane_res, k, f"residual became non-finite at iteration {k}")
+        done = lane_res <= target[live]
+        if done.any():
+            x[live[done]] = xs[done]
+            if done.all():
+                return result()
+            keep = ~done
+            live, xs, r, p, rz = live[keep], xs[keep], r[keep], p[keep], rz[keep]
         z = np.asarray(precondition(r), dtype=float)
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        rz_new = _lane_dots(r, z)
+        p = z + (rz_new / rz).reshape(unit) * p
         rz = rz_new
-    raise SolverFailure(
+    lane = int(live[0])
+    raise fail(
         f"conjugate gradient did not converge in {max_iter} iterations "
-        f"(residual {res:.3e}, target {tol * norm_b:.3e})",
-        residual=res,
-        iterations=max_iter,
+        f"(residual {res[lane]:.3e}, target {target[lane]:.3e})",
+        lane,
+        max_iter,
     )

@@ -55,9 +55,13 @@ class InvalidResultError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """Conjugate gradient did not reach the requested tolerance."""
+    """Conjugate gradient did not reach the requested tolerance.
 
-    def __init__(self, message, residual=None, iterations=None):
+    ``lane`` is the index of the failing system in a lane-stacked solve.
+    """
+
+    def __init__(self, message, residual=None, iterations=None, lane=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.lane = lane

@@ -35,7 +35,7 @@ from .tensors import (
 from .transport import (
     SolverConfig,
     wasserstein_orbit_norm,
-    we_tangent_norm,
+    we_tangent_norms,
     wfr_tangent_norm,
 )
 from .randomfields import band_limited_sym_tensor, substream
@@ -109,24 +109,23 @@ def verify_pi1_submersion(
     n_perturb random trace-free perturbations of it (amplitude 0.2; exactly
     fiber tangent, independent of finite-difference error) must not beat the
     density norm by more than LiftReport.tolerance (1e-8).  The full infimum
-    over all lifts is not checkable.
+    over all lifts is not checkable.  The lift and its perturbations are the
+    n_perturb + 1 lanes of one metric-norm solve at g.
     """
     require_same_grid(g, drho)
     rho = volume_map(g)
     wfr = wfr_tangent_norm(rho, drho, cfg)
     dg = _lift(g, wfr)
-    we = we_tangent_norm(g, dg, cfg)
-    gaps = []
+    tangents = [dg]
     for j in range(n_perturb):
-        rng = substream(seed, f"pi1-perturbation-{j}")
-        z = trace_free_perturbation(g, rng)
-        perturbed = SymTensorField(g.grid, dg.components + z.components)
-        gaps.append(we_tangent_norm(g, perturbed, cfg).value - wfr.value)
+        z = trace_free_perturbation(g, substream(seed, f"pi1-perturbation-{j}"))
+        tangents.append(SymTensorField(g.grid, dg.components + z.components))
+    we, *perturbed = (res.value for res in we_tangent_norms(g, tangents, cfg))
     return LiftReport(
         wfr_value=wfr.value,
-        we_value_of_lift=we.value,
-        gap=we.value - wfr.value,
-        perturbation_gaps=tuple(gaps),
+        we_value_of_lift=we,
+        gap=we - wfr.value,
+        perturbation_gaps=tuple(value - wfr.value for value in perturbed),
     )
 
 

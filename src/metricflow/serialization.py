@@ -32,8 +32,19 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_DATA_BLOCK = 4096
+
+
 def _data_json(arr) -> str:
-    return "[" + ", ".join(format_real(v) for v in np.asarray(arr, dtype=float).ravel()) + "]"
+    """Row-major reals of arr as a JSON list, each as ``format_real`` writes it.
+
+    "%.17g" % x is format(x, ".17g"), so each block of reals is one C-level
+    %-format of its ``tolist()``.  Blocks keep the Python floats and strings
+    of a large field from being alive all at once.
+    """
+    flat = np.asarray(arr, dtype=float).ravel()
+    blocks = (flat[i : i + _DATA_BLOCK].tolist() for i in range(0, flat.size, _DATA_BLOCK))
+    return "[" + ", ".join(", ".join(["%.17g"] * len(b)) % tuple(b) for b in blocks) + "]"
 
 
 def grid_to_dict(grid: Grid) -> dict:

@@ -16,6 +16,7 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    diff_array,
     divergence_array,
     gradient_array,
     require_same_grid,
@@ -275,32 +276,65 @@ def volume_tangent(g: MetricField, dg: SymTensorField) -> ScalarField:
     return ScalarField(grid, 0.5 * tr * volume_map(g).values)
 
 
-def _lie_derivative_full(gfull, dg, vc, grid):
-    """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, full (dim, dim) array.
+def packed_pairs(dim):
+    """(i, j) of each packed component, in storage order."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
 
-    gfull is the full metric, dg = gradient_array(gfull, grid)
-    (dg[k, i, j] = d_k g_ij) and vc the velocity components.
+
+def nodewise_einsum(spec, dim, *operands):
+    """np.einsum with the dim trailing spatial axes of every operand implied.
+
+    ``spec`` names only the component (and lane ``...``) axes, e.g.
+    ``"pq,...q->...p"`` for a per-node matrix applied to lane-stacked vectors.
+    """
+    spatial = "XYZ"[:dim]
+    inputs, output = spec.split("->")
+    terms = ",".join(term + spatial for term in inputs.split(","))
+    return np.einsum(f"{terms}->{output}{spatial}", *operands)
+
+
+def velocity_jet(vc, grid):
+    """u = (v, D_0 v, ..., D_{dim-1} v) per node.
+
+    vc has shape (dim,) + grid.shape with optional leading lane axes; u has
+    shape lanes + (dim + dim^2,) + grid.shape, and entry dim + dim a + k is
+    the central difference D_a v^k (one stencil call per axis).
     """
     dim = grid.dim
-    dv = gradient_array(vc, grid)  # dv[i, k] = d_i v^k
-    out = np.zeros((dim, dim) + grid.shape)
-    for i in range(dim):
-        for j in range(dim):
-            acc = np.zeros(grid.shape)
-            for k in range(dim):
-                acc += vc[k] * dg[k, i, j]
-                acc += gfull[k, j] * dv[i, k] + gfull[i, k] * dv[j, k]
-            out[i, j] = acc
-    return out
+    vc = np.asarray(vc, dtype=float)
+    v = vc.reshape((-1, dim) + grid.shape)
+    jet = np.empty((v.shape[0], dim + dim * dim) + grid.shape)
+    jet[:, :dim] = v
+    for a in range(dim):
+        jet[:, dim + dim * a : dim + dim * (a + 1)] = diff_array(v, grid, a)
+    return jet.reshape(vc.shape[: -(dim + 1)] + jet.shape[1:])
+
+
+def lie_jet_matrix(gfull, dg):
+    """Per-node matrix K of the Lie derivative: packed L_v g = K velocity_jet(v).
+
+    (L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, so K has shape
+    (packed components, dim + dim^2) + grid shape.  gfull is the full metric
+    and dg = gradient_array(gfull, grid), dg[k, i, j] = d_k g_ij.
+    """
+    dim = gfull.shape[0]
+    pairs = packed_pairs(dim)
+    jet_map = np.zeros((len(pairs), dim + dim * dim) + gfull.shape[2:])
+    for p, (i, j) in enumerate(pairs):
+        for k in range(dim):
+            jet_map[p, k] = dg[k, i, j]
+            jet_map[p, dim + dim * i + k] += gfull[k, j]
+            jet_map[p, dim + dim * j + k] += gfull[i, k]
+    return jet_map
 
 
 def lie_derivative_metric(v: VectorField, g: MetricField) -> SymTensorField:
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
     grid = require_same_grid(v, g)
     gfull = packed_to_full(g.components, grid.dim)
-    dg = gradient_array(gfull, grid)
-    out = _lie_derivative_full(gfull, dg, v.components, grid)
-    return SymTensorField(grid, full_to_packed(out, grid.dim))
+    jet_map = lie_jet_matrix(gfull, gradient_array(gfull, grid))
+    jet = velocity_jet(v.components, grid)
+    return SymTensorField(grid, nodewise_einsum("pq,q->p", grid.dim, jet_map, jet))
 
 
 def lie_derivative_density(v: VectorField, rho: DensityField) -> ScalarField:

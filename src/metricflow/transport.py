@@ -37,6 +37,14 @@ the operator is, and the iteration counts no longer grow with the grid:
     spectrally equivalent with ratio at most max rho / min rho, whatever
     the spacing.  (Preconditioning A itself at the mean density barely helps
     on rough densities.)
+
+The metric normal operator is a per-node matrix acting on the velocity's
+1-jet (v, D v), followed by the adjoint of the jet (``MetricNormOperator``),
+so its arrays take an optional leading lane axis.  ``we_tangent_norms``
+solves several tangents at one metric as the lanes of one ``solve_spd``
+call: the operator and the preconditioner are built once, and each lane
+keeps its own step lengths, stop rule and iteration count.
+``we_tangent_norm`` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -65,7 +73,6 @@ from .fields import (
 from .tensors import (
     DisplacementMap,
     MetricField,
-    _lie_derivative_full,
     clamp_to_box,
     collar_max,
     displacement_jacobian,
@@ -73,8 +80,13 @@ from .tensors import (
     inverse_components,
     invert_displacement,
     jacobian_gram,
+    lie_jet_matrix,
+    nodewise_einsum,
+    packed_det,
+    packed_pairs,
     packed_to_full,
     product_trace,
+    velocity_jet,
     volume_map,
 )
 
@@ -143,10 +155,11 @@ def fourier_inverse(apply_op, grid):
     Fourier mode is the dim x dim matrix whose column j is the transform of
     A's response to a unit impulse in component j at node 0.  Symmetric A
     has Hermitian symbols, positive definite A positive definite ones, so the
-    returned map (closed-form inverse per mode) is SPD as well.
+    returned map (closed-form inverse per mode) is SPD as well.  The map
+    takes an optional leading lane axis, (L, dim) + grid.shape.
     """
     d = grid.dim
-    axes = tuple(range(1, d + 1))
+    axes = tuple(range(-d, 0))
     cols = []
     for j in range(d):
         impulse = np.zeros((d,) + grid.shape)
@@ -160,28 +173,32 @@ def fourier_inverse(apply_op, grid):
         inverse = np.stack([np.stack([c, -b]), np.stack([-b.conj(), a])]) / det
 
     def precondition(r):
-        r_hat = np.fft.rfftn(r, axes=axes)
-        out_hat = np.einsum("ij...,j...->i...", inverse, r_hat)
+        out_hat = nodewise_einsum("ij,...j->...i", d, inverse, np.fft.rfftn(r, axes=axes))
         return np.fft.irfftn(out_hat, s=grid.shape, axes=axes)
 
     return precondition
 
 
-def _solve(what, field, apply_op, rhs, cfg, preconditioner):
+def _solve(what, field, apply_op, rhs, cfg, preconditioner, lanes=False):
     """Preconditioned CG; a SolverFailure names the norm and the grid.
 
     ``preconditioner(field, cfg)`` builds M^-1.  A zero right-hand side is
     solved by x = 0 without iterating, so it skips the build (and the FFT).
+    ``lanes`` is passed on to ``solve_spd``.
     """
     precondition = preconditioner(field, cfg) if np.any(rhs) else None
     try:
         return solve_spd(
-            apply_op, rhs, tol=cfg.tol, max_iter=cfg.max_iter, precondition=precondition
+            apply_op,
+            rhs,
+            tol=cfg.tol,
+            max_iter=cfg.max_iter,
+            precondition=precondition,
+            lanes=lanes,
         )
     except SolverFailure as exc:
-        raise SolverFailure(
-            f"{what} on {field.grid!r}: {exc}", residual=exc.residual, iterations=exc.iterations
-        ) from exc
+        message = f"{what} on {field.grid!r}: {exc}"
+        raise SolverFailure(message, exc.residual, exc.iterations, exc.lane) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +281,83 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
 # metric tangent norm
 
 
+def _metric_norm_coefficients(comps, grid, lam):
+    """Per-node matrices of the metric tangent norm for packed metric comps.
+
+    Returns (m, K, C, Q): the multiplicities, the packed Lie derivative on
+    the velocity jet, the packed source weight vol(g) g^-1 . g^-1, and the
+    normal matrix Q (see ``MetricNormOperator``).  comps may have size-1
+    spatial axes (a constant metric); the matrices keep that shape.
+    """
+    d = grid.dim
+    gfull = packed_to_full(comps, d)
+    ginv = packed_to_full(inverse_components(comps, d), d)
+    vol = np.sqrt(packed_det(comps, d))
+    pairs = packed_pairs(d)
+    # per packed entry, broadcast against lanes + (packed,) + grid.shape
+    m = np.array([1.0 if i == j else 2.0 for i, j in pairs]).reshape((-1,) + (1,) * d)
+    jet_map = lie_jet_matrix(gfull, gradient_array(gfull, grid))
+    source_weight = np.zeros((len(pairs),) * 2 + vol.shape)
+    for p, (i, j) in enumerate(pairs):
+        for q, (k, l) in enumerate(pairs):
+            source_weight[p, q] = ginv[i, k] * ginv[l, j]
+            if k != l:
+                source_weight[p, q] += ginv[i, l] * ginv[k, j]
+    source_weight *= vol
+    weighted_lie = np.einsum("pr...,rs...->ps...", m[:, None] * source_weight, jet_map)
+    weight, n_jet = d * lam / 4.0, d + d * d
+    normal = np.empty((n_jet, n_jet) + vol.shape)
+    for q in range(n_jet):
+        for s in range(q, n_jet):
+            entry = weight * sum(jet_map[p, q] * weighted_lie[p, s] for p in range(len(pairs)))
+            if s < d and q == s:
+                entry += vol
+            normal[q, s] = normal[s, q] = entry
+    return m, jet_map, source_weight, normal
+
+
+def _jet_adjoint(y, grid):
+    """J^T y for jet-shaped y, lanes + (dim + dim^2,) + grid.shape.
+
+    (J^T y)_k = y_k - sum_a D_a y_{dim + dim a + k}: the adjoint of
+    ``velocity_jet``, one stencil call per axis.
+    """
+    d, shape = grid.dim, grid.shape
+    y2 = y.reshape((-1, d + d * d) + shape)
+    out = y2[:, :d]
+    for a in range(d):
+        out = out - diff_array(y2[:, d + d * a : d + d * (a + 1)], grid, a)
+    return out.reshape(y.shape[: -(d + 1)] + (d,) + shape)
+
+
+def _apply_normal(normal, vc, grid):
+    """A v = J^T (Q u) with u the velocity jet of vc (lanes kept)."""
+    y = nodewise_einsum("qr,...r->...q", grid.dim, normal, velocity_jet(vc, grid))
+    return _jet_adjoint(y, grid)
+
+
 class MetricNormOperator:
-    """Normal operator and objective of the discrete metric tangent norm."""
+    """Normal operator and objective of the discrete metric tangent norm.
+
+    Per node the Lie derivative is linear in the velocity's 1-jet
+    u = (v, D v) (``tensors.velocity_jet``), packed L_v g = K u, and so is
+    the source weight, packed vol(g) g^-1 S g^-1 = C S.  In full-entry sums a
+    packed off-diagonal entry counts twice (multiplicities m).  The normal
+    operator is therefore
+
+        A v = J^T (Q u),   Q = vol (identity on the v block) + w K^T diag(m) C K,
+
+    with w = dim lam / 4 and J^T the adjoint of v -> u,
+    (J^T y)_k = y_k - sum_a D_a y_{dim + dim a + k}, exact because the
+    central stencils are skew-adjoint on the torus.  Q is one symmetric
+    (dim + dim^2)-square matrix per node, so an apply is one stencil call
+    per axis for u, one per axis for J^T and one einsum, for any lane count.
+
+    Velocities have shape (dim,) + grid.shape and full tensors (dim, dim) +
+    grid.shape, each with an optional leading lane axis that every method
+    keeps (``objective`` then returns one value per lane).  Full tensors are
+    read through their symmetric part, the only part ``lie_adjoint`` sees.
+    """
 
     def __init__(self, g: MetricField, cfg: SolverConfig):
         grid = g.grid
@@ -273,59 +365,71 @@ class MetricNormOperator:
         self.grid = grid
         self.dim = grid.dim
         self.weight = (grid.dim * cfg.lam) / 4.0
-        self.gfull = packed_to_full(g.components, grid.dim)
-        self.ginv = packed_to_full(inverse_components(g.components, grid.dim), grid.dim)
         self.vol = volume_map(g).values
-        # d_k g_ij, used by both the Lie derivative and its adjoint
-        self.dg = gradient_array(self.gfull, grid)
+        self.multiplicity, self.jet_map, self.source_weight, self.normal = (
+            _metric_norm_coefficients(g.components, grid, cfg.lam)
+        )
+
+    def _nodewise(self, spec, *operands):
+        return nodewise_einsum(spec, self.dim, *operands)
+
+    def _packed(self, s_full):
+        """Packed components of the symmetric part of full tensors, lanes kept."""
+        d = self.dim
+        packed = full_to_packed(np.moveaxis(s_full, (-(d + 2), -(d + 1)), (0, 1)), d)
+        return np.moveaxis(packed, 0, -(d + 1))
+
+    def _full(self, packed):
+        """Full tensors from packed components, lanes kept."""
+        d = self.dim
+        full = packed_to_full(np.moveaxis(packed, -(d + 1), 0), d)
+        return np.moveaxis(full, (0, 1), (-(d + 2), -(d + 1)))
 
     def lie(self, vc):
         """L_v g as a full-matrix array for velocity components vc."""
-        return _lie_derivative_full(self.gfull, self.dg, vc, self.grid)
+        jet = velocity_jet(vc, self.grid)
+        return self._full(self._nodewise("pq,...q->...p", self.jet_map, jet))
 
     def lie_adjoint(self, s_full):
         """Adjoint of ``lie`` w.r.t. plain sums over nodes and full entries."""
-        d = self.dim
-        sg = np.einsum("ik...,kj...->ij...", s_full, self.gfull)
-        dsg = [diff_array(sg[i], self.grid, i) for i in range(d)]  # dsg[i][k] = d_i sg[i, k]
-        out = np.zeros((d,) + self.grid.shape)
-        for k in range(d):
-            acc = np.einsum("ij...,ij...->...", self.dg[k], s_full)
-            for i in range(d):
-                acc -= 2.0 * dsg[i][k]
-            out[k] = acc
-        return out
+        packed = self.multiplicity * self._packed(s_full)
+        return _jet_adjoint(self._nodewise("pq,...p->...q", self.jet_map, packed), self.grid)
 
     def weighted(self, s_full):
         """vol(g) g^-1 S g^-1, the metric weight of the source penalty."""
-        return self.vol * np.einsum(
-            "ik...,kl...,lj...->ij...", self.ginv, s_full, self.ginv
-        )
+        packed = self._packed(s_full)
+        return self._full(self._nodewise("pq,...q->...p", self.source_weight, packed))
 
     def apply(self, vc):
-        return self.vol * vc + self.weight * self.lie_adjoint(self.weighted(self.lie(vc)))
+        return _apply_normal(self.normal, vc, self.grid)
 
     def rhs(self, dg_full):
         return -self.weight * self.lie_adjoint(self.weighted(dg_full))
 
     def objective(self, vc, dg_full):
-        h_full = dg_full + self.lie(vc)
-        quad = np.einsum("ij...,ij...->...", self.weighted(h_full), h_full)
-        kinetic = self.vol * np.sum(vc**2, axis=0)
-        cell = self.grid.spacing**self.dim
-        return float(np.sum(kinetic + self.weight * quad) * cell)
+        """The discrete energy of velocity vc for tangent dg; one value per lane."""
+        d = self.dim
+        jet = velocity_jet(vc, self.grid)
+        h = self._packed(dg_full) + self._nodewise("pq,...q->...p", self.jet_map, jet)
+        weighted = self._nodewise("pq,...q->...p", self.source_weight, h)
+        quad = np.sum(self.multiplicity * weighted * h, axis=-(d + 1))
+        kinetic = self.vol * np.sum(np.asarray(vc) ** 2, axis=-(d + 1))
+        cell = self.grid.spacing**d
+        value = np.sum(kinetic + self.weight * quad, axis=tuple(range(-d, 0))) * cell
+        return float(value) if value.ndim == 0 else value
 
 
 def metric_norm_preconditioner(g: MetricField, cfg: SolverConfig):
     """r -> M^-1 r with M the metric normal operator at the grid-mean metric.
 
     The mean of SPD matrices is SPD, and at a constant metric the operator
-    has constant coefficients, so FFT inverts it exactly.
+    has constant coefficients, so FFT inverts it exactly.  Its normal matrix
+    is built once, at one node, and broadcast over the grid.
     """
     grid = g.grid
     mean = np.mean(g.components, axis=tuple(range(1, grid.dim + 1)), keepdims=True)
-    gbar = MetricField.from_components(grid, np.broadcast_to(mean, g.components.shape))
-    return fourier_inverse(MetricNormOperator(gbar, cfg).apply, grid)
+    normal = _metric_norm_coefficients(mean, grid, cfg.lam)[3]
+    return fourier_inverse(lambda vc: _apply_normal(normal, vc, grid), grid)
 
 
 def we_tangent_norm(g: MetricField, dg: SymTensorField, cfg: SolverConfig = SolverConfig()):
@@ -334,20 +438,40 @@ def we_tangent_norm(g: MetricField, dg: SymTensorField, cfg: SolverConfig = Solv
     Returns the minimum value together with the feasible decomposition
     dg = -L_v g + h, where h = dg + L_v g is defined from the minimizer, so
     the decomposition residual is zero by construction (it is still measured
-    and reported).
+    and reported).  A one-lane ``we_tangent_norms``.
     """
-    grid = require_same_grid(g, dg)
+    return we_tangent_norms(g, [dg], cfg)[0]
+
+
+def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
+    """``we_tangent_norm`` of several tangents at one metric, in one solve.
+
+    The normal operator and its preconditioner are built once, and each
+    tangent is one lane of ``cg.solve_spd``, so each gets the value and the
+    iteration count of its own solve.  Returns a list of MetricNormResult.
+    """
+    grid = require_same_grid(g, *dgs)
+    d = grid.dim
     op = MetricNormOperator(g, cfg)
-    dg_full = packed_to_full(dg.components, grid.dim)
+    dg_full = op._full(np.stack([t.components for t in dgs]))
     rhs = op.rhs(dg_full)
-    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, metric_norm_preconditioner)
-    v = VectorField(grid, sol.x)
+    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, metric_norm_preconditioner, lanes=True)
     lv = op.lie(sol.x)
     h_full = dg_full + lv
-    h = SymTensorField(grid, full_to_packed(h_full, grid.dim))
-    resid = float(np.max(np.abs(dg_full - (-lv + h_full))))
-    value = op.objective(sol.x, dg_full)
-    return MetricNormResult(value, TangentDecomposition(v, h, resid), sol.iterations, sol.residual)
+    values = op.objective(sol.x, dg_full)
+    out = []
+    for lane, x in enumerate(sol.x):
+        h = SymTensorField(grid, full_to_packed(h_full[lane], d))
+        resid = float(np.max(np.abs(dg_full[lane] - (-lv[lane] + h_full[lane]))))
+        out.append(
+            MetricNormResult(
+                float(values[lane]),
+                TangentDecomposition(VectorField(grid, x), h, resid),
+                sol.lane_iterations[lane],
+                sol.lane_residuals[lane],
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -118,3 +118,71 @@ def test_pcg_energy_never_rises_as_tol_tightens():
     assert all(
         later <= earlier + 1e-13 * abs(earlier) for earlier, later in zip(energies, energies[1:])
     )
+
+
+# ---------------------------------------------------------------------------
+# lanes
+
+
+def test_iterations_is_a_plain_int():
+    # the benchmark tracer writes it with json.dump and sums it
+    b = np.random.default_rng(3).normal(size=(3, 16))
+    for res in (
+        solve_spd(lambda x: 2.0 * x, b[0], tol=1e-12),
+        solve_spd(lambda x: 2.0 * x, b, tol=1e-12, lanes=True),
+        solve_spd(lambda x: x, np.zeros((2, 4)), tol=1e-12, lanes=True),
+    ):
+        assert type(res.iterations) is int
+        assert type(res.residual) is float
+        assert res.iterations == max(res.lane_iterations)
+
+
+def test_lanes_of_a_diagonal_system_stop_on_their_own():
+    # CG on diag(d) needs one iteration per distinct eigenvalue the
+    # right-hand side touches: 1, 2 and 4 here, and 0 for the zero lane
+    d = np.repeat([1.0, 2.0, 3.0, 4.0], 4)
+    b = np.zeros((4, 16))
+    b[0, :4] = 1.0
+    b[1, :8] = np.linspace(1.0, 2.0, 8)
+    b[2] = np.cos(np.arange(16.0))
+    res = solve_spd(lambda x: d * x, b, tol=1e-12, lanes=True)
+    assert res.lane_iterations == (1, 2, 4, 0)
+    assert res.iterations == 4
+    assert np.max(np.abs(res.x[:3] - b[:3] / d)) <= 1e-12
+    assert not np.any(res.x[3])
+
+
+@pytest.mark.parametrize("where", ["rhs", "operator"])
+def test_non_finite_lane_fails_at_first_iteration_and_is_named(where):
+    b = np.ones((3, 64))
+    scale = np.ones((3, 1))
+    if where == "rhs":
+        b[1, 5] = np.nan
+    else:
+        scale[1] = np.nan
+    with pytest.raises(SolverFailure, match="^lane 1: operator returned a non-finite") as err:
+        solve_spd(lambda x: scale[: len(x)] * x, b, tol=1e-12, lanes=True)
+    assert err.value.iterations == 1
+    assert err.value.lane == 1
+
+
+def test_indefinite_lane_is_named():
+    sign = np.array([[1.0], [1.0], [-1.0]])
+    with pytest.raises(SolverFailure, match="^lane 2: operator is not positive definite") as err:
+        solve_spd(lambda x: sign * x, np.ones((3, 8)), tol=1e-12, lanes=True)
+    assert err.value.iterations == 1
+    assert err.value.lane == 2
+
+
+def test_pcg_lane_energies_never_rise_as_tol_tightens():
+    grid = Grid(2, "torus", 16)
+    apply_op, precondition = _variable_screened(grid)
+    b = np.random.default_rng(11).normal(size=(3,) + grid.shape)
+    energies = []
+    for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        x = solve_spd(apply_op, b, tol=tol, precondition=precondition, lanes=True).x
+        ax = apply_op(x)
+        energies.append([0.5 * np.vdot(a, xl) - np.vdot(bl, xl) for a, xl, bl in zip(ax, x, b)])
+    for lane in zip(*energies):
+        pairs = zip(lane, lane[1:])
+        assert all(later <= earlier + 1e-13 * abs(earlier) for earlier, later in pairs)

@@ -342,6 +342,21 @@ def test_json_round_trip_bitwise(kind, torus16):
     assert extra == {}
 
 
+def test_data_json_matches_per_element_format_oracle():
+    from metricflow.serialization import _data_json
+
+    special = [
+        -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 1e300, -1e300, 1e-300, -1e-300,
+        0.1, 1.0 / 3.0, np.pi, 2.0**53, 2.0**53 + 2.0, 7.0, -42.0, 123456789.0,
+        1.7976931348623157e308, 2.2250738585072014e-308,
+    ]
+    normals = np.random.default_rng(29).normal(size=10_000)  # blocks of 4,096 and a partial one
+    for values in (np.array(special), normals, normals.reshape(2, 50, 100), np.arange(-50.0, 50.0)):
+        oracle = "[" + ", ".join(format(float(x), ".17g") for x in values.ravel()) + "]"
+        assert _data_json(values) == oracle
+    assert _data_json(np.zeros(0)) == "[]"
+
+
 def test_json_format_shape(torus16):
     f = ScalarField.constant(torus16, np.pi)
     obj = json.loads(field_to_json(f))

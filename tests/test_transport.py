@@ -17,14 +17,17 @@ from metricflow import (
     integrate,
     linear_metric_path,
     path_energy,
+    solve_spd,
     toy_geodesic,
     volume_map,
     wasserstein_orbit_norm,
     we_distance_bounds,
     we_tangent_norm,
+    we_tangent_norms,
     wfr_tangent_norm,
 )
 from metricflow.certificates import toy_field
+from metricflow.fiber import optimal_lift, trace_free_perturbation
 from metricflow.fields import gradient_array
 from metricflow.flatmaps import bump_and_gradient
 from metricflow.randomfields import (
@@ -35,7 +38,7 @@ from metricflow.randomfields import (
     random_spd_metric,
     substream,
 )
-from metricflow.tensors import DisplacementMap, invert_displacement
+from metricflow.tensors import DisplacementMap, invert_displacement, packed_to_full
 from metricflow.transport import (
     MetricNormOperator,
     MetricPath,
@@ -239,6 +242,77 @@ def test_we_apply_differentiates_stacked_components(torus16, monkeypatch):
     assert sorted(calls) == [0, 0, 1, 1]
 
 
+class _EinsumMetricOperator:
+    """The metric normal operator written entry by entry with einsum.
+
+    The formulas ``MetricNormOperator`` used before it became a per-node
+    matrix on the velocity jet; kept as the reference it is compared with.
+    """
+
+    def __init__(self, g, cfg):
+        from metricflow.tensors import inverse_components
+
+        grid, d = g.grid, g.grid.dim
+        self.grid, self.dim, self.weight = grid, d, d * cfg.lam / 4.0
+        self.gfull = packed_to_full(g.components, d)
+        self.ginv = packed_to_full(inverse_components(g.components, d), d)
+        self.vol = volume_map(g).values
+        self.dg = gradient_array(self.gfull, grid)
+
+    def lie(self, vc):
+        dv = gradient_array(vc, self.grid)  # dv[i, k] = d_i v^k
+        return (
+            np.einsum("k...,kij...->ij...", vc, self.dg)
+            + np.einsum("kj...,ik...->ij...", self.gfull, dv)
+            + np.einsum("ik...,jk...->ij...", self.gfull, dv)
+        )
+
+    def lie_adjoint(self, s_full):
+        from metricflow.fields import diff_array
+
+        d = self.dim
+        sg = np.einsum("ik...,kj...->ij...", s_full, self.gfull)
+        out = np.einsum("kij...,ij...->k...", self.dg, s_full)
+        for i in range(d):
+            out = out - 2.0 * diff_array(sg[i], self.grid, i)
+        return out
+
+    def weighted(self, s_full):
+        return self.vol * np.einsum("ik...,kl...,lj...->ij...", self.ginv, s_full, self.ginv)
+
+    def apply(self, vc):
+        return self.vol * vc + self.weight * self.lie_adjoint(self.weighted(self.lie(vc)))
+
+    def rhs(self, dg_full):
+        return -self.weight * self.lie_adjoint(self.weighted(dg_full))
+
+    def objective(self, vc, dg_full):
+        h_full = dg_full + self.lie(vc)
+        quad = np.einsum("ij...,ij...->...", self.weighted(h_full), h_full)
+        kinetic = self.vol * np.sum(vc**2, axis=0)
+        return float(np.sum(kinetic + self.weight * quad) * self.grid.spacing**self.dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_metric_operator_matches_einsum_oracle(dim):
+    grid = Grid(dim, "torus", 16)
+    g = random_spd_metric(grid, substream(dim, "or-g"), 3, 0.3)
+    tangent = band_limited_sym_tensor(grid, substream(dim, "or-dg"), 3, 0.3)
+    dg = packed_to_full(tangent.components, dim)
+    v = band_limited_vector(grid, substream(dim, "or-v"), 3, 1.0).components
+    op, oracle = MetricNormOperator(g, CFG), _EinsumMetricOperator(g, CFG)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    assert close(op.lie(v), oracle.lie(v))
+    assert close(op.weighted(dg), oracle.weighted(dg))
+    assert close(op.lie_adjoint(dg), oracle.lie_adjoint(dg))
+    assert close(op.apply(v), oracle.apply(v))
+    assert close(op.rhs(dg), oracle.rhs(dg))
+    assert op.objective(v, dg) == pytest.approx(oracle.objective(v, dg), rel=1e-13)
+
+
 def test_we_first_order_stationarity(torus16):
     from metricflow.tensors import packed_to_full
 
@@ -369,6 +443,129 @@ def test_solver_failure_names_norm_and_grid(torus16):
         we_tangent_norm(g, dg, capped)
     with pytest.raises(SolverFailure, match="^wfr_tangent_norm " + where):
         wfr_tangent_norm(rho, drho, capped)
+
+
+# ---------------------------------------------------------------------------
+# lane-stacked metric solves
+
+
+def _cos2_bump(grid, center, radius):
+    """cos^2 bump of compact support (radius in torus units) at center."""
+    x = grid.coordinates()
+    dist = np.sqrt(
+        sum(np.minimum(np.abs(x[i] - c), 1.0 - np.abs(x[i] - c)) ** 2 for i, c in enumerate(center))
+    )
+    return np.where(dist < radius, np.cos(np.pi * dist / (2.0 * radius)) ** 2, 0.0)
+
+
+def _lane_problem():
+    """A metric, the lanes of mixed difficulty solved at it, and its operator.
+
+    The metric carries two bumps of opposite sign and is flat elsewhere, so
+    away from them it equals its grid mean, the metric of the preconditioner.
+    A right-hand side M u (M the operator at the mean metric) with u
+    supported there is solved by PCG in one iteration: the early lane.
+    Returns (g, tangents, rhs): the lift, three trace-free perturbations of
+    it and a zero tangent, and the right-hand sides of those five lanes plus
+    the early one.
+    """
+    grid = Grid(2, "torus", 32)
+    b = 0.4 * (_cos2_bump(grid, (0.25, 0.25), 0.15) - _cos2_bump(grid, (0.25, 0.75), 0.15))
+    g = MetricField.from_components(grid, np.stack([1.0 + b, 0.3 * b, 1.0 - 0.5 * b]))
+    drho = band_limited_scalar(grid, substream(5, "lane-drho"), 3, 0.15)
+    lift, _, _ = optimal_lift(g, drho, CFG)
+    tangents = [lift]
+    for j in range(3):
+        z = trace_free_perturbation(g, substream(5, f"lane-z-{j}"))
+        tangents.append(SymTensorField(grid, lift.components + z.components))
+    tangents.append(SymTensorField.zero(grid))
+    op = MetricNormOperator(g, CFG)
+    rhs = [op.rhs(packed_to_full(t.components, 2)) for t in tangents]
+    mean = np.mean(g.components, axis=(1, 2), keepdims=True)
+    gbar = MetricField.from_components(grid, np.broadcast_to(mean, g.components.shape))
+    u = _cos2_bump(grid, (0.75, 0.5), 0.15) * np.array([1.0, -0.5])[:, None, None]
+    rhs.append(MetricNormOperator(gbar, CFG).apply(u))
+    return g, tangents, np.stack(rhs)
+
+
+def test_lane_count_does_not_change_solves():
+    g, _, rhs = _lane_problem()
+    op = MetricNormOperator(g, CFG)
+    precondition = metric_norm_preconditioner(g, CFG)
+    stacked = solve_spd(op.apply, rhs, tol=CFG.tol, precondition=precondition, lanes=True)
+    assert type(stacked.iterations) is int
+    assert stacked.iterations == max(stacked.lane_iterations)
+    singles = [solve_spd(op.apply, b, tol=CFG.tol, precondition=precondition) for b in rhs]
+    for lane, single in enumerate(singles):
+        assert stacked.lane_iterations[lane] == single.iterations
+        assert np.max(np.abs(stacked.x[lane] - single.x)) <= 1e-12 * np.max(np.abs(single.x))
+    # the zero lane is x = 0 after 0 iterations, the early lane stops long
+    # before the others and stays frozen while they go on
+    assert stacked.lane_iterations[4] == 0 and not np.any(stacked.x[4])
+    assert stacked.lane_iterations[5] <= 2
+    assert min(stacked.lane_iterations[:4]) >= 10
+
+
+def test_lane_stacked_norms_match_single_solves():
+    g, tangents, _ = _lane_problem()
+    stacked = we_tangent_norms(g, tangents, CFG)
+    for tangent, lane in zip(tangents, stacked):
+        single = we_tangent_norm(g, tangent, CFG)
+        assert lane.iterations == single.iterations
+        assert abs(lane.value - single.value) <= 1e-12 * abs(single.value)
+        assert lane.decomposition.residual <= 1e-12
+    assert stacked[-1].iterations == 0 and stacked[-1].value == 0.0
+
+
+def test_lane_energies_never_rise_as_tol_tightens():
+    # the competitor-bound invariant of a zero start, lane by lane
+    g, _, rhs = _lane_problem()
+    op = MetricNormOperator(g, CFG)
+    precondition = metric_norm_preconditioner(g, CFG)
+    energies = []
+    for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        x = solve_spd(op.apply, rhs, tol=tol, precondition=precondition, lanes=True).x
+        ax = op.apply(x)
+        energies.append([0.5 * np.vdot(a, xl) - np.vdot(b, xl) for a, xl, b in zip(ax, x, rhs)])
+    # slack: the roundoff of evaluating the energy itself, not of the iterates
+    for lane in zip(*energies):
+        pairs = zip(lane, lane[1:])
+        assert all(later <= earlier + 1e-13 * abs(earlier) for earlier, later in pairs)
+
+
+def test_lane_failure_names_norm_grid_and_lane(torus16):
+    g, dg, _, _ = _pc_problem(torus16, 7)
+    where = r"on Grid\(dim=2, topology='torus', n_per_axis=16, extent=1.0\)"
+    with pytest.raises(SolverFailure, match="^we_tangent_norm " + where + ": lane 1: ") as err:
+        we_tangent_norms(g, [SymTensorField.zero(torus16), dg], SolverConfig(max_iter=1))
+    assert err.value.lane == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_metric_operator_keeps_the_lane_axis(dim):
+    grid = Grid(dim, "torus", 16)
+    g = random_spd_metric(grid, substream(dim, "ax-g"), 3, 0.2)
+    op = MetricNormOperator(g, CFG)
+    v = np.stack(
+        [band_limited_vector(grid, substream(j, "ax-v"), 3, 1.0).components for j in range(3)]
+    )
+    dg = np.stack([op.lie(x) for x in v])
+    assert np.array_equal(op.lie(v), dg)
+    precondition = metric_norm_preconditioner(g, CFG)
+    for method, arg in (
+        (op.apply, v),
+        (precondition, v),
+        (op.weighted, dg),
+        (op.lie_adjoint, dg),
+        (op.rhs, dg),
+    ):
+        lanes = method(arg)
+        for j in range(3):
+            assert np.max(np.abs(lanes[j] - method(arg[j]))) <= 1e-14 * np.max(np.abs(lanes[j]))
+    values = op.objective(v, dg)
+    assert values.shape == (3,)
+    for j in range(3):
+        assert values[j] == pytest.approx(op.objective(v[j], dg[j]), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
