@@ -114,7 +114,7 @@ def discrete_calculus(f: ScalarField, w, rng):
         e[j] = 1.0
         dense[:, j] = screened(e.reshape(g8.shape)).ravel()
     direct = np.linalg.solve(dense, rhs.ravel()).reshape(g8.shape)
-    cg_err = float(np.max(np.abs(solve_spd(screened, rhs, tol=1e-12).x - direct)))
+    cg_err = float(np.max(np.abs(solve_spd(screened, rhs[None], tol=1e-12).x[0] - direct)))
 
     return {
         "ibp_residual": abs(ibp),

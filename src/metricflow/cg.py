@@ -12,17 +12,15 @@ the quadratic energy 1/2 <Ax, x> - <b, x> monotonically nonincreasing along
 the iterates, which several competitor-bound checks in the test suite rely
 on.
 
-Lanes.  ``solve_spd(..., lanes=True)`` solves L independent systems that
-share the operator and the preconditioner: the right-hand side has shape
-(L,) + shape, and ``apply_operator`` and ``precondition`` take and return
-arrays of shape (m,) + shape, lane by lane, for the m lanes still iterating.
-Every lane has its own step length, residual, stop rule and iteration
-count.  A lane that meets its tolerance is frozen: it leaves the stack, so
-it stops at exactly the iteration its single solve would, with the iterate
-its single solve returns (the inner products are taken lane by lane, with
-the same ``np.vdot`` as a single solve).  A single-system call is a one-lane
-call through the same loop, with the operator and the preconditioner seen
-without the lane axis.
+Lanes.  ``solve_spd`` solves L independent systems that share the operator
+and the preconditioner: the right-hand side has shape (L,) + shape, and
+``apply_operator`` and ``precondition`` take and return arrays of shape
+(m,) + shape, lane by lane, for the m lanes still iterating.  Every lane has
+its own step length, residual, stop rule and iteration count.  A lane that
+meets its tolerance is frozen: it leaves the stack, so it stops at exactly
+the iteration its one-lane solve would, with the iterate its one-lane solve
+returns (the inner products are taken lane by lane, with ``np.vdot``).  A
+single system is a one-lane call, ``rhs[None]``.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ class CGResult(NamedTuple):
 
     ``iterations`` is a Python int: the largest lane count, which is the
     number of operator applies; ``residual`` is the largest final residual.
-    ``lane_iterations`` and ``lane_residuals`` hold the per-lane values (one
-    entry for a single-system call).
+    ``lane_iterations`` and ``lane_residuals`` hold the per-lane values.
     """
 
     x: np.ndarray
@@ -54,13 +51,8 @@ def _identity(r):
     return r
 
 
-def _one_lane(fn):
-    """A single-system closure as a one-lane one."""
-    return lambda a: np.asarray(fn(a[0]), dtype=float)[None]
-
-
 def _lane_dots(a, b):
-    """<a_l, b_l> for every lane l, each by the np.vdot of a single solve."""
+    """<a_l, b_l> for every lane l, each by one np.vdot."""
     return np.array([np.vdot(al, bl).real for al, bl in zip(a, b)])
 
 
@@ -70,28 +62,25 @@ def solve_spd(
     tol: float = 1e-10,
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-    *,
-    lanes: bool = False,
 ) -> CGResult:
     """Solve A x = rhs with ||A x - rhs||_2 <= tol * ||rhs||_2, starting from x = 0.
 
-    ``precondition`` applies M^-1 for an SPD M; None is plain CG.  With
-    ``lanes`` the leading axis of rhs indexes independent systems (module
-    docstring); a zero lane returns x = 0 after 0 iterations.  Raises
+    ``precondition`` applies M^-1 for an SPD M; None is plain CG.  The
+    leading axis of rhs and of the returned x indexes independent systems
+    (module docstring), so rhs needs at least two axes (ValueError
+    otherwise); a zero lane returns x = 0 after 0 iterations.  Raises
     SolverFailure (carrying the final residual) if a lane does not reach the
     tolerance within max_iter iterations (default 10 * unknowns per lane),
-    and at once if a lane's p.Ap or residual is not finite or p.Ap <= 0;
+    and at once if a lane's p.Ap or residual is not finite or p.Ap <= 0 (a
+    lane whose norm is not finite iterates, and so fails at iteration 1);
     the error's ``lane`` is the lane's index, and with more than one lane
     the message names it too.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     b = np.asarray(rhs, dtype=float)
-    if not lanes:
-        b = b[None]
-        apply_operator = _one_lane(apply_operator)
-        if precondition is not None:
-            precondition = _one_lane(precondition)
+    if b.ndim < 2:
+        raise ValueError(f"rhs must have a lane axis and a system axis, got shape {b.shape}")
     n_lanes = b.shape[0]
     if max_iter is None:
         max_iter = 10 * (b[0].size if n_lanes else 0)
@@ -100,7 +89,7 @@ def solve_spd(
 
     def result():
         return CGResult(
-            x if lanes else x[0],
+            x,
             int(iters.max(initial=0)),
             float(res.max(initial=0.0)),
             tuple(int(k) for k in iters),
@@ -122,8 +111,8 @@ def solve_spd(
     target = tol * norm_b
     res = norm_b.copy()
     iters = np.zeros(n_lanes, dtype=int)
-    # zero lanes are solved by x = 0; NaN lanes iterate, and fail at once
-    live = np.flatnonzero(~(res <= target))
+    # zero lanes are solved by x = 0; non-finite lanes iterate, and fail at once
+    live = np.flatnonzero(~(np.isfinite(res) & (res <= target)))
     if live.size == 0:
         return result()
 

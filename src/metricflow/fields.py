@@ -286,8 +286,11 @@ def gradient_array(values, grid, order=2):
 
 
 def divergence_array(components, grid, order=2):
-    """Sum_k d_k components[k] for an array of shape (dim,)+grid.shape."""
-    comps = np.asarray(components, dtype=float)
+    """Sum_k d_k components[k] for an array of shape (dim,)+grid.shape.
+
+    Leading lane axes are kept: the component axis is read as -(dim + 1).
+    """
+    comps = np.moveaxis(np.asarray(components, dtype=float), -(grid.dim + 1), 0)
     out = diff_array(comps[0], grid, 0, order)
     for k in range(1, grid.dim):
         out = out + diff_array(comps[k], grid, k, order)

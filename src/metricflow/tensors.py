@@ -1,8 +1,8 @@
 """Pointwise SPD algebra, Lie derivatives, volume maps and pullbacks.
 
 All 2x2 kernels use closed forms (adjugate inverse, the explicit square
-root (A + sqrt(det) I)/sqrt(tr + 2 sqrt(det)), quadratic-formula
-eigenvalues); no general eigensolver is involved.
+root (A + sqrt(det) I)/sqrt(tr + 2 sqrt(det))); no general eigensolver is
+involved.
 """
 
 from __future__ import annotations
@@ -216,15 +216,6 @@ def sqrt_components(comps, dim):
     root_det = np.sqrt(packed_det(comps, dim))
     denom = np.sqrt(packed_trace(comps, dim) + 2.0 * root_det)
     return np.stack([comps[0] + root_det, comps[1], comps[2] + root_det]) / denom
-
-def eigenvalue_components(comps, dim):
-    """Eigenvalues per node, ascending; shape (dim,) + grid shape."""
-    if dim == 1:
-        return comps[0:1].copy()
-    tr = packed_trace(comps, dim)
-    disc = np.sqrt(np.maximum((comps[0] - comps[2]) ** 2 + 4.0 * comps[1] ** 2, 0.0))
-    return np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0])
-
 
 def packed_to_full(comps, dim):
     """(dim, dim) + shape full symmetric matrices from packed components."""

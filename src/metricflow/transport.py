@@ -38,13 +38,17 @@ the operator is, and the iteration counts no longer grow with the grid:
     the spacing.  (Preconditioning A itself at the mean density barely helps
     on rough densities.)
 
-The metric normal operator is a per-node matrix acting on the velocity's
-1-jet (v, D v), followed by the adjoint of the jet (``MetricNormOperator``),
-so its arrays take an optional leading lane axis.  ``we_tangent_norms``
-solves several tangents at one metric as the lanes of one ``solve_spd``
-call: the operator and the preconditioner are built once, and each lane
+Every solve is lane-stacked (``cg.solve_spd``): velocities have shape
+(L, dim) + grid.shape, and both normal operators and both preconditioners
+take that leading lane axis (and work without it too).  Metric tangents stay
+packed symmetric tensors, (L, packed) + grid.shape, throughout.  The metric
+normal operator is a per-node matrix acting on the velocity's 1-jet (v, D v),
+followed by the adjoint of the jet (``MetricNormOperator``).
+``we_tangent_norms`` solves several tangents at one metric as the lanes of
+one solve: the operator and the preconditioner are built once, and each lane
 keeps its own step lengths, stop rule and iteration count.
-``we_tangent_norm`` is its one-lane case.
+``we_tangent_norm`` is its one-lane case, and ``wfr_tangent_norm`` a
+one-lane solve.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .tensors import (
     clamp_to_box,
     collar_max,
     displacement_jacobian,
-    full_to_packed,
     inverse_components,
     invert_displacement,
     jacobian_gram,
@@ -179,12 +182,11 @@ def fourier_inverse(apply_op, grid):
     return precondition
 
 
-def _solve(what, field, apply_op, rhs, cfg, preconditioner, lanes=False):
-    """Preconditioned CG; a SolverFailure names the norm and the grid.
+def _solve(what, field, apply_op, rhs, cfg, preconditioner):
+    """Lane-stacked preconditioned CG; a SolverFailure names the norm and the grid.
 
-    ``preconditioner(field, cfg)`` builds M^-1.  A zero right-hand side is
-    solved by x = 0 without iterating, so it skips the build (and the FFT).
-    ``lanes`` is passed on to ``solve_spd``.
+    ``preconditioner(field, cfg)`` builds M^-1.  An all-zero right-hand side
+    is solved by x = 0 without iterating, so it skips the build (and the FFT).
     """
     precondition = preconditioner(field, cfg) if np.any(rhs) else None
     try:
@@ -194,7 +196,6 @@ def _solve(what, field, apply_op, rhs, cfg, preconditioner, lanes=False):
             tol=cfg.tol,
             max_iter=cfg.max_iter,
             precondition=precondition,
-            lanes=lanes,
         )
     except SolverFailure as exc:
         message = f"{what} on {field.grid!r}: {exc}"
@@ -229,15 +230,17 @@ def wfr_normal_operator(rho: DensityField, cfg: SolverConfig):
 
     A v = rho v - lam rho grad(div(rho v)/rho); symmetric positive definite
     w.r.t. plain nodewise sums because the central stencils are mutually
-    skew-adjoint under the rectangle rule.
+    skew-adjoint under the rectangle rule.  v has shape (dim,) + grid.shape
+    with an optional leading lane axis.
     """
     grid = rho.grid
     _require_torus(grid, "wfr_tangent_norm")
     lam, r = cfg.lam, rho.values
+    component = -(grid.dim + 1)
 
     def apply_op(vc):
         q = divergence_array(r * vc, grid) / r
-        return r * vc - lam * r * gradient_array(q, grid)
+        return r * vc - lam * r * np.moveaxis(gradient_array(q, grid), 0, component)
 
     return apply_op
 
@@ -246,7 +249,8 @@ def density_norm_preconditioner(rho: DensityField, cfg: SolverConfig):
     """r -> M^-1 r with M = R Bbar R, R = diag(rho).
 
     Bbar is the normal operator at the constant density mean(1/rho), inverted
-    by FFT (the A = R B R factorization is in the module docstring).
+    by FFT (the A = R B R factorization is in the module docstring).  Lanes
+    are kept, as in ``fourier_inverse``.
     """
     r = rho.values
     mean_inverse = DensityField.constant(rho.grid, np.mean(1.0 / r))
@@ -258,8 +262,8 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
     """Minimize Int |v|^2 rho + lam Int f^2 rho over the continuity equation.
 
     The growth rate is eliminated, f = (drho + div(rho v)) / rho, and the
-    remaining convex quadratic in v is solved exactly; right-hand side
-    lam rho grad(drho/rho).
+    remaining convex quadratic in v is solved exactly, as a one-lane solve;
+    right-hand side lam rho grad(drho/rho).
     """
     grid = require_same_grid(rho, drho)
     lam = cfg.lam
@@ -267,9 +271,10 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
     dr = drho.values
     apply_op = wfr_normal_operator(rho, cfg)
     rhs = lam * r * gradient_array(dr / r, grid)
-    sol = _solve("wfr_tangent_norm", rho, apply_op, rhs, cfg, density_norm_preconditioner)
-    v = VectorField(grid, sol.x)
-    f_vals = (dr + divergence_array(r * sol.x, grid)) / r
+    sol = _solve("wfr_tangent_norm", rho, apply_op, rhs[None], cfg, density_norm_preconditioner)
+    x = sol.x[0]
+    v = VectorField(grid, x)
+    f_vals = (dr + divergence_array(r * x, grid)) / r
     f = ScalarField(grid, f_vals)
     value = integrate(v.euclidean_square(), rho) + lam * integrate(
         ScalarField(grid, f_vals**2), rho
@@ -284,18 +289,18 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
 def _metric_norm_coefficients(comps, grid, lam):
     """Per-node matrices of the metric tangent norm for packed metric comps.
 
-    Returns (m, K, C, Q): the multiplicities, the packed Lie derivative on
-    the velocity jet, the packed source weight vol(g) g^-1 . g^-1, and the
-    normal matrix Q (see ``MetricNormOperator``).  comps may have size-1
-    spatial axes (a constant metric); the matrices keep that shape.
+    Returns (K, C, Q): the packed Lie derivative on the velocity jet, the
+    packed source weight vol(g) g^-1 . g^-1 with row p scaled by the
+    multiplicity m_p, and the normal matrix Q (see ``MetricNormOperator``).
+    comps may have size-1 spatial axes (a constant metric); the matrices keep
+    that shape.
     """
     d = grid.dim
     gfull = packed_to_full(comps, d)
     ginv = packed_to_full(inverse_components(comps, d), d)
     vol = np.sqrt(packed_det(comps, d))
     pairs = packed_pairs(d)
-    # per packed entry, broadcast against lanes + (packed,) + grid.shape
-    m = np.array([1.0 if i == j else 2.0 for i, j in pairs]).reshape((-1,) + (1,) * d)
+    m = np.array([1.0 if i == j else 2.0 for i, j in pairs]).reshape((-1, 1) + (1,) * d)
     jet_map = lie_jet_matrix(gfull, gradient_array(gfull, grid))
     source_weight = np.zeros((len(pairs),) * 2 + vol.shape)
     for p, (i, j) in enumerate(pairs):
@@ -303,8 +308,8 @@ def _metric_norm_coefficients(comps, grid, lam):
             source_weight[p, q] = ginv[i, k] * ginv[l, j]
             if k != l:
                 source_weight[p, q] += ginv[i, l] * ginv[k, j]
-    source_weight *= vol
-    weighted_lie = np.einsum("pr...,rs...->ps...", m[:, None] * source_weight, jet_map)
+    source_weight = m * (source_weight * vol)
+    weighted_lie = np.einsum("pr...,rs...->ps...", source_weight, jet_map)
     weight, n_jet = d * lam / 4.0, d + d * d
     normal = np.empty((n_jet, n_jet) + vol.shape)
     for q in range(n_jet):
@@ -313,7 +318,7 @@ def _metric_norm_coefficients(comps, grid, lam):
             if s < d and q == s:
                 entry += vol
             normal[q, s] = normal[s, q] = entry
-    return m, jet_map, source_weight, normal
+    return jet_map, source_weight, normal
 
 
 def _jet_adjoint(y, grid):
@@ -342,10 +347,10 @@ class MetricNormOperator:
     Per node the Lie derivative is linear in the velocity's 1-jet
     u = (v, D v) (``tensors.velocity_jet``), packed L_v g = K u, and so is
     the source weight, packed vol(g) g^-1 S g^-1 = C S.  In full-entry sums a
-    packed off-diagonal entry counts twice (multiplicities m).  The normal
-    operator is therefore
+    packed off-diagonal entry counts twice, so C carries the multiplicities
+    m (1 or 2) in its rows.  The normal operator is therefore
 
-        A v = J^T (Q u),   Q = vol (identity on the v block) + w K^T diag(m) C K,
+        A v = J^T (Q u),   Q = vol (identity on the v block) + w K^T C K,
 
     with w = dim lam / 4 and J^T the adjoint of v -> u,
     (J^T y)_k = y_k - sum_a D_a y_{dim + dim a + k}, exact because the
@@ -353,10 +358,10 @@ class MetricNormOperator:
     (dim + dim^2)-square matrix per node, so an apply is one stencil call
     per axis for u, one per axis for J^T and one einsum, for any lane count.
 
-    Velocities have shape (dim,) + grid.shape and full tensors (dim, dim) +
-    grid.shape, each with an optional leading lane axis that every method
-    keeps (``objective`` then returns one value per lane).  Full tensors are
-    read through their symmetric part, the only part ``lie_adjoint`` sees.
+    Velocities have shape (dim,) + grid.shape and metric tangents are packed
+    symmetric tensors, (packed,) + grid.shape, each with an optional leading
+    lane axis that every method keeps (``objective`` then returns one value
+    per lane).
     """
 
     def __init__(self, g: MetricField, cfg: SolverConfig):
@@ -366,53 +371,30 @@ class MetricNormOperator:
         self.dim = grid.dim
         self.weight = (grid.dim * cfg.lam) / 4.0
         self.vol = volume_map(g).values
-        self.multiplicity, self.jet_map, self.source_weight, self.normal = (
-            _metric_norm_coefficients(g.components, grid, cfg.lam)
+        self.jet_map, self.source_weight, self.normal = _metric_norm_coefficients(
+            g.components, grid, cfg.lam
         )
 
-    def _nodewise(self, spec, *operands):
-        return nodewise_einsum(spec, self.dim, *operands)
-
-    def _packed(self, s_full):
-        """Packed components of the symmetric part of full tensors, lanes kept."""
-        d = self.dim
-        packed = full_to_packed(np.moveaxis(s_full, (-(d + 2), -(d + 1)), (0, 1)), d)
-        return np.moveaxis(packed, 0, -(d + 1))
-
-    def _full(self, packed):
-        """Full tensors from packed components, lanes kept."""
-        d = self.dim
-        full = packed_to_full(np.moveaxis(packed, -(d + 1), 0), d)
-        return np.moveaxis(full, (0, 1), (-(d + 2), -(d + 1)))
-
     def lie(self, vc):
-        """L_v g as a full-matrix array for velocity components vc."""
+        """Packed L_v g = K u for velocity components vc."""
         jet = velocity_jet(vc, self.grid)
-        return self._full(self._nodewise("pq,...q->...p", self.jet_map, jet))
-
-    def lie_adjoint(self, s_full):
-        """Adjoint of ``lie`` w.r.t. plain sums over nodes and full entries."""
-        packed = self.multiplicity * self._packed(s_full)
-        return _jet_adjoint(self._nodewise("pq,...p->...q", self.jet_map, packed), self.grid)
-
-    def weighted(self, s_full):
-        """vol(g) g^-1 S g^-1, the metric weight of the source penalty."""
-        packed = self._packed(s_full)
-        return self._full(self._nodewise("pq,...q->...p", self.source_weight, packed))
+        return nodewise_einsum("pq,...q->...p", self.dim, self.jet_map, jet)
 
     def apply(self, vc):
         return _apply_normal(self.normal, vc, self.grid)
 
-    def rhs(self, dg_full):
-        return -self.weight * self.lie_adjoint(self.weighted(dg_full))
+    def rhs(self, dg):
+        """-w J^T K^T (C dg) for packed tangents dg."""
+        weighted = nodewise_einsum("pq,...q->...p", self.dim, self.source_weight, dg)
+        lie_adjoint = nodewise_einsum("pq,...p->...q", self.dim, self.jet_map, weighted)
+        return -self.weight * _jet_adjoint(lie_adjoint, self.grid)
 
-    def objective(self, vc, dg_full):
-        """The discrete energy of velocity vc for tangent dg; one value per lane."""
+    def objective(self, vc, dg):
+        """The discrete energy of velocity vc for packed tangent dg; one value per lane."""
         d = self.dim
-        jet = velocity_jet(vc, self.grid)
-        h = self._packed(dg_full) + self._nodewise("pq,...q->...p", self.jet_map, jet)
-        weighted = self._nodewise("pq,...q->...p", self.source_weight, h)
-        quad = np.sum(self.multiplicity * weighted * h, axis=-(d + 1))
+        h = dg + self.lie(vc)
+        weighted = nodewise_einsum("pq,...q->...p", d, self.source_weight, h)
+        quad = np.sum(weighted * h, axis=-(d + 1))
         kinetic = self.vol * np.sum(np.asarray(vc) ** 2, axis=-(d + 1))
         cell = self.grid.spacing**d
         value = np.sum(kinetic + self.weight * quad, axis=tuple(range(-d, 0))) * cell
@@ -428,7 +410,7 @@ def metric_norm_preconditioner(g: MetricField, cfg: SolverConfig):
     """
     grid = g.grid
     mean = np.mean(g.components, axis=tuple(range(1, grid.dim + 1)), keepdims=True)
-    normal = _metric_norm_coefficients(mean, grid, cfg.lam)[3]
+    normal = _metric_norm_coefficients(mean, grid, cfg.lam)[2]
     return fourier_inverse(lambda vc: _apply_normal(normal, vc, grid), grid)
 
 
@@ -451,22 +433,19 @@ def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
     iteration count of its own solve.  Returns a list of MetricNormResult.
     """
     grid = require_same_grid(g, *dgs)
-    d = grid.dim
     op = MetricNormOperator(g, cfg)
-    dg_full = op._full(np.stack([t.components for t in dgs]))
-    rhs = op.rhs(dg_full)
-    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, metric_norm_preconditioner, lanes=True)
+    dg = np.stack([t.components for t in dgs])
+    sol = _solve("we_tangent_norm", g, op.apply, op.rhs(dg), cfg, metric_norm_preconditioner)
     lv = op.lie(sol.x)
-    h_full = dg_full + lv
-    values = op.objective(sol.x, dg_full)
+    h = dg + lv
+    values = op.objective(sol.x, dg)
     out = []
     for lane, x in enumerate(sol.x):
-        h = SymTensorField(grid, full_to_packed(h_full[lane], d))
-        resid = float(np.max(np.abs(dg_full[lane] - (-lv[lane] + h_full[lane]))))
+        resid = float(np.max(np.abs(dg[lane] - (-lv[lane] + h[lane]))))
         out.append(
             MetricNormResult(
                 float(values[lane]),
-                TangentDecomposition(VectorField(grid, x), h, resid),
+                TangentDecomposition(VectorField(grid, x), SymTensorField(grid, h[lane]), resid),
                 sol.lane_iterations[lane],
                 sol.lane_residuals[lane],
             )

@@ -398,6 +398,13 @@ def run_cli_process(tmp_path, cfg):
             id="we-norm-overflow",
         ),
         pytest.param(
+            # every entry is finite, but the right-hand side's norm overflows
+            {"experiment": "we-norm", "params": {"amplitude": 1e200, "n_trials": 1}},
+            3,
+            "solver failure: ",
+            id="we-norm-overflowing-norm",
+        ),
+        pytest.param(
             {"experiment": "divergence-sweep", "params": {"amplitude": 800.0, "n_pairs": 1}},
             2,
             "precondition error: ",

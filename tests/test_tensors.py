@@ -35,7 +35,6 @@ from metricflow.randomfields import (
 )
 from metricflow.tensors import (
     clamp_to_box,
-    eigenvalue_components,
     inverse_components,
     packed_det,
     product_trace,
@@ -88,13 +87,6 @@ def test_product_trace_identity(torus16):
     eye = SymTensorField.from_matrix_entries(torus16, 1.0, 0.0, 1.0)
     tr = product_trace(g, eye, eye)
     assert np.allclose(tr.values, 2.0)
-
-
-def test_eigenvalues_closed_form(torus16):
-    g = diag_metric(torus16, 2.0, 5.0)
-    lams = eigenvalue_components(g.components, 2)
-    assert np.allclose(lams[0], 2.0)
-    assert np.allclose(lams[1], 5.0)
 
 
 def test_packed_det_diagonal(torus16):
