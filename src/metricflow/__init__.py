@@ -28,7 +28,6 @@ from .fiber import (
     LiftReport,
     euler_alpha_lagrangian,
     optimal_lift,
-    verify_orbit_submersion,
     verify_pi1_submersion,
 )
 from .fields import (

@@ -37,6 +37,7 @@ from .tensors import (
     DisplacementMap,
     MetricField,
     SymTensorField,
+    eigenvalues_2x2,
     inverse_components,
     packed_to_full,
     pushforward_metric,
@@ -111,12 +112,12 @@ def divergence(kind: DivergenceKind, a, b) -> float:
 
     if not isinstance(a, DensityField) or not isinstance(b, DensityField):
         raise TypeError(f"{kind.value} compares DensityFields")
+    if kind is DivergenceKind.KL_DENSITY_FD:
+        return kl_density_projection(a, b)
     r = _safe_ratio(a.values, b.values)
     if kind is DivergenceKind.CLASSICAL_KL:
         integrand = np.log(r) * a.values + b.values - a.values
         return integrate(ScalarField(grid, integrand))
-    if kind is DivergenceKind.KL_DENSITY_FD:
-        return integrate(ScalarField(grid, burg_generator(r, d)), b)
     # ITAKURA_SAITO
     return integrate(ScalarField(grid, r - np.log(r) - 1.0), b)
 
@@ -154,8 +155,7 @@ def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
     else:
         tr = m[0, 0] + m[1, 1]
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        disc = np.sqrt(np.maximum(tr**2 - 4.0 * det, 0.0))
-        lams = np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0])
+        lams = np.stack(eigenvalues_2x2(tr, det))
     lams = np.maximum(lams, RATIO_FLOOR)
     return float(np.min(lams - np.log(lams) - 1.0))
 

@@ -1,10 +1,12 @@
 """Experiment registry and runner behind the command-line front end.
 
 Each experiment function takes a validated ExperimentConfig and returns
-(results, csv_header, csv_rows); the runner adds the config echo, a version
-string and the wall time, and writes the manifest plus CSV atomically
-(temp file + rename).  Given identical config and seed the manifest is
-bit-identical up to the wall-time field.
+(results, rows); flat-factorize, which writes extra files, returns
+(results, rows, artifacts).  The keys of the first row, in order, are the CSV
+columns.  The runner adds the config echo, a version string and the wall
+time, and writes the manifest plus CSV atomically (temp file + rename).
+Given identical config and seed the manifest is bit-identical up to the
+wall-time field.
 
 EXPERIMENTS is the one registry of experiment names: the CLI subcommands,
 the config schema and the dispatch in run_experiment are all read from it.
@@ -23,6 +25,7 @@ import numpy as np
 from . import __version__
 from .certificates import conformal_closed_forms, discrete_calculus, toy_geodesic_probe
 from .divergences import (
+    METRIC_KINDS,
     DivergenceKind,
     StaticProblem,
     divergence,
@@ -65,16 +68,18 @@ if TYPE_CHECKING:
 # experiment bodies
 
 
+def _draw(make, cfg: ExperimentConfig, seed, label):
+    """make(grid, rng, modes, amplitude) with the experiment's modes and amplitude."""
+    p = cfg.params
+    return make(cfg.grid, substream(seed, label), p["modes"], p["amplitude"])
+
+
 def run_we_norm(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_trials"]):
-        g = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"we-norm-g-{trial}"), p["modes"], p["amplitude"]
-        )
-        dg = band_limited_sym_tensor(
-            cfg.grid, substream(cfg.seed, f"we-norm-dg-{trial}"), p["modes"], p["amplitude"]
-        )
+        g = _draw(random_spd_metric, cfg, cfg.seed, f"we-norm-g-{trial}")
+        dg = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"we-norm-dg-{trial}")
         res = we_tangent_norm(g, dg, cfg.solver)
         rows.append(
             {
@@ -95,38 +100,28 @@ def run_we_norm(cfg: ExperimentConfig):
             fs, ws.components[:2], substream(cfg.seed, "substrate-rhs")
         ),
     }
-    header = ["trial", "value", "iters", "residual", "decomposition_residual"]
-    return results, header, rows
+    return results, rows
 
 
 def run_wfr_norm(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_trials"]):
-        rho = band_limited_density(
-            cfg.grid, substream(cfg.seed, f"wfr-rho-{trial}"), p["modes"], p["amplitude"]
-        )
-        drho = band_limited_scalar(
-            cfg.grid, substream(cfg.seed, f"wfr-drho-{trial}"), p["modes"], p["amplitude"]
-        )
+        rho = _draw(band_limited_density, cfg, cfg.seed, f"wfr-rho-{trial}")
+        drho = _draw(band_limited_scalar, cfg, cfg.seed, f"wfr-drho-{trial}")
         res = wfr_tangent_norm(rho, drho, cfg.solver)
         rows.append(
             {"trial": trial, "value": res.value, "iters": res.iterations, "residual": res.residual}
         )
-    results = {"values": [r["value"] for r in rows]}
-    return results, ["trial", "value", "iters", "residual"], rows
+    return {"values": [r["value"] for r in rows]}, rows
 
 
 def run_submersion(cfg: ExperimentConfig):
     p = cfg.params
 
     def one(trial):
-        g = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"submersion-g-{trial}"), p["modes"], p["amplitude"]
-        )
-        drho = band_limited_scalar(
-            cfg.grid, substream(cfg.seed, f"submersion-drho-{trial}"), p["modes"], p["amplitude"]
-        )
+        g = _draw(random_spd_metric, cfg, cfg.seed, f"submersion-g-{trial}")
+        drho = _draw(band_limited_scalar, cfg, cfg.seed, f"submersion-drho-{trial}")
         report = verify_pi1_submersion(
             g, drho, n_perturb=p["n_perturb"], seed=cfg.seed + trial, cfg=cfg.solver
         )
@@ -145,54 +140,34 @@ def run_submersion(cfg: ExperimentConfig):
         "min_perturbation_gap": min(r["min_perturbation_gap"] for r in rows),
         "trials": len(rows),
     }
-    header = [
-        "trial", "wfr_value", "we_value_of_lift", "gap", "relative_gap", "min_perturbation_gap",
-    ]
-    return results, header, rows
+    return results, rows
 
 
 def run_divergence_sweep(cfg: ExperimentConfig):
     p = cfg.params
-    kinds = [k.value for k in DivergenceKind]
-
-    def one(args):
-        kind_name, pair_seed = args
-        kind = DivergenceKind(kind_name)
-        t0 = time.perf_counter()
-        if kind in (DivergenceKind.KL_MET, DivergenceKind.SHAPE, DivergenceKind.TILDE_KL_MET):
-            a = random_spd_metric(
-                cfg.grid, substream(pair_seed, f"div-{kind_name}-a"),
-                p["modes"], p["amplitude"],
-            )
-            b = random_spd_metric(
-                cfg.grid, substream(pair_seed, f"div-{kind_name}-b"),
-                p["modes"], p["amplitude"],
-            )
+    rows = []
+    for kind in DivergenceKind:
+        metric = kind in METRIC_KINDS
+        make = random_spd_metric if metric else band_limited_density
+        for pair_seed in range(cfg.seed, cfg.seed + p["n_pairs"]):
+            t0 = time.perf_counter()
+            a = _draw(make, cfg, pair_seed, f"div-{kind.value}-a")
+            b = _draw(make, cfg, pair_seed, f"div-{kind.value}-b")
             value = divergence(kind, a, b)
-            gap = min_eigenvalue_gap(a, b)
-        else:
-            a = band_limited_density(
-                cfg.grid, substream(pair_seed, f"div-{kind_name}-a"),
-                p["modes"], p["amplitude"],
+            if metric:
+                gap = min_eigenvalue_gap(a, b)
+            else:
+                ratio = a.values / b.values
+                gap = float(np.min(ratio - np.log(ratio) - 1.0))
+            rows.append(
+                {
+                    "kind": kind.value,
+                    "seed": pair_seed,
+                    "value": value,
+                    "min_eigen_gap": gap,
+                    "runtime_ms": (time.perf_counter() - t0) * 1e3,
+                }
             )
-            b = band_limited_density(
-                cfg.grid, substream(pair_seed, f"div-{kind_name}-b"),
-                p["modes"], p["amplitude"],
-            )
-            value = divergence(kind, a, b)
-            ratio = a.values / b.values
-            gap = float(np.min(ratio - np.log(ratio) - 1.0))
-        ms = (time.perf_counter() - t0) * 1e3
-        return {
-            "kind": kind_name,
-            "seed": pair_seed,
-            "value": value,
-            "min_eigen_gap": gap,
-            "runtime_ms": ms,
-        }
-
-    tasks = [(k, cfg.seed + i) for k in kinds for i in range(p["n_pairs"])]
-    rows = [one(task) for task in tasks]
     min_value = min(r["value"] for r in rows)
     results = {
         "min_value": min_value,
@@ -200,27 +175,19 @@ def run_divergence_sweep(cfg: ExperimentConfig):
         "nonnegative": min_value >= -1e-12,
         "closed_forms": conformal_closed_forms(cfg.solver),
     }
-    return results, ["kind", "seed", "value", "min_eigen_gap", "runtime_ms"], rows
+    return results, rows
 
 
 def run_second_variation(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
-    worst = 0.0
     for trial in range(p["n_triples"]):
-        g = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"sv-g-{trial}"), p["modes"], p["amplitude"]
-        )
-        h = band_limited_sym_tensor(
-            cfg.grid, substream(cfg.seed, f"sv-h-{trial}"), p["modes"], p["amplitude"]
-        )
-        k = band_limited_sym_tensor(
-            cfg.grid, substream(cfg.seed, f"sv-k-{trial}"), p["modes"], p["amplitude"]
-        )
+        g = _draw(random_spd_metric, cfg, cfg.seed, f"sv-g-{trial}")
+        h = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"sv-h-{trial}")
+        k = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"sv-k-{trial}")
         for kind in (DivergenceKind.KL_MET, DivergenceKind.TILDE_KL_MET):
             mixed, ebin_half, richardson = second_variation_probe(kind, g, h, k, p["step"])
             rel = abs(richardson - ebin_half) / max(abs(ebin_half), 1e-14)
-            worst = max(worst, rel)
             rows.append(
                 {
                     "trial": trial,
@@ -231,9 +198,11 @@ def run_second_variation(cfg: ExperimentConfig):
                     "relative_error": rel,
                 }
             )
-    results = {"max_relative_error": worst, "triples": p["n_triples"]}
-    header = ["trial", "kind", "mixed_second", "ebin_half", "richardson", "relative_error"]
-    return results, header, rows
+    results = {
+        "max_relative_error": max(r["relative_error"] for r in rows),
+        "triples": p["n_triples"],
+    }
+    return results, rows
 
 
 def run_flat_factorize(cfg: ExperimentConfig):
@@ -293,11 +262,7 @@ def run_flat_factorize(cfg: ExperimentConfig):
         "non_flat_rejected": rejected,
         "non_flat_total": p["n_non_flat"],
     }
-    header = [
-        "instance", "flat", "max_curvature", "path_independence_gap",
-        "reconstruction_error", "recovery_error",
-    ]
-    return results, header, rows, artifacts
+    return results, rows, artifacts
 
 
 def run_seq_demo(cfg: ExperimentConfig):
@@ -313,8 +278,7 @@ def run_seq_demo(cfg: ExperimentConfig):
         "d1": rows[0]["d1"],
         "d2_lower": rows[0]["d2_lower"],
     }
-    header = ["n", "len1", "len2", "len3", "total", "analytic_bound", "d1", "d2_lower"]
-    return results, header, rows
+    return results, rows
 
 
 def run_euler_alpha(cfg: ExperimentConfig):
@@ -333,21 +297,15 @@ def run_euler_alpha(cfg: ExperimentConfig):
             "pi_squared_error": abs(trace_form - np.pi**2),
         }
     ]
-    results = rows[0]
-    header = ["trace_form", "def_form", "kinetic", "identity_residual", "pi_squared_error"]
-    return results, header, rows
+    return rows[0], rows
 
 
 def run_path_energy(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_paths"]):
-        g0 = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"path-g0-{trial}"), p["modes"], p["amplitude"]
-        )
-        g1 = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"path-g1-{trial}"), p["modes"], p["amplitude"]
-        )
+        g0 = _draw(random_spd_metric, cfg, cfg.seed, f"path-g0-{trial}")
+        g1 = _draw(random_spd_metric, cfg, cfg.seed, f"path-g1-{trial}")
         path = linear_metric_path(g0, g1, n_t=p["n_t"])
         we = path_energy(path, cfg.solver, which="we")
         ebin = path_energy(path, cfg.solver, which="ebin")
@@ -363,12 +321,7 @@ def run_path_energy(cfg: ExperimentConfig):
                 "sandwich_ok": wfr - 1e-8 <= we <= d * lam / 4.0 * ebin + 1e-8,
             }
         )
-    results = {"all_sandwich_ok": all(r["sandwich_ok"] for r in rows)}
-    header = [
-        "trial", "we_energy", "ebin_energy", "wfr_projected_energy",
-        "pure_source_bound", "sandwich_ok",
-    ]
-    return results, header, rows
+    return {"all_sandwich_ok": all(r["sandwich_ok"] for r in rows)}, rows
 
 
 def run_static_eval(cfg: ExperimentConfig):
@@ -391,7 +344,7 @@ def run_static_eval(cfg: ExperimentConfig):
         "accepted_moves": trace.accepted,
         "monotone": bool(all(a >= b - 1e-12 for a, b in zip(trace.values, trace.values[1:]))),
     }
-    return results, ["step", "value"], rows
+    return results, rows
 
 
 def run_toy_geodesic(cfg: ExperimentConfig):
@@ -415,19 +368,15 @@ def run_toy_geodesic(cfg: ExperimentConfig):
         "min_perturbation_increase": min(increases),
         "all_perturbations_increase": bool(all(inc > 0 for inc in increases)),
     }
-    return results, ["interval", "energy", "energy_eulerian"], rows
+    return results, rows
 
 
 def run_bounds(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_pairs"]):
-        g0 = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"bounds-g0-{trial}"), p["modes"], p["amplitude"]
-        )
-        g1 = random_spd_metric(
-            cfg.grid, substream(cfg.seed, f"bounds-g1-{trial}"), p["modes"], p["amplitude"]
-        )
+        g0 = _draw(random_spd_metric, cfg, cfg.seed, f"bounds-g0-{trial}")
+        g1 = _draw(random_spd_metric, cfg, cfg.seed, f"bounds-g1-{trial}")
         b = we_distance_bounds(g0, g1, cfg.solver, n_t=p["n_t"])
         rows.append(
             {
@@ -439,9 +388,7 @@ def run_bounds(cfg: ExperimentConfig):
                 "upper_flag": b.upper_flag,
             }
         )
-    results = {"pairs": p["n_pairs"]}
-    header = ["trial", "lower", "upper", "mass_lower_bound", "lower_flag", "upper_flag"]
-    return results, header, rows
+    return {"pairs": p["n_pairs"]}, rows
 
 
 class Experiment(NamedTuple):
@@ -513,14 +460,14 @@ def _atomic_write(path, text):
         raise
 
 
-def _csv_text(header, rows):
+def _csv_text(rows):
+    """CSV of the rows; the first row's keys, in order, are the columns."""
     import io
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k) for k in header})
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -528,12 +475,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute one experiment; returns (manifest dict, artifact paths)."""
     out_dir = out_dir or cfg.output_path or "."
     started = time.perf_counter()
-    output = EXPERIMENTS[cfg.experiment].run(cfg)
-    if len(output) == 4:
-        results, header, rows, extra_artifacts = output
-    else:
-        results, header, rows = output
-        extra_artifacts = {}
+    results, rows, *artifacts = EXPERIMENTS[cfg.experiment].run(cfg)
     wall = time.perf_counter() - started
 
     manifest = {
@@ -548,9 +490,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     _atomic_write(manifest_path, dumps_result(manifest))
     paths["manifest"] = manifest_path
     csv_path = os.path.join(out_dir, f"{base}.csv")
-    _atomic_write(csv_path, _csv_text(header, rows))
+    _atomic_write(csv_path, _csv_text(rows))
     paths["csv"] = csv_path
-    for name, text in extra_artifacts.items():
+    for name, text in dict(*artifacts).items():
         extra_path = os.path.join(out_dir, f"{base}_{name}")
         _atomic_write(extra_path, text)
         paths[name] = extra_path

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .fields import (
     ScalarField,
     SymTensorField,
@@ -34,7 +33,6 @@ from .tensors import (
 )
 from .transport import (
     SolverConfig,
-    wasserstein_orbit_norm,
     we_tangent_norms,
     wfr_tangent_norm,
 )
@@ -89,9 +87,9 @@ class LiftReport:
             )
 
 
-def trace_free_perturbation(g: MetricField, rng, modes=4, amplitude=0.2) -> SymTensorField:
+def trace_free_perturbation(g: MetricField, rng, amplitude=0.2) -> SymTensorField:
     """Smooth band-limited tensor made exactly g-trace-free (volume neutral)."""
-    raw = band_limited_sym_tensor(g.grid, rng, modes=modes, amplitude=amplitude)
+    raw = band_limited_sym_tensor(g.grid, rng, modes=4, amplitude=amplitude)
     z, _ = trace_decompose(g, raw)
     return z
 
@@ -126,36 +124,6 @@ def verify_pi1_submersion(
         we_value_of_lift=we,
         gap=we - wfr.value,
         perturbation_gaps=tuple(value - wfr.value for value in perturbed),
-    )
-
-
-@dataclass(frozen=True)
-class OrbitReport:
-    norm_a: float
-    norm_b: float
-
-    @property
-    def difference(self):
-        return self.norm_a - self.norm_b
-
-
-def verify_orbit_submersion(g_a: MetricField, g_b: MetricField, v: VectorField) -> OrbitReport:
-    """Transport norms at two metrics with identical volume densities.
-
-    The norms are built from the same quadrature data (the shared volume
-    density), so they agree to roundoff; a volume mismatch beyond 1e-12 is a
-    precondition error.
-    """
-    require_same_grid(g_a, g_b, v)
-    va, vb = volume_map(g_a).values, volume_map(g_b).values
-    mismatch = float(np.max(np.abs(va - vb)))
-    if mismatch > 1e-12 * (1.0 + float(np.max(va))):
-        raise GridMismatchError(
-            f"volume densities differ by {mismatch:.3e}; the orbit-norm check "
-            "requires identical volumes"
-        )
-    return OrbitReport(
-        norm_a=wasserstein_orbit_norm(g_a, v), norm_b=wasserstein_orbit_norm(g_b, v)
     )
 
 

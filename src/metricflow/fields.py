@@ -273,10 +273,10 @@ def diff_array(values, grid, axis, order=2):
     return out
 
 
-def partial_derivative(field, axis, order=2):
+def partial_derivative(field, axis):
     """Central-difference partial derivative of a scalar or density field."""
     if isinstance(field, (ScalarField, DensityField)):
-        return ScalarField(field.grid, diff_array(field.values, field.grid, axis, order))
+        return ScalarField(field.grid, diff_array(field.values, field.grid, axis))
     raise TypeError("partial_derivative expects a ScalarField or DensityField")
 
 
@@ -285,15 +285,15 @@ def gradient_array(values, grid, order=2):
     return np.stack([diff_array(values, grid, k, order) for k in range(grid.dim)])
 
 
-def divergence_array(components, grid, order=2):
+def divergence_array(components, grid):
     """Sum_k d_k components[k] for an array of shape (dim,)+grid.shape.
 
     Leading lane axes are kept: the component axis is read as -(dim + 1).
     """
     comps = np.moveaxis(np.asarray(components, dtype=float), -(grid.dim + 1), 0)
-    out = diff_array(comps[0], grid, 0, order)
+    out = diff_array(comps[0], grid, 0)
     for k in range(1, grid.dim):
-        out = out + diff_array(comps[k], grid, k, order)
+        out = out + diff_array(comps[k], grid, k)
     return out
 
 

@@ -75,7 +75,7 @@ def _require_flat_domain(grid: Grid):
 
 
 def frame_and_connection(
-    g: MetricField, collar_width=2, collar_tol=1e-12, require_euclidean_collar=True
+    g: MetricField, collar_width=2, require_euclidean_collar=True
 ) -> FrameData:
     """Orthonormal coframe and connection component of a collar-Euclidean metric.
 
@@ -90,7 +90,7 @@ def frame_and_connection(
         dev[0] -= 1.0
         dev[2] -= 1.0
         resid = collar_max(dev, grid, collar_width)
-        if resid > collar_tol:
+        if resid > 1e-12:
             raise ValueError(
                 f"metric must equal the Euclidean metric in the {collar_width}-node "
                 f"collar (max deviation {resid:.3e})"

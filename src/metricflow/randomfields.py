@@ -36,7 +36,7 @@ from .fields import (
     VectorField,
     sym_component_count,
 )
-from .tensors import MetricField, jacobian_gram
+from .tensors import MetricField, eigenvalues_2x2, jacobian_gram
 
 
 def substream(seed, label: str) -> np.random.Generator:
@@ -134,9 +134,7 @@ def random_spd_metric(grid, rng, modes=4, amplitude=0.3) -> MetricField:
     sq = np.einsum("ki...,kj...->ij...", entries, entries)
     tr = sq[0, 0] + sq[1, 1]
     det = sq[0, 0] * sq[1, 1] - sq[0, 1] * sq[1, 0]
-    sigma_max = np.sqrt(
-        np.maximum((tr + np.sqrt(np.maximum(tr**2 - 4.0 * det, 0.0))) / 2.0, 0.0)
-    )
+    sigma_max = np.sqrt(np.maximum(eigenvalues_2x2(tr, det)[1], 0.0))
     peak = float(np.max(sigma_max))
     if peak > 0.0:
         entries *= cap / peak

@@ -110,14 +110,6 @@ def ic_speed_grid_search(space: SeqSpace, x, u, split_grid=1000) -> float:
     return total
 
 
-def factor_speeds(space: SeqSpace, x, u):
-    """Speeds of the two factor metrics separately (flat, conformal)."""
-    u = np.asarray(u, float)
-    flat = float(np.dot(space.weights, u**2))
-    conf = float(space.conformal_f(float(np.dot(x, x)))) * float(np.dot(u, u))
-    return flat, conf
-
-
 def _simpson(values, dt):
     n = len(values) - 1
     return (dt / 3.0) * float(

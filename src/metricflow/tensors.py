@@ -39,6 +39,15 @@ def packed_trace(comps, dim):
     return comps[0] + comps[2]
 
 
+def eigenvalues_2x2(tr, det):
+    """Nodewise eigenvalues (low, high) of a 2x2 matrix with real spectrum.
+
+    A negative discriminant (roundoff) is clipped to zero.
+    """
+    disc = np.sqrt(np.maximum(tr**2 - 4.0 * det, 0.0))
+    return (tr - disc) / 2.0, (tr + disc) / 2.0
+
+
 def spd_check(comps, dim, what="tensor"):
     """Leading-principal-minor test with roundoff-aware tolerance.
 
@@ -79,11 +88,7 @@ class MetricField:
 
     @classmethod
     def euclidean(cls, grid):
-        comps = np.zeros((sym_component_count(grid.dim),) + grid.shape)
-        comps[0] = 1.0
-        if grid.dim == 2:
-            comps[2] = 1.0
-        return cls(SymTensorField(grid, comps))
+        return cls.scaled_identity(grid, 1.0)
 
     @classmethod
     def scaled_identity(cls, grid, factor):

@@ -12,7 +12,7 @@ import metricflow
 from metricflow.cli import main
 from metricflow.config import load_config, parse_config
 from metricflow.errors import ConfigError
-from metricflow.experiments import run_experiment
+from metricflow.experiments import EXPERIMENTS, run_experiment
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -161,7 +161,7 @@ def test_non_finite_result_exits_2_without_artifacts(tmp_path, capsys, monkeypat
     from metricflow import experiments
 
     def run_inf(cfg):
-        return {"values": [1.0, float("inf")]}, ["trial", "value"], [{"trial": 0, "value": 1.0}]
+        return {"values": [1.0, float("inf")]}, [{"trial": 0, "value": 1.0}]
 
     spec = experiments.EXPERIMENTS["wfr-norm"]
     monkeypatch.setitem(experiments.EXPERIMENTS, "wfr-norm", spec._replace(run=run_inf))
@@ -311,6 +311,70 @@ def test_divergence_sweep_csv_columns(tmp_path):
         rows = list(reader)
     assert len(rows) == 18  # 3 pairs x 6 kinds
     assert all(float(r["value"]) >= -1e-12 for r in rows)
+
+
+TORUS12 = {"dim": 2, "topology": "torus", "n_per_axis": 12}
+BOX64 = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0}
+
+# each experiment's CSV columns, in order, with a config small enough to run in
+# milliseconds; the runners' row keys define the columns, so this pins them
+CSV_SCHEMA = {
+    "we-norm": (
+        ["trial", "value", "iters", "residual", "decomposition_residual"],
+        TORUS12, {"n_trials": 1},
+    ),
+    "wfr-norm": (["trial", "value", "iters", "residual"], TORUS12, {"n_trials": 1}),
+    "submersion": (
+        ["trial", "wfr_value", "we_value_of_lift", "gap", "relative_gap",
+         "min_perturbation_gap"],
+        {**TORUS12, "n_per_axis": 16}, {"n_trials": 1, "n_perturb": 1},
+    ),
+    "divergence-sweep": (
+        ["kind", "seed", "value", "min_eigen_gap", "runtime_ms"], TORUS12, {"n_pairs": 1},
+    ),
+    "second-variation": (
+        ["trial", "kind", "mixed_second", "ebin_half", "richardson", "relative_error"],
+        TORUS12, {"n_triples": 1},
+    ),
+    "flat-factorize": (
+        ["instance", "flat", "max_curvature", "path_independence_gap",
+         "reconstruction_error", "recovery_error"],
+        BOX64, {"n_instances": 1, "n_non_flat": 1},
+    ),
+    "seq-demo": (
+        ["n", "len1", "len2", "len3", "total", "analytic_bound", "d1", "d2_lower"],
+        TORUS12, {"ns": [8, 12], "n_max": 16, "quad_points": 33},
+    ),
+    "euler-alpha": (
+        ["trace_form", "def_form", "kinetic", "identity_residual", "pi_squared_error"],
+        TORUS12, {},
+    ),
+    "path-energy": (
+        ["trial", "we_energy", "ebin_energy", "wfr_projected_energy", "pure_source_bound",
+         "sandwich_ok"],
+        TORUS12, {"n_paths": 1, "n_t": 2},
+    ),
+    "static-eval": (["step", "value"], TORUS12, {"iters": 1}),
+    "toy-geodesic": (
+        ["interval", "energy", "energy_eulerian"],
+        {**BOX64, "n_per_axis": 16}, {"n_t": 2, "n_perturb": 1},
+    ),
+    "bounds": (
+        ["trial", "lower", "upper", "mass_lower_bound", "lower_flag", "upper_flag"],
+        TORUS12, {"n_pairs": 1, "n_t": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_csv_columns_are_pinned(tmp_path, name):
+    columns, grid, params = CSV_SCHEMA[name]
+    cfg = parse_config({"experiment": name, "grid": grid, "seed": 3, "params": params})
+    _, paths = run_experiment(cfg, out_dir=str(tmp_path))
+    with open(paths["csv"]) as fh:
+        header, *rows = csv.reader(fh)
+    assert header == columns
+    assert rows and all(len(row) == len(columns) for row in rows)
 
 
 def test_we_norm_manifest_carries_substrate_and_closed_forms(tmp_path):

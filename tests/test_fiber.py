@@ -11,7 +11,6 @@ from metricflow import (
     VectorField,
     euler_alpha_lagrangian,
     optimal_lift,
-    verify_orbit_submersion,
     verify_pi1_submersion,
     volume_map,
     volume_tangent,
@@ -111,52 +110,6 @@ def test_lift_report_invariant_enforced():
         LiftReport(wfr_value=1.0, we_value_of_lift=1.0, gap=0.5, perturbation_gaps=(0.0,))
     with pytest.raises(ValueError):
         LiftReport(wfr_value=1.0, we_value_of_lift=1.0, gap=0.0, perturbation_gaps=(-1.0,))
-
-
-# ---------------------------------------------------------------------------
-# orbit submersion
-
-
-def test_orbit_submersion_same_metric(torus16):
-    g = MetricField.euclidean(torus16)
-    v = band_limited_vector(torus16, substream(2, "os-v"), 3, 1.0)
-    rep = verify_orbit_submersion(g, g, v)
-    assert rep.norm_a == rep.norm_b
-
-
-def test_orbit_submersion_unimodular_diagonal(torus16):
-    g_a = MetricField.euclidean(torus16)
-    g_b = MetricField.from_components(
-        torus16,
-        np.stack(
-            [np.full(torus16.shape, 2.0), np.zeros(torus16.shape), np.full(torus16.shape, 0.5)]
-        ),
-    )
-    v = band_limited_vector(torus16, substream(3, "os2"), 3, 1.0)
-    rep = verify_orbit_submersion(g_a, g_b, v)
-    assert rep.norm_a == pytest.approx(rep.norm_b, abs=1e-12)
-
-
-def test_orbit_submersion_pointwise_shear(torus16):
-    # g_b = S^T g_a S with det S = 1 nodewise
-    s = band_limited_scalar(torus16, substream(4, "os3"), 3, 0.5).values
-    g_a = random_spd_metric(torus16, substream(4, "os3-g"), 3, 0.2)
-    c = g_a.components
-    g_b = MetricField.from_components(
-        torus16,
-        np.stack([c[0], c[1] + s * c[0], c[2] + 2 * s * c[1] + s**2 * c[0]]),
-    )
-    v = band_limited_vector(torus16, substream(4, "os3-v"), 3, 1.0)
-    rep = verify_orbit_submersion(g_a, g_b, v)
-    assert rep.norm_a == pytest.approx(rep.norm_b, rel=1e-12, abs=1e-12)
-
-
-def test_orbit_submersion_volume_mismatch_rejected(torus16):
-    g_a = MetricField.euclidean(torus16)
-    g_b = MetricField.scaled_identity(torus16, 1.5)
-    v = VectorField.zero(torus16)
-    with pytest.raises(ValueError):
-        verify_orbit_submersion(g_a, g_b, v)
 
 
 # ---------------------------------------------------------------------------

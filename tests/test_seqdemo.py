@@ -5,7 +5,6 @@ import pytest
 
 from metricflow import SeqSpace, baseline_distances, ic_speed, three_segment_length
 from metricflow.seqdemo import (
-    factor_speeds,
     ic_speed_grid_search,
     segment_length,
     vanishing_sweep,
@@ -64,7 +63,8 @@ def test_speed_below_both_factors(space):
         x = space.vector(rng.normal(size=6))
         u = space.vector(rng.normal(size=10))
         speed = ic_speed(space, x, u)
-        flat, conf = factor_speeds(space, x, u)
+        flat = float(np.dot(space.weights, u**2))
+        conf = float(space.conformal_f(float(np.dot(x, x)))) * float(np.dot(u, u))
         assert speed <= flat + 1e-12
         assert speed <= conf + 1e-12
 
