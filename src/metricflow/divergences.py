@@ -14,6 +14,14 @@ Every kind is nonnegative and vanishes only on equal arguments (AM-GM /
 s - log s - 1 >= 0 nodewise); the mixed second variation across the diagonal
 of the metric kinds recovers half the source-term inner product, which the
 probe below measures by central differences with Richardson extrapolation.
+
+The kernels evaluate stacks of pairs with a leading pair axis:
+``divergence_stack`` (every kind), ``eigenvalue_gap_stack`` and
+``density_ratio_gap_stack`` return one value per pair, with the same
+arithmetic, bit for bit, as a pair on its own.  The typed functions
+``divergence`` and ``min_eigenvalue_gap`` are one-pair calls of them, and the
+second-variation probe evaluates its four shifted pairs per step as one
+stack.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ import numpy as np
 from .errors import NonInvertibleMapError
 from .fields import (
     DensityField,
-    ScalarField,
     VectorField,
     integrate,
+    quadrature_weights,
     require_same_grid,
 )
 from .randomfields import band_limited_scalar, band_limited_vector, substream
@@ -39,6 +47,7 @@ from .tensors import (
     SymTensorField,
     eigenvalues_2x2,
     inverse_components,
+    packed_det,
     packed_to_full,
     pushforward_metric,
     volume_map,
@@ -77,11 +86,23 @@ def _safe_ratio(num, den):
     return ratio
 
 
-def _trace_rel(g0: MetricField, g1: MetricField):
-    """tr(g1^{-1} g0) per node."""
-    dim = g0.grid.dim
-    inv1 = packed_to_full(inverse_components(g1.components, dim), dim)
-    full0 = packed_to_full(g0.components, dim)
+def _finite(values):
+    """values, refused as a field would refuse them if any entry is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    return values
+
+
+def _integrals(grid, integrand, weight=None):
+    """Int integrand (weight) per pair of a stack of nodal arrays (P,) + grid.shape."""
+    fw = _finite(integrand) if weight is None else _finite(integrand) * weight
+    return np.sum((fw * quadrature_weights(grid)).reshape(len(fw), -1), axis=1)
+
+
+def _trace_rel(c0, c1, dim):
+    """tr(g1^{-1} g0) per node, for packed components c0 and c1."""
+    inv1 = packed_to_full(inverse_components(c1, dim), dim)
+    full0 = packed_to_full(c0, dim)
     return np.einsum("ik...,ki...->...", inv1, full0)
 
 
@@ -90,36 +111,51 @@ def burg_generator(r, dim):
     return 0.5 * (dim * r ** (2.0 / dim) - 2.0 * np.log(r) - dim)
 
 
-def divergence(kind: DivergenceKind, a, b) -> float:
-    """Evaluate one divergence; metric kinds take metrics, density kinds densities."""
+def divergence_stack(kind: DivergenceKind, grid, a, b):
+    """One divergence per pair of a stack; the pair axis leads.
+
+    Metric kinds take packed metric components of shape (P, C) + grid.shape,
+    density kinds density values of shape (P,) + grid.shape; both arguments
+    must hold valid fields (SPD, positive, finite), as the typed fields
+    check.  Returns the P values.
+    """
     kind = DivergenceKind(kind)
-    grid = require_same_grid(a, b)
     d = grid.dim
     if kind in METRIC_KINDS:
-        if not isinstance(a, MetricField) or not isinstance(b, MetricField):
-            raise TypeError(f"{kind.value} compares MetricFields")
-        vol0, vol1 = volume_map(a), volume_map(b)
-        r = _safe_ratio(vol0.values, vol1.values)
-        tr = _trace_rel(a, b)
+        # component axis first, as the tensor kernels take it
+        c0, c1 = a.swapaxes(0, 1), b.swapaxes(0, 1)
+        vol0 = _finite(np.sqrt(packed_det(c0, d)))
+        vol1 = _finite(np.sqrt(packed_det(c1, d)))
+        r = _safe_ratio(vol0, vol1)
+        tr = _trace_rel(c0, c1, d)
         if kind is DivergenceKind.KL_MET:
             integrand = 0.5 * (tr - 2.0 * np.log(r) - d)
         elif kind is DivergenceKind.SHAPE:
             integrand = 0.5 * (tr - d * r ** (2.0 / d))
         else:  # TILDE_KL_MET
-            kl = divergence(DivergenceKind.CLASSICAL_KL, vol0, vol1)
-            return (2.0 / d) * kl + divergence(DivergenceKind.SHAPE, a, b)
-        return integrate(ScalarField(grid, integrand), vol1)
+            kl = divergence_stack(DivergenceKind.CLASSICAL_KL, grid, vol0, vol1)
+            return (2.0 / d) * kl + divergence_stack(DivergenceKind.SHAPE, grid, a, b)
+        return _integrals(grid, integrand, vol1)
 
-    if not isinstance(a, DensityField) or not isinstance(b, DensityField):
-        raise TypeError(f"{kind.value} compares DensityFields")
+    r = _safe_ratio(a, b)
     if kind is DivergenceKind.KL_DENSITY_FD:
-        return kl_density_projection(a, b)
-    r = _safe_ratio(a.values, b.values)
+        return _integrals(grid, burg_generator(r, d), b)
     if kind is DivergenceKind.CLASSICAL_KL:
-        integrand = np.log(r) * a.values + b.values - a.values
-        return integrate(ScalarField(grid, integrand))
+        return _integrals(grid, np.log(r) * a + b - a)
     # ITAKURA_SAITO
-    return integrate(ScalarField(grid, r - np.log(r) - 1.0), b)
+    return _integrals(grid, r - np.log(r) - 1.0, b)
+
+
+def divergence(kind: DivergenceKind, a, b) -> float:
+    """Evaluate one divergence; metric kinds take metrics, density kinds densities."""
+    kind = DivergenceKind(kind)
+    grid = require_same_grid(a, b)
+    metric = kind in METRIC_KINDS
+    field = MetricField if metric else DensityField
+    if not isinstance(a, field) or not isinstance(b, field):
+        raise TypeError(f"{kind.value} compares {field.__name__}s")
+    pair = [(f.components if metric else f.values)[None] for f in (a, b)]
+    return float(divergence_stack(kind, grid, *pair)[0])
 
 
 def kl_density_projection(rho0: DensityField, rho1: DensityField) -> float:
@@ -129,9 +165,7 @@ def kl_density_projection(rho0: DensityField, rho1: DensityField) -> float:
     conformal pair g0 = (rho0/rho1)^(2/d) g1, which makes this equal to the
     metric divergence at that pair; d is the grid dimension.
     """
-    grid = require_same_grid(rho0, rho1)
-    r = _safe_ratio(rho0.values, rho1.values)
-    return integrate(ScalarField(grid, burg_generator(r, grid.dim)), rho1)
+    return divergence(DivergenceKind.KL_DENSITY_FD, rho0, rho1)
 
 
 def conformal_lift(rho0: DensityField, g1: MetricField) -> MetricField:
@@ -141,14 +175,19 @@ def conformal_lift(rho0: DensityField, g1: MetricField) -> MetricField:
     return MetricField(SymTensorField(grid, factor * g1.components))
 
 
-def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
-    """min over nodes and eigenvalues of (lambda - log lambda - 1) for g1^{-1} g0.
+def _pair_minima(values):
+    """Minimum per pair over every axis but the leading pair axis."""
+    return np.min(values.reshape(len(values), -1), axis=1)
 
-    Zero exactly on equal metrics; the quantity the nonnegativity sweep logs.
+
+def eigenvalue_gap_stack(dim, g0, g1):
+    """min over nodes and eigenvalues of (lambda - log lambda - 1) for g1^{-1} g0, per pair.
+
+    g0 and g1 are metric stacks (P, C) + shape; zero exactly on equal
+    metrics.  The quantity the nonnegativity sweep logs.
     """
-    dim = g0.grid.dim
-    inv1 = packed_to_full(inverse_components(g1.components, dim), dim)
-    full0 = packed_to_full(g0.components, dim)
+    inv1 = packed_to_full(inverse_components(g1.swapaxes(0, 1), dim), dim)
+    full0 = packed_to_full(g0.swapaxes(0, 1), dim)
     m = np.einsum("ik...,kj...->ij...", inv1, full0)
     if dim == 1:
         lams = m[0, 0][None]
@@ -157,7 +196,23 @@ def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         lams = np.stack(eigenvalues_2x2(tr, det))
     lams = np.maximum(lams, RATIO_FLOOR)
-    return float(np.min(lams - np.log(lams) - 1.0))
+    return _pair_minima((lams - np.log(lams) - 1.0).swapaxes(0, 1))
+
+
+def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
+    """``eigenvalue_gap_stack`` of one pair of metrics."""
+    dim = require_same_grid(g0, g1).dim
+    return float(eigenvalue_gap_stack(dim, g0.components[None], g1.components[None])[0])
+
+
+def density_ratio_gap_stack(rho0, rho1):
+    """min over nodes of (r - log r - 1), r = rho0/rho1, per pair of density value stacks.
+
+    Zero exactly on equal densities; the density kinds' counterpart of
+    ``eigenvalue_gap_stack``.
+    """
+    ratio = rho0 / rho1
+    return _pair_minima(ratio - np.log(ratio) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +242,12 @@ def second_variation_probe(kind: DivergenceKind, g: MetricField, h, k, step=1e-2
         )
 
     def mixed(s):
-        dpp = divergence(kind, _shifted(g, h, s), _shifted(g, k, s))
-        dpm = divergence(kind, _shifted(g, h, s), _shifted(g, k, -s))
-        dmp = divergence(kind, _shifted(g, h, -s), _shifted(g, k, s))
-        dmm = divergence(kind, _shifted(g, h, -s), _shifted(g, k, -s))
-        return -(dpp - dpm - dmp + dmm) / (4.0 * s * s)
+        # the four shifted metrics, checked in the order the pairs first use them
+        hp, kp, km, hm = (_shifted(g, x, t) for x, t in ((h, s), (k, s), (k, -s), (h, -s)))
+        a = np.stack([hp.components, hp.components, hm.components, hm.components])
+        b = np.stack([kp.components, km.components, kp.components, km.components])
+        dpp, dpm, dmp, dmm = divergence_stack(kind, g.grid, a, b)
+        return float(-(dpp - dpm - dmp + dmm) / (4.0 * s * s))
 
     coarse = mixed(step)
     fine = mixed(step / 2.0)

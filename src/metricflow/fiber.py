@@ -88,8 +88,13 @@ class LiftReport:
 
 
 def trace_free_perturbation(g: MetricField, rng, amplitude=0.2) -> SymTensorField:
-    """Smooth band-limited tensor made exactly g-trace-free (volume neutral)."""
-    raw = band_limited_sym_tensor(g.grid, rng, modes=4, amplitude=amplitude)
+    """Smooth band-limited tensor made exactly g-trace-free (volume neutral).
+
+    Its band is 4 modes, or the most the grid resolves (n_per_axis // 4) when
+    that is fewer.
+    """
+    modes = min(4, g.grid.n_per_axis // 4)
+    raw = band_limited_sym_tensor(g.grid, rng, modes=modes, amplitude=amplitude)
     z, _ = trace_decompose(g, raw)
     return z
 

@@ -19,6 +19,16 @@ read-only.
 SPD fields are built as (I + eps)^T (I + eps) with the perturbation eps
 capped strictly below 1/2 in operator norm, so positive definiteness holds
 by construction.
+
+The kernels take a sequence of generators and return a stack with a leading
+field (or pair) axis: per generator, ``band_limited_values`` returns one
+scalar series, ``random_spd_stack`` one metric's packed components and
+``band_limited_density_stack`` one density.  Each generator
+draws its own coefficients, in the order listed, and every field of the
+stack is then synthesized in one batched product, bit-identical to drawing
+the fields one at a time.  The typed one-field functions
+(``band_limited_scalar``, ``random_spd_metric``, ...) are one-generator
+calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from .fields import (
     VectorField,
     sym_component_count,
 )
-from .tensors import MetricField, eigenvalues_2x2, jacobian_gram
+from .tensors import MetricField, eigenvalues_2x2, jacobian_gram, spd_violations
 
 
 def substream(seed, label: str) -> np.random.Generator:
@@ -66,77 +76,112 @@ def _trig_tables(grid, modes):
     return tables
 
 
-def band_limited_values(grid, rng, modes=4, amplitude=1.0):
-    """Truncated Fourier series rescaled to the requested max amplitude."""
+def band_limited_values(grid, rngs, modes=4, amplitude=1.0):
+    """One truncated Fourier series per generator, each rescaled to the max amplitude.
+
+    Returns shape (len(rngs),) + grid.shape.  The generators draw their
+    coefficients one after another in the order given (a generator listed
+    twice draws twice); then every field is synthesized in one batched
+    product.  A single field is ``band_limited_values(grid, [rng], ...)[0]``.
+    """
     _check_modes(grid, modes)
     cos, sin = _trig_tables(grid, modes)
     if grid.dim == 1:
-        coeffs = rng.normal(size=(modes, 2))
-        out = coeffs[:, 0] @ cos[modes + 1 :] + coeffs[:, 1] @ sin[modes + 1 :]
+        coeffs = np.stack([rng.normal(size=(modes, 2)) for rng in rngs])
+        # one (1, m) row per field: a stacked (F, m) @ (m, n) product rounds
+        # differently from the one-field vector-matrix product
+        out = (
+            coeffs[:, None, :, 0] @ cos[modes + 1 :] + coeffs[:, None, :, 1] @ sin[modes + 1 :]
+        )[:, 0]
     else:
         # coefficients of the wavevectors (k0, k1), k0 in [-m, m], k1 in [0, m],
         # drawn in row-major order over the half plane that skips (k0 <= 0, k1 = 0)
         kept = np.ones((2 * modes + 1, modes + 1), dtype=bool)
         kept[: modes + 1, 0] = False
-        coeffs = rng.normal(size=(int(kept.sum()), 2))
-        a = np.zeros(kept.shape)
-        b = np.zeros(kept.shape)
-        a[kept] = coeffs[:, 0]
-        b[kept] = coeffs[:, 1]
+        coeffs = np.stack([rng.normal(size=(int(kept.sum()), 2)) for rng in rngs])
+        a = np.zeros((len(coeffs),) + kept.shape)
+        b = np.zeros((len(coeffs),) + kept.shape)
+        a[:, kept] = coeffs[..., 0]
+        b[:, kept] = coeffs[..., 1]
         cos1, sin1 = cos[modes:], sin[modes:]
         # cos(p + q) = cos p cos q - sin p sin q, sin(p + q) = sin p cos q + cos p sin q
         out = cos.T @ (a @ cos1 + b @ sin1) + sin.T @ (b @ cos1 - a @ sin1)
-    peak = float(np.max(np.abs(out)))
-    if peak > 0.0 and amplitude != 0.0:
-        out *= amplitude / peak
-    elif amplitude == 0.0:
+    amplitude = float(amplitude)
+    if amplitude == 0.0:
         out[:] = 0.0
+    else:
+        peak = np.max(np.abs(out), axis=tuple(range(1, out.ndim)), keepdims=True)
+        # a field that is zero everywhere stays as it is
+        out *= np.divide(amplitude, peak, out=np.ones_like(peak), where=peak > 0.0)
     return out
 
 
 def band_limited_scalar(grid, rng, modes=4, amplitude=1.0) -> ScalarField:
-    return ScalarField(grid, band_limited_values(grid, rng, modes, amplitude))
+    return ScalarField(grid, band_limited_values(grid, [rng], modes, amplitude)[0])
 
 
 def band_limited_vector(grid, rng, modes=4, amplitude=1.0) -> VectorField:
-    comps = np.stack(
-        [band_limited_values(grid, rng, modes, amplitude) for _ in range(grid.dim)]
-    )
-    return VectorField(grid, comps)
+    return VectorField(grid, band_limited_values(grid, [rng] * grid.dim, modes, amplitude))
 
 
 def band_limited_sym_tensor(grid, rng, modes=4, amplitude=1.0) -> SymTensorField:
-    comps = np.stack(
-        [
-            band_limited_values(grid, rng, modes, amplitude)
-            for _ in range(sym_component_count(grid.dim))
-        ]
-    )
-    return SymTensorField(grid, comps)
+    rngs = [rng] * sym_component_count(grid.dim)
+    return SymTensorField(grid, band_limited_values(grid, rngs, modes, amplitude))
+
+
+def _checked(stack, valid, field):
+    """``stack`` if ``valid``; else ``field`` of each entry in turn.
+
+    The first invalid entry then raises its own field's error, as a
+    one-field draw would.
+    """
+    if not valid:
+        for values in stack:
+            field(values)
+    return stack
+
+
+def band_limited_density_stack(grid, rngs, modes=4, amplitude=0.5):
+    """exp of ``band_limited_values``: values (len(rngs),) + grid.shape, checked as densities."""
+    values = np.exp(band_limited_values(grid, rngs, modes, amplitude))
+    valid = np.all(values > 0.0) and np.all(np.isfinite(values))
+    return _checked(values, valid, lambda v: DensityField(grid, v))
 
 
 def band_limited_density(grid, rng, modes=4, amplitude=0.5) -> DensityField:
     """exp of a band-limited field; amplitude bounds |log density|."""
-    return DensityField(grid, np.exp(band_limited_values(grid, rng, modes, amplitude)))
+    return DensityField(grid, band_limited_density_stack(grid, [rng], modes, amplitude)[0])
+
+
+def random_spd_stack(grid, rngs, modes=4, amplitude=0.3):
+    """Packed components of one metric per generator, shape (len(rngs), C) + grid.shape.
+
+    Each metric is (I + eps)^T (I + eps) with ||eps||_op <= min(amplitude,
+    0.499) nodewise, its entries drawn from its own generator, and is
+    checked as MetricField checks it.
+    """
+    cap = min(float(amplitude), 0.499)
+    if grid.dim == 1:
+        eps = band_limited_values(grid, rngs, modes, cap)
+        comps = ((1.0 + eps) ** 2)[:, None]
+    else:
+        # four entries per metric; the matrix axes go first, as the tensor kernels take them
+        entries = band_limited_values(grid, [rng for rng in rngs for _ in range(4)], modes, 1.0)
+        entries = entries.reshape(len(rngs), 2, 2, *grid.shape).transpose(1, 2, 0, 3, 4)
+        # exact nodewise spectral norm of a 2x2 matrix via its singular values
+        sq = np.einsum("ki...,kj...->ij...", entries, entries)
+        tr = sq[0, 0] + sq[1, 1]
+        det = sq[0, 0] * sq[1, 1] - sq[0, 1] * sq[1, 0]
+        sigma_max = np.sqrt(np.maximum(eigenvalues_2x2(tr, det)[1], 0.0))
+        peak = np.max(sigma_max, axis=(1, 2), keepdims=True)
+        entries *= np.divide(cap, peak, out=np.ones_like(peak), where=peak > 0.0)
+        comps = jacobian_gram(entries).swapaxes(0, 1)
+    valid = np.all(np.isfinite(comps)) and not np.any(
+        spd_violations(comps.swapaxes(0, 1), grid.dim)
+    )
+    return _checked(comps, valid, lambda c: MetricField(SymTensorField(grid, c)))
 
 
 def random_spd_metric(grid, rng, modes=4, amplitude=0.3) -> MetricField:
-    """(I + eps)^T (I + eps) with ||eps||_op <= min(amplitude, 0.499) nodewise."""
-    cap = min(float(amplitude), 0.499)
-    if grid.dim == 1:
-        eps = band_limited_values(grid, rng, modes, cap)
-        comps = ((1.0 + eps) ** 2)[None]
-        return MetricField(SymTensorField(grid, comps))
-    entries = np.stack(
-        [band_limited_values(grid, rng, modes, 1.0) for _ in range(4)]
-    ).reshape(2, 2, *grid.shape)
-    # exact nodewise spectral norm of a 2x2 matrix via its singular values
-    sq = np.einsum("ki...,kj...->ij...", entries, entries)
-    tr = sq[0, 0] + sq[1, 1]
-    det = sq[0, 0] * sq[1, 1] - sq[0, 1] * sq[1, 0]
-    sigma_max = np.sqrt(np.maximum(eigenvalues_2x2(tr, det)[1], 0.0))
-    peak = float(np.max(sigma_max))
-    if peak > 0.0:
-        entries *= cap / peak
-    return MetricField(SymTensorField(grid, jacobian_gram(entries)))
-
+    """One metric of ``random_spd_stack``."""
+    return MetricField(SymTensorField(grid, random_spd_stack(grid, [rng], modes, amplitude)[0]))

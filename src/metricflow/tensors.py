@@ -48,17 +48,21 @@ def eigenvalues_2x2(tr, det):
     return (tr - disc) / 2.0, (tr + disc) / 2.0
 
 
+def spd_violations(comps, dim):
+    """Nodes failing the leading-principal-minor test (see ``spd_check``)."""
+    scale = SPD_TOL * (1.0 + np.max(np.abs(comps), axis=0))
+    if dim == 1:
+        return comps[0] <= scale
+    return (comps[0] <= scale) | (packed_det(comps, dim) <= scale)
+
+
 def spd_check(comps, dim, what="tensor"):
     """Leading-principal-minor test with roundoff-aware tolerance.
 
     Each node must satisfy minor > 1e-12 * (1 + max |entry|) for every
     leading minor; the first offending node index is reported.
     """
-    scale = SPD_TOL * (1.0 + np.max(np.abs(comps), axis=0))
-    if dim == 1:
-        bad = comps[0] <= scale
-    else:
-        bad = (comps[0] <= scale) | (packed_det(comps, dim) <= scale)
+    bad = spd_violations(comps, dim)
     if np.any(bad):
         node = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         entries = [float(c[node]) for c in comps]

@@ -5,14 +5,24 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import metricflow
+from metricflow import experiments
 from metricflow.cli import main
 from metricflow.config import load_config, parse_config
+from metricflow.divergences import (
+    METRIC_KINDS,
+    DivergenceKind,
+    divergence,
+    min_eigenvalue_gap,
+)
 from metricflow.errors import ConfigError
-from metricflow.experiments import EXPERIMENTS, run_experiment
+from metricflow.experiments import EXPERIMENTS, run_divergence_sweep, run_experiment
+from metricflow.randomfields import band_limited_density, random_spd_metric, substream
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -311,6 +321,91 @@ def test_divergence_sweep_csv_columns(tmp_path):
         rows = list(reader)
     assert len(rows) == 18  # 3 pairs x 6 kinds
     assert all(float(r["value"]) >= -1e-12 for r in rows)
+
+
+def per_pair_sweep_rows(cfg):
+    """The divergence-sweep rows, without runtime_ms, drawn and evaluated one pair at a time."""
+    p = cfg.params
+    rows = []
+    for kind in DivergenceKind:
+        metric = kind in METRIC_KINDS
+        make = random_spd_metric if metric else band_limited_density
+        for seed in range(cfg.seed, cfg.seed + p["n_pairs"]):
+            a, b = (
+                make(cfg.grid, substream(seed, f"div-{kind.value}-{side}"), p["modes"],
+                     p["amplitude"])
+                for side in "ab"
+            )
+            if metric:
+                gap = min_eigenvalue_gap(a, b)
+            else:
+                ratio = a.values / b.values
+                gap = float(np.min(ratio - np.log(ratio) - 1.0))
+            rows.append(
+                {"kind": kind.value, "seed": seed, "value": divergence(kind, a, b),
+                 "min_eigen_gap": gap}
+            )
+    return rows
+
+
+def sweep_config(grid, n_pairs):
+    return parse_config(
+        {"experiment": "divergence-sweep", "grid": grid, "seed": 5, "params": {"n_pairs": n_pairs}}
+    )
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (1, 32)])
+@pytest.mark.parametrize("extra", [None, 0, 1])
+def test_sweep_blocks_match_per_pair_oracle(dim, n, extra):
+    grid = {"dim": dim, "topology": "torus", "n_per_axis": n}
+    block = experiments.SWEEP_BLOCK_NODES // n**dim
+    # one pair, one block, one block and one pair
+    cfg = sweep_config(grid, 1 if extra is None else block + extra)
+    _, rows = run_divergence_sweep(cfg)
+    assert [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows] == (
+        per_pair_sweep_rows(cfg)
+    )
+    # runtime_ms is the block's time over its pairs, the same for each pair of a block
+    n_pairs = cfg.params["n_pairs"]
+    for start in range(0, len(rows), n_pairs):
+        first = [r["runtime_ms"] for r in rows[start : start + min(block, n_pairs)]]
+        assert len(set(first)) == 1 and first[0] > 0.0
+
+
+def test_sweep_memory_does_not_grow_with_pairs(monkeypatch):
+    # the closed forms are evaluated once per run, whatever the pair count
+    monkeypatch.setattr(experiments, "conformal_closed_forms", lambda solver: {})
+    grid = {"dim": 2, "topology": "torus", "n_per_axis": 16}
+
+    def traced_peak(n_pairs):
+        cfg = sweep_config(grid, n_pairs)
+        run_divergence_sweep(cfg)  # fills the trig-table cache
+        tracemalloc.start()
+        try:
+            run_divergence_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = experiments.SWEEP_BLOCK_NODES // 256
+    # the slack holds the rows of the extra pairs (about 32 KB), not a larger block
+    assert traced_peak(64) <= traced_peak(block) + 128 * 1024
+
+
+def test_submersion_runs_on_grids_below_16_nodes(tmp_path):
+    # the trace-free perturbations resolve on the grid whatever the config's modes
+    path = write_config(
+        tmp_path,
+        {
+            "experiment": "submersion",
+            "grid": {"dim": 2, "topology": "torus", "n_per_axis": 12},
+            "seed": 7,
+            "params": {"modes": 1, "n_trials": 1, "n_perturb": 1},
+        },
+    )
+    assert main(["submersion", "--config", path, "--out", str(tmp_path / "sub")]) == 0
+    manifest = json.loads((tmp_path / "sub" / "submersion_manifest.json").read_text())
+    assert manifest["results"]["trials"] == 1
 
 
 TORUS12 = {"dim": 2, "topology": "torus", "n_per_axis": 12}

@@ -17,12 +17,21 @@ from metricflow import (
     static_objective,
     volume_map,
 )
-from metricflow.divergences import min_eigenvalue_gap
+from metricflow.divergences import (
+    METRIC_KINDS,
+    density_ratio_gap_stack,
+    divergence_stack,
+    eigenvalue_gap_stack,
+    min_eigenvalue_gap,
+)
+from metricflow.fields import Grid
 from metricflow.randomfields import (
     band_limited_density,
+    band_limited_density_stack,
     band_limited_scalar,
     band_limited_sym_tensor,
     random_spd_metric,
+    random_spd_stack,
     substream,
 )
 from metricflow.tensors import DisplacementMap
@@ -268,3 +277,28 @@ def test_extreme_ratio_clamp_warns(torus16):
     with pytest.warns(RuntimeWarning, match="clamped"):
         value = divergence(K.CLASSICAL_KL, tiny, huge)
     assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 40), (2, 12), (2, 16)])
+@pytest.mark.parametrize("kind", list(K))
+def test_stacked_divergences_match_per_pair_calls(kind, dim, n):
+    grid = Grid(dim, "torus", n)
+    metric = kind in METRIC_KINDS
+    draw = random_spd_stack if metric else band_limited_density_stack
+    a = draw(grid, [substream(seed, f"stack-{kind.value}-a") for seed in range(5)], 3, 0.45)
+    b = draw(grid, [substream(seed, f"stack-{kind.value}-b") for seed in range(5)], 3, 0.45)
+    b[2] = a[2]  # one pair on the diagonal
+    values = divergence_stack(kind, grid, a, b)
+    gaps = eigenvalue_gap_stack(dim, a, b) if metric else density_ratio_gap_stack(a, b)
+    assert values.shape == gaps.shape == (5,)
+    for i in range(5):
+        if metric:
+            fa, fb = (MetricField.from_components(grid, x[i]) for x in (a, b))
+            gap = min_eigenvalue_gap(fa, fb)
+        else:
+            fa, fb = DensityField(grid, a[i]), DensityField(grid, b[i])
+            ratio = fa.values / fb.values
+            gap = float(np.min(ratio - np.log(ratio) - 1.0))
+        assert values[i] == divergence(kind, fa, fb)
+        assert gaps[i] == gap
+    assert gaps[2] == 0.0

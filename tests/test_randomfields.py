@@ -7,9 +7,11 @@ from metricflow import Grid, substream
 from metricflow.randomfields import (
     _trig_tables,
     band_limited_density,
+    band_limited_density_stack,
     band_limited_scalar,
     band_limited_values,
     random_spd_metric,
+    random_spd_stack,
 )
 from metricflow.tensors import packed_det
 
@@ -57,7 +59,7 @@ def test_spd_by_construction_sweep(torus16):
 
 def test_unresolvable_modes_rejected(torus16):
     with pytest.raises(ValueError):
-        band_limited_values(torus16, substream(1, "x"), modes=5)  # 4*5 > 16
+        band_limited_values(torus16, [substream(1, "x")], modes=5)  # 4*5 > 16
 
 
 def test_generators_require_torus():
@@ -99,7 +101,7 @@ def test_separable_synthesis_matches_loop_oracle(dim, n, amplitude):
     for modes in sorted({1, 3, n // 4}):
         label = f"oracle-{dim}-{n}-{modes}-{amplitude}"
         rng_new, rng_ref = substream(3, label), substream(3, label)
-        values = band_limited_values(grid, rng_new, modes, amplitude)
+        values = band_limited_values(grid, [rng_new], modes, amplitude)[0]
         expected = _loop_band_limited_values(grid, rng_ref, modes, amplitude)
         assert values.shape == grid.shape
         assert np.max(np.abs(values - expected)) <= 1e-13
@@ -108,8 +110,40 @@ def test_separable_synthesis_matches_loop_oracle(dim, n, amplitude):
 
 
 def test_trig_tables_are_read_only(torus16):
-    band_limited_values(torus16, substream(1, "x"), modes=3)
+    band_limited_values(torus16, [substream(1, "x")], modes=3)
     for table in _trig_tables(torus16, 3):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "dim, n, modes", [(1, 8, 2), (1, 20, 3), (1, 64, 16), (2, 8, 2), (2, 12, 3), (2, 40, 10)]
+)
+@pytest.mark.parametrize("amplitude", [0.0, 0.45, -2.0])
+def test_stacked_draws_match_per_generator_calls(dim, n, modes, amplitude):
+    grid = Grid(dim, "torus", n)
+
+    def streams():
+        return [substream(seed, f"stack-{dim}-{n}") for seed in range(3)]
+
+    # a generator listed more than once draws in turn
+    order = [0, 0, 1, 2, 2, 2]
+    stacked, single = streams(), streams()
+    values = band_limited_values(grid, [stacked[i] for i in order], modes, amplitude)
+    assert values.shape == (len(order),) + grid.shape
+    for field, i in zip(values, order):
+        assert np.array_equal(field, band_limited_values(grid, [single[i]], modes, amplitude)[0])
+    assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
+
+    stacked, single = streams(), streams()
+    metrics = random_spd_stack(grid, stacked, modes, amplitude)
+    for comps, rng in zip(metrics, single):
+        assert np.array_equal(comps, random_spd_metric(grid, rng, modes, amplitude).components)
+    assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
+
+    stacked, single = streams(), streams()
+    densities = band_limited_density_stack(grid, stacked, modes, amplitude)
+    for rho, rng in zip(densities, single):
+        assert np.array_equal(rho, band_limited_density(grid, rng, modes, amplitude).values)
+    assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
