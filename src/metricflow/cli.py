@@ -5,11 +5,21 @@
 
 Exit codes: 0 success, 2 invalid configuration, violated precondition or a
 result that cannot be written (non-finite), 3 solver failure.
+
+Memory policy: ``main`` owns its process, so it first tells glibc's malloc to
+keep freed heap pages (trim threshold 64 MiB, mmap threshold 32 MiB).  By
+default a freed temporary of 128 KB or more can go back to the kernel, and
+the next one page-faults it in again: at box n = 128 one
+``invert_displacement`` then takes 11.9 ms instead of 6.5-6.9 ms.  Keeping
+the pages lowers the box-geodesic benchmark's wall time by about 17 % and
+raises its peak RSS by about 0.6 MB (+0.8 %).  Importing metricflow and
+calling the library leave the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 import warnings
@@ -19,6 +29,25 @@ import numpy as np
 from .config import load_config
 from .errors import ConfigError, InvalidResultError, SolverFailure
 from .experiments import EXPERIMENTS, run_experiment
+
+
+# glibc mallopt parameters (malloc.h) and the values main sets; 32 MiB is the
+# largest mmap threshold glibc accepts on 64-bit
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+
+
+def keep_freed_pages():
+    """Keep freed heap pages in the process; a no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    # no C library to load, no mallopt in it, or no CDLL(None) (Windows)
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def build_parser():
@@ -40,6 +69,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

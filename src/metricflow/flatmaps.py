@@ -270,11 +270,17 @@ def bump_and_gradient(coords, center, radius):
     moderate and second-order stencils resolve it cleanly at desk-scale
     resolutions.
     """
+    try:
+        r2 = radius**2
+    except OverflowError:
+        raise ValueError(
+            f"box extent too large: the bump radius {radius:.3g} overflows when squared"
+        ) from None
     dx = [coords[i] - center[i] for i in range(2)]
-    q = (dx[0] ** 2 + dx[1] ** 2) / radius**2
+    q = (dx[0] ** 2 + dx[1] ** 2) / r2
     w = np.maximum(1.0 - q, 0.0)
     psi = w**6
-    factor = -12.0 * w**5 / radius**2
+    factor = -12.0 * w**5 / r2
     dpsi = np.stack([factor * dx[0], factor * dx[1]])
     return psi, dpsi
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import metricflow
-from metricflow import experiments
+from metricflow import cli, experiments
 from metricflow.cli import main
 from metricflow.config import load_config, parse_config
 from metricflow.divergences import (
@@ -577,6 +577,21 @@ def run_cli_process(tmp_path, cfg):
             "precondition error: ",
             id="divergence-sweep-ratio-clamp",
         ),
+        pytest.param(
+            # the bump radius of a box this large overflows when squared
+            {"experiment": "toy-geodesic",
+             "grid": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 1e200}},
+            2,
+            "precondition error: ",
+            id="toy-geodesic-huge-box",
+        ),
+        pytest.param(
+            {"experiment": "flat-factorize",
+             "grid": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 1e200}},
+            2,
+            "precondition error: ",
+            id="flat-factorize-huge-box",
+        ),
     ],
 )
 def test_overflowing_run_prints_one_stderr_line(tmp_path, cfg, code, prefix):
@@ -592,3 +607,40 @@ def test_clamped_ratio_run_succeeds_silently(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
 
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class _LibcWithoutMallopt:
+    pass
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", ["recording", "unloadable", "without-mallopt"])
+def test_only_main_sets_the_allocator_policy(tmp_path, monkeypatch, library):
+    libc = _RecordingLibc()
+    loaders = {
+        "recording": lambda name: libc,
+        "unloadable": _no_libc,
+        "without-mallopt": lambda name: _LibcWithoutMallopt(),
+    }
+    monkeypatch.setattr(cli.ctypes, "CDLL", loaders[library])
+    path = write_config(tmp_path, BASE)
+    run_experiment(load_config(path), out_dir=str(tmp_path / "library"))
+    assert libc.calls == []
+    out_dir = tmp_path / "cli"
+    assert main(["wfr-norm", "--config", path, "--out", str(out_dir)]) == 0
+    assert (out_dir / "wfr_norm_manifest.json").is_file()
+    assert (out_dir / "wfr_norm.csv").is_file()
+    # glibc's M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3 (malloc.h)
+    expected = [(-1, 64 * 2**20), (-3, 32 * 2**20)] if library == "recording" else []
+    assert libc.calls == expected
