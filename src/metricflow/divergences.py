@@ -46,10 +46,9 @@ from .tensors import (
     MetricField,
     SymTensorField,
     eigenvalues_2x2,
-    inverse_components,
     packed_det,
-    packed_to_full,
     pushforward_metric,
+    relative_trace,
     volume_map,
 )
 from .transport import ebin_inner
@@ -99,13 +98,6 @@ def _integrals(grid, integrand, weight=None):
     return np.sum((fw * quadrature_weights(grid)).reshape(len(fw), -1), axis=1)
 
 
-def _trace_rel(c0, c1, dim):
-    """tr(g1^{-1} g0) per node, for packed components c0 and c1."""
-    inv1 = packed_to_full(inverse_components(c1, dim), dim)
-    full0 = packed_to_full(c0, dim)
-    return np.einsum("ik...,ki...->...", inv1, full0)
-
-
 def burg_generator(r, dim):
     """f_d(r) = (1/2)(d r^(2/d) - 2 log r - d); f_2(r) = r - log r - 1."""
     return 0.5 * (dim * r ** (2.0 / dim) - 2.0 * np.log(r) - dim)
@@ -127,7 +119,7 @@ def divergence_stack(kind: DivergenceKind, grid, a, b):
         vol0 = _finite(np.sqrt(packed_det(c0, d)))
         vol1 = _finite(np.sqrt(packed_det(c1, d)))
         r = _safe_ratio(vol0, vol1)
-        tr = _trace_rel(c0, c1, d)
+        tr = relative_trace(c1, c0, d)
         if kind is DivergenceKind.KL_MET:
             integrand = 0.5 * (tr - 2.0 * np.log(r) - d)
         elif kind is DivergenceKind.SHAPE:
@@ -186,15 +178,10 @@ def eigenvalue_gap_stack(dim, g0, g1):
     g0 and g1 are metric stacks (P, C) + shape; zero exactly on equal
     metrics.  The quantity the nonnegativity sweep logs.
     """
-    inv1 = packed_to_full(inverse_components(g1.swapaxes(0, 1), dim), dim)
-    full0 = packed_to_full(g0.swapaxes(0, 1), dim)
-    m = np.einsum("ik...,kj...->ij...", inv1, full0)
-    if dim == 1:
-        lams = m[0, 0][None]
-    else:
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        lams = np.stack(eigenvalues_2x2(tr, det))
+    c0, c1 = g0.swapaxes(0, 1), g1.swapaxes(0, 1)
+    tr = relative_trace(c1, c0, dim)
+    det = packed_det(c0, dim) / packed_det(c1, dim)
+    lams = tr[None] if dim == 1 else np.stack(eigenvalues_2x2(tr, det))
     lams = np.maximum(lams, RATIO_FLOOR)
     return _pair_minima((lams - np.log(lams) - 1.0).swapaxes(0, 1))
 

@@ -45,6 +45,7 @@ from .flatmaps import (
     assert_flat,
     factorize_flat_metric,
     flat_pullback_instance,
+    flatness_tolerance,
     frame_and_connection,
     non_flat_instance,
 )
@@ -257,7 +258,7 @@ def run_flat_factorize(cfg: ExperimentConfig):
     for i in range(p["n_non_flat"]):
         g = non_flat_instance(cfg.grid, seed=cfg.seed + 100 + i)
         frame = frame_and_connection(g, collar_width=2)
-        flat = assert_flat(frame, 10.0 * cfg.grid.spacing**2)
+        flat = assert_flat(frame, flatness_tolerance(cfg.grid))
         rejected += int(not flat)
         rows.append(
             {

@@ -86,10 +86,8 @@ def frame_and_connection(
     grid = g.grid
     _require_flat_domain(grid)
     if require_euclidean_collar:
-        dev = np.array(g.components, copy=True)
-        dev[0] -= 1.0
-        dev[2] -= 1.0
-        resid = collar_max(dev, grid, collar_width)
+        euclidean = np.array([1.0, 0.0, 1.0])[:, None, None]
+        resid = collar_max(g.components - euclidean, grid, collar_width)
         if resid > 1e-12:
             raise ValueError(
                 f"metric must equal the Euclidean metric in the {collar_width}-node "
@@ -149,16 +147,26 @@ def path_independence_gap(a1, a2, grid):
     return float(np.max(np.abs(pot_a - pot_b))), 0.5 * (pot_a + pot_b)
 
 
+def flatness_tolerance(grid):
+    """Curvature budget 10 (h/L)^2 / L^2, h the spacing, L the half extent (10 h^2 at L = 1).
+
+    The residual, the connection's curl, scales like 1/L^2 and its stencil
+    error like (h/L)^2 / L^2, so the budget is the same at every extent.
+    """
+    return 10.0 * (grid.spacing / grid.half_extent) ** 2 / grid.half_extent**2
+
+
 def _integration_tolerance(grid, scale):
-    return 10.0 * grid.spacing**2 * scale * grid.extent + 1e-13
+    return 10.0 * grid.spacing**2 * scale * grid.extent / grid.half_extent**2 + 1e-13
 
 
 def cartan_develop(frame: FrameData) -> ScalarField:
     """Rotation angle theta with d theta = -omega, integrated from the corner.
 
     Re-integration along the other axis order must agree within
-    10 spacing^2 ||omega||_inf extent, the trapezoid-error budget of a flat
-    connection; disagreement beyond that is a flatness inconsistency.
+    10 spacing^2 ||omega||_inf extent / L^2 (L the half extent), the
+    trapezoid-error budget of a flat connection; disagreement beyond that is
+    a flatness inconsistency.
     """
     grid = frame.grid
     gap, theta = path_independence_gap(
@@ -206,9 +214,7 @@ def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
 
     u = phi - coords
     # remove the constant so the collar sits at the identity
-    mask = collar_mask(grid, frame.collar_width)
-    for i in range(2):
-        u[i] -= np.mean(u[i][mask])
+    u -= np.mean(u[:, collar_mask(grid, frame.collar_width)], axis=1)[:, None, None]
     collar_resid = collar_max(u, grid, frame.collar_width)
     return DisplacementMap(
         VectorField(grid, u),
@@ -227,13 +233,15 @@ class FactorizationReport:
 def factorize_flat_metric(g: MetricField, collar_width=2):
     """Full pipeline: frame, flatness gate, development, reconstruction.
 
-    The flatness gate is a curvature residual of at most 10 spacing^2; a
-    metric failing it raises FlatnessInconsistencyError.
+    The flatness gate is a curvature residual of at most
+    ``flatness_tolerance(grid)`` = 10 (spacing / L)^2 / L^2, L the half
+    extent (10 spacing^2 on the default box of extent 2); a metric failing
+    it raises FlatnessInconsistencyError.
     Returns (displacement, frame, theta, report).
     """
     grid = g.grid
     frame = frame_and_connection(g, collar_width=collar_width)
-    flat_tol = 10.0 * grid.spacing**2
+    flat_tol = flatness_tolerance(grid)
     if not assert_flat(frame, flat_tol):
         raise FlatnessInconsistencyError(
             f"curvature residual {np.max(np.abs(frame.curvature_residual.values)):.3e} "

@@ -27,6 +27,9 @@ import numpy as np
 
 
 def default_weights(n_max):
+    """m_i = 2^-i for i = 1..n_max; refused where the last weight underflows to zero."""
+    if 0.5**n_max == 0.0:
+        raise ValueError(f"n_max = {n_max} exceeds 1074: the weights 0.5**n underflow to zero")
     return 0.5 ** np.arange(1, n_max + 1)
 
 

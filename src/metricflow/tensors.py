@@ -2,14 +2,17 @@
 
 All 2x2 kernels use closed forms (adjugate inverse, the explicit square
 root (A + sqrt(det) I)/sqrt(tr + 2 sqrt(det))); no general eigensolver is
-involved.
+involved.  Each pointwise concept is one kernel on packed components:
+``relative_trace`` (tr g^-1 h), ``eigenvalues_2x2``, ``ebin_weight`` (the
+Ebin integrand tr(g^-1 a g^-1 b)), ``lie_jet_matrix`` (L_v g on the velocity
+jet, applied by ``lie_apply``) and ``collar_rings`` (box rings).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonInvertibleMapError, PositivityViolation
+from .errors import NonInvertibleMapError, OutOfDomainError, PositivityViolation
 from .fields import (
     BOX,
     DensityField,
@@ -145,23 +148,22 @@ class DisplacementMap:
         return self.grid.coordinates() + self.displacement.components
 
 
+def collar_rings(grid):
+    """Ring index of each node: the minimum over axes of min(i, n - 1 - i)."""
+    i = np.arange(grid.n_per_axis)
+    edge = np.minimum(i, i[::-1])
+    return edge if grid.dim == 1 else np.minimum.outer(edge, edge)
+
+
 def collar_mask(grid, width):
     """Boolean mask of the nodes within `width` rings of the box boundary."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    n = grid.n_per_axis
-    for ax in range(grid.dim):
-        ix = [slice(None)] * grid.dim
-        ix[ax] = slice(0, width)
-        mask[tuple(ix)] = True
-        ix[ax] = slice(n - width, n)
-        mask[tuple(ix)] = True
-    return mask
+    return collar_rings(grid) < width
 
 
 def collar_max(comps, grid, width):
     """Max |value| over the nodes within `width` rings of the box boundary."""
     region = np.abs(np.asarray(comps)).max(axis=0)[collar_mask(grid, width)]
-    return float(region.max()) if region.size else 0.0
+    return float(np.max(region, initial=0.0))
 
 
 def clamp_to_box(pos, phi: DisplacementMap):
@@ -177,8 +179,6 @@ def clamp_to_box(pos, phi: DisplacementMap):
     overshoot = float(max(np.max(pos) - half, -half - np.min(pos), 0.0))
     allowed = 10.0 * phi.collar_tol + 1e-12 * grid.extent
     if overshoot > allowed:
-        from .errors import OutOfDomainError
-
         raise OutOfDomainError(
             f"displacement maps positions {overshoot:.3e} beyond the box "
             f"(collar allowance {allowed:.3e})"
@@ -240,42 +240,6 @@ def full_to_packed(full, dim):
     return np.stack([full[0, 0], sym, full[1, 1]])
 
 
-def product_trace(g: MetricField, a, b) -> ScalarField:
-    """tr(g^{-1} a g^{-1} b) per node."""
-    grid = require_same_grid(g, a, b)
-    dim = grid.dim
-    ginv = packed_to_full(inverse_components(g.components, dim), dim)
-    fa = packed_to_full(a.components, dim)
-    fb = packed_to_full(b.components, dim)
-    m = np.einsum("ik...,kj...->ij...", ginv, fa)
-    nmat = np.einsum("ik...,kj...->ij...", ginv, fb)
-    return ScalarField(grid, np.einsum("ij...,ji...->...", m, nmat))
-
-
-# ---------------------------------------------------------------------------
-# volume map and Lie derivatives
-
-
-def volume_map(g: MetricField) -> DensityField:
-    """vol(g) = sqrt(det g) as a density w.r.t. Lebesgue."""
-    return DensityField(g.grid, np.sqrt(packed_det(g.components, g.grid.dim)))
-
-
-def _g_trace(g, h, dim):
-    """tr(g^{-1} h) per node for packed components g and h."""
-    ginv = inverse_components(g, dim)
-    if dim == 1:
-        return ginv[0] * h[0]
-    return ginv[0] * h[0] + 2.0 * ginv[1] * h[1] + ginv[2] * h[2]
-
-
-def volume_tangent(g: MetricField, dg: SymTensorField) -> ScalarField:
-    """Derivative of vol at g in direction dg: (1/2) tr(g^{-1} dg) vol(g)."""
-    grid = require_same_grid(g, dg)
-    tr = _g_trace(g.components, dg.components, grid.dim)
-    return ScalarField(grid, 0.5 * tr * volume_map(g).values)
-
-
 def packed_pairs(dim):
     """(i, j) of each packed component, in storage order."""
     return [(i, j) for i in range(dim) for j in range(i, dim)]
@@ -291,6 +255,56 @@ def nodewise_einsum(spec, dim, *operands):
     inputs, output = spec.split("->")
     terms = ",".join(term + spatial for term in inputs.split(","))
     return np.einsum(f"{terms}->{output}{spatial}", *operands)
+
+
+def relative_trace(g, h, dim):
+    """tr(g^{-1} h) per node for packed components g and h."""
+    ginv = inverse_components(g, dim)
+    if dim == 1:
+        return ginv[0] * h[0]
+    return ginv[0] * h[0] + 2.0 * ginv[1] * h[1] + ginv[2] * h[2]
+
+
+def ebin_weight(comps, dim):
+    """Packed (C, C) + shape matrix W with a . W . b = tr(g^{-1} a g^{-1} b).
+
+    W S is the packed g^{-1} S g^{-1}, row p scaled by the multiplicity of
+    entry p in a full-entry sum (1 on the diagonal, 2 off it).
+    """
+    ginv = packed_to_full(inverse_components(comps, dim), dim)
+    pairs = packed_pairs(dim)
+    weight = np.empty((len(pairs),) * 2 + ginv.shape[2:])
+    for p, (i, j) in enumerate(pairs):
+        for q, (k, l) in enumerate(pairs):
+            weight[p, q] = ginv[i, k] * ginv[l, j]
+            if k != l:
+                weight[p, q] += ginv[i, l] * ginv[k, j]
+            if i != j:
+                weight[p, q] *= 2.0
+    return weight
+
+
+def product_trace(g: MetricField, a, b) -> ScalarField:
+    """tr(g^{-1} a g^{-1} b) per node."""
+    grid = require_same_grid(g, a, b)
+    w = ebin_weight(g.components, grid.dim)
+    return ScalarField(grid, nodewise_einsum("p,pq,q->", grid.dim, a.components, w, b.components))
+
+
+# ---------------------------------------------------------------------------
+# volume map and Lie derivatives
+
+
+def volume_map(g: MetricField) -> DensityField:
+    """vol(g) = sqrt(det g) as a density w.r.t. Lebesgue."""
+    return DensityField(g.grid, np.sqrt(packed_det(g.components, g.grid.dim)))
+
+
+def volume_tangent(g: MetricField, dg: SymTensorField) -> ScalarField:
+    """Derivative of vol at g in direction dg: (1/2) tr(g^{-1} dg) vol(g)."""
+    grid = require_same_grid(g, dg)
+    tr = relative_trace(g.components, dg.components, grid.dim)
+    return ScalarField(grid, 0.5 * tr * volume_map(g).values)
 
 
 def velocity_jet(vc, grid):
@@ -310,14 +324,16 @@ def velocity_jet(vc, grid):
     return jet.reshape(vc.shape[: -(dim + 1)] + jet.shape[1:])
 
 
-def lie_jet_matrix(gfull, dg):
+def lie_jet_matrix(comps, grid):
     """Per-node matrix K of the Lie derivative: packed L_v g = K velocity_jet(v).
 
     (L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k, so K has shape
-    (packed components, dim + dim^2) + grid shape.  gfull is the full metric
-    and dg = gradient_array(gfull, grid), dg[k, i, j] = d_k g_ij.
+    (packed components, dim + dim^2) + comps' spatial shape, for packed
+    metric components comps (size-1 spatial axes, a constant metric, are kept).
     """
-    dim = gfull.shape[0]
+    dim = grid.dim
+    gfull = packed_to_full(comps, dim)
+    dg = gradient_array(gfull, grid)  # dg[k, i, j] = d_k g_ij
     pairs = packed_pairs(dim)
     jet_map = np.zeros((len(pairs), dim + dim * dim) + gfull.shape[2:])
     for p, (i, j) in enumerate(pairs):
@@ -328,13 +344,15 @@ def lie_jet_matrix(gfull, dg):
     return jet_map
 
 
+def lie_apply(jet_map, vc, grid):
+    """Packed L_v g = K velocity_jet(v) for K = lie_jet_matrix; lanes of vc are kept."""
+    return nodewise_einsum("pq,...q->...p", grid.dim, jet_map, velocity_jet(vc, grid))
+
+
 def lie_derivative_metric(v: VectorField, g: MetricField) -> SymTensorField:
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
     grid = require_same_grid(v, g)
-    gfull = packed_to_full(g.components, grid.dim)
-    jet_map = lie_jet_matrix(gfull, gradient_array(gfull, grid))
-    jet = velocity_jet(v.components, grid)
-    return SymTensorField(grid, nodewise_einsum("pq,q->p", grid.dim, jet_map, jet))
+    return SymTensorField(grid, lie_apply(lie_jet_matrix(g.components, grid), v.components, grid))
 
 
 def lie_derivative_density(v: VectorField, rho: DensityField) -> ScalarField:
@@ -349,7 +367,7 @@ def trace_decompose(g: MetricField, h: SymTensorField):
     grid = require_same_grid(g, h)
     dim = grid.dim
     hc = h.components
-    r = _g_trace(g.components, hc, dim)
+    r = relative_trace(g.components, hc, dim)
     z = hc - (r / dim) * g.components
     return SymTensorField(grid, z), ScalarField(grid, r)
 

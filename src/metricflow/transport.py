@@ -78,16 +78,15 @@ from .tensors import (
     DisplacementMap,
     MetricField,
     clamp_to_box,
-    collar_max,
+    collar_rings,
     displacement_jacobian,
-    inverse_components,
+    ebin_weight,
     invert_displacement,
     jacobian_gram,
+    lie_apply,
     lie_jet_matrix,
     nodewise_einsum,
     packed_det,
-    packed_pairs,
-    packed_to_full,
     product_trace,
     velocity_jet,
     volume_map,
@@ -289,36 +288,24 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
 def _metric_norm_coefficients(comps, grid, lam):
     """Per-node matrices of the metric tangent norm for packed metric comps.
 
-    Returns (K, C, Q): the packed Lie derivative on the velocity jet, the
-    packed source weight vol(g) g^-1 . g^-1 with row p scaled by the
-    multiplicity m_p, and the normal matrix Q (see ``MetricNormOperator``).
+    Returns (K, C, Q, vol(g)), K, C and Q as in ``MetricNormOperator``.
     comps may have size-1 spatial axes (a constant metric); the matrices keep
     that shape.
     """
     d = grid.dim
-    gfull = packed_to_full(comps, d)
-    ginv = packed_to_full(inverse_components(comps, d), d)
     vol = np.sqrt(packed_det(comps, d))
-    pairs = packed_pairs(d)
-    m = np.array([1.0 if i == j else 2.0 for i, j in pairs]).reshape((-1, 1) + (1,) * d)
-    jet_map = lie_jet_matrix(gfull, gradient_array(gfull, grid))
-    source_weight = np.zeros((len(pairs),) * 2 + vol.shape)
-    for p, (i, j) in enumerate(pairs):
-        for q, (k, l) in enumerate(pairs):
-            source_weight[p, q] = ginv[i, k] * ginv[l, j]
-            if k != l:
-                source_weight[p, q] += ginv[i, l] * ginv[k, j]
-    source_weight = m * (source_weight * vol)
+    jet_map = lie_jet_matrix(comps, grid)
+    source_weight = ebin_weight(comps, d) * vol
     weighted_lie = np.einsum("pr...,rs...->ps...", source_weight, jet_map)
     weight, n_jet = d * lam / 4.0, d + d * d
     normal = np.empty((n_jet, n_jet) + vol.shape)
     for q in range(n_jet):
         for s in range(q, n_jet):
-            entry = weight * sum(jet_map[p, q] * weighted_lie[p, s] for p in range(len(pairs)))
+            entry = weight * sum(jet_map[p, q] * weighted_lie[p, s] for p in range(len(jet_map)))
             if s < d and q == s:
                 entry += vol
             normal[q, s] = normal[s, q] = entry
-    return jet_map, source_weight, normal
+    return jet_map, source_weight, normal, vol
 
 
 def _jet_adjoint(y, grid):
@@ -345,10 +332,9 @@ class MetricNormOperator:
     """Normal operator and objective of the discrete metric tangent norm.
 
     Per node the Lie derivative is linear in the velocity's 1-jet
-    u = (v, D v) (``tensors.velocity_jet``), packed L_v g = K u, and so is
-    the source weight, packed vol(g) g^-1 S g^-1 = C S.  In full-entry sums a
-    packed off-diagonal entry counts twice, so C carries the multiplicities
-    m (1 or 2) in its rows.  The normal operator is therefore
+    u = (v, D v) (``tensors.velocity_jet``), packed L_v g = K u, and the
+    source weight is C = vol(g) W with W the packed Ebin form
+    (``tensors.ebin_weight``), h . C h = tr(g^-1 h g^-1 h) vol(g).  So
 
         A v = J^T (Q u),   Q = vol (identity on the v block) + w K^T C K,
 
@@ -370,15 +356,13 @@ class MetricNormOperator:
         self.grid = grid
         self.dim = grid.dim
         self.weight = (grid.dim * cfg.lam) / 4.0
-        self.vol = volume_map(g).values
-        self.jet_map, self.source_weight, self.normal = _metric_norm_coefficients(
+        self.jet_map, self.source_weight, self.normal, self.vol = _metric_norm_coefficients(
             g.components, grid, cfg.lam
         )
 
     def lie(self, vc):
         """Packed L_v g = K u for velocity components vc."""
-        jet = velocity_jet(vc, self.grid)
-        return nodewise_einsum("pq,...q->...p", self.dim, self.jet_map, jet)
+        return lie_apply(self.jet_map, vc, self.grid)
 
     def apply(self, vc):
         return _apply_normal(self.normal, vc, self.grid)
@@ -634,11 +618,9 @@ def pullback_metric_by(phi_inv: DisplacementMap) -> MetricField:
 
 
 def _detect_collar(f: VectorField):
-    """Widest boundary ring on which f vanishes identically."""
-    grid = f.grid
-    width = 0
-    while width < grid.n_per_axis // 2 and collar_max(f.components, grid, width + 1) == 0.0:
-        width += 1
+    """Widest collar on which f vanishes: the least ring on f's support, at most n // 2."""
+    support = np.any(f.components != 0.0, axis=0)
+    width = int(np.min(collar_rings(f.grid)[support], initial=f.grid.n_per_axis // 2))
     if width == 0:
         raise ValueError("displacement field must vanish on the box boundary")
     return width

@@ -146,6 +146,10 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys, overrides):
             },
             id="toy-geodesic-dim1",
         ),
+        pytest.param(
+            {"experiment": "seq-demo", "params": {"n_max": 1075}},
+            id="seq-demo-weights-underflow",
+        ),
     ],
 )
 def test_violated_precondition_exits_2_without_artifacts(tmp_path, capsys, cfg):
@@ -463,13 +467,22 @@ CSV_SCHEMA = {
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_csv_columns_are_pinned(tmp_path, name):
+    """Pinned columns, and the determinism contract: a second run writes the same
+    manifest apart from wall_time_s and the same CSV apart from runtime_ms."""
     columns, grid, params = CSV_SCHEMA[name]
     cfg = parse_config({"experiment": name, "grid": grid, "seed": 3, "params": params})
-    _, paths = run_experiment(cfg, out_dir=str(tmp_path))
-    with open(paths["csv"]) as fh:
-        header, *rows = csv.reader(fh)
-    assert header == columns
-    assert rows and all(len(row) == len(columns) for row in rows)
+    runs = []
+    for run in ("a", "b"):
+        manifest, paths = run_experiment(cfg, out_dir=str(tmp_path / run))
+        manifest.pop("wall_time_s")
+        with open(paths["csv"]) as fh:
+            header, *rows = csv.reader(fh)
+        assert header == columns
+        assert rows and all(len(row) == len(columns) for row in rows)
+        timing = [i for i, column in enumerate(header) if column == "runtime_ms"]
+        rows = [[v for i, v in enumerate(row) if i not in timing] for row in rows]
+        runs.append((json.dumps(manifest, sort_keys=True), rows))
+    assert runs[0] == runs[1]
 
 
 def test_we_norm_manifest_carries_substrate_and_closed_forms(tmp_path):

@@ -34,7 +34,7 @@ from metricflow.randomfields import (
     random_spd_stack,
     substream,
 )
-from metricflow.tensors import DisplacementMap
+from metricflow.tensors import DisplacementMap, packed_to_full
 
 K = DivergenceKind
 
@@ -302,3 +302,19 @@ def test_stacked_divergences_match_per_pair_calls(kind, dim, n):
         assert values[i] == divergence(kind, fa, fb)
         assert gaps[i] == gap
     assert gaps[2] == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_eigenvalue_gap_stack_matches_linalg(dim):
+    grid = Grid(dim, "torus", 8)
+    g0 = random_spd_stack(grid, [substream(9, f"gap0-{i}") for i in range(3)], 2, 0.45)
+    g1 = random_spd_stack(grid, [substream(9, f"gap1-{i}") for i in range(3)], 2, 0.45)
+    expected = []
+    for c0, c1 in zip(g0, g1):
+        full0, full1 = (
+            np.moveaxis(packed_to_full(c, dim), (0, 1), (-2, -1)).reshape(-1, dim, dim)
+            for c in (c0, c1)
+        )
+        lams = np.linalg.eigvals(np.linalg.inv(full1) @ full0).real
+        expected.append(np.min(lams - np.log(lams) - 1.0))
+    np.testing.assert_allclose(eigenvalue_gap_stack(dim, g0, g1), expected, rtol=1e-9)

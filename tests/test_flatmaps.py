@@ -22,7 +22,10 @@ from metricflow import (
     pullback_metric,
     reconstruct_diffeo,
 )
+from metricflow.config import parse_config
+from metricflow.experiments import run_flat_factorize
 from metricflow.fields import diff_array
+from metricflow.flatmaps import flatness_tolerance
 from metricflow.tensors import collar_max
 
 
@@ -211,3 +214,17 @@ def test_constant_conformal_metric_has_zero_connection():
     # cancellation roundoff of order eps / spacing
     assert frame.omega_max() <= 1e-13
     assert np.max(np.abs(frame.curvature_residual.values)) <= 1e-11
+
+
+def test_flatness_tolerance_is_10_h2_on_the_default_box(box64):
+    assert flatness_tolerance(box64) == 10.0 * box64.spacing**2
+
+
+@pytest.mark.parametrize("extent", [0.001, 0.02, 0.5, 2.0, 1e4, 1e100])
+def test_flatness_budgets_are_scale_invariant(extent):
+    """The same instances on a scaled box: each flat one factors, each non-flat one is rejected."""
+    grid = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": extent}
+    cfg = parse_config({"experiment": "flat-factorize", "grid": grid, "seed": 1})
+    results, rows, _ = run_flat_factorize(cfg)
+    assert [r["flat"] for r in rows] == [True] * 5 + [False] * 3
+    assert results["non_flat_rejected"] == results["non_flat_total"] == 3

@@ -27,6 +27,12 @@ def test_space_validation():
         SeqSpace(conformal_f=lambda s: s + 1.0)  # increasing conformal factor
 
 
+def test_default_weights_name_n_max_where_they_underflow():
+    assert SeqSpace(n_max=1074).weights[-1] > 0.0
+    with pytest.raises(ValueError, match="n_max = 1075"):
+        SeqSpace(n_max=1075)
+
+
 def test_speed_of_zero_vector(space):
     assert ic_speed(space, space.vector([0.3, -0.2]), np.zeros(space.n_max)) == 0.0
 

@@ -31,6 +31,7 @@ from metricflow.randomfields import (
     band_limited_sym_tensor,
     band_limited_vector,
     random_spd_metric,
+    random_spd_stack,
     substream,
 )
 from metricflow.tensors import (
@@ -41,7 +42,7 @@ from metricflow.tensors import (
     spd_check,
     sqrt_components,
 )
-from metricflow.transport import _detect_collar, ebin_inner
+from metricflow.transport import MetricNormOperator, SolverConfig, _detect_collar, ebin_inner
 
 
 def diag_metric(grid, a, b):
@@ -87,6 +88,64 @@ def test_product_trace_identity(torus16):
     eye = SymTensorField.from_matrix_entries(torus16, 1.0, 0.0, 1.0)
     tr = product_trace(g, eye, eye)
     assert np.allclose(tr.values, 2.0)
+
+
+def _full_nodes(comps, dim):
+    """Per-node (dim, dim) matrices of packed components, shape (nodes, dim, dim)."""
+    full = tensors.packed_to_full(comps, dim)
+    return np.moveaxis(full, (0, 1), (-2, -1)).reshape(-1, dim, dim)
+
+
+def _oracle_metrics(dim, count):
+    grid = Grid(dim, "torus", 8)
+    rngs = [substream(5, f"oracle-{i}") for i in range(count)]
+    comps = random_spd_stack(grid, rngs, 2, 0.45)
+    return grid, [MetricField.from_components(grid, c) for c in comps]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_relative_and_product_trace_match_linalg(dim):
+    grid, (g, a, b) = _oracle_metrics(dim, 3)
+    ginv = np.linalg.inv(_full_nodes(g.components, dim))
+    fa, fb = _full_nodes(a.components, dim), _full_nodes(b.components, dim)
+    rel = tensors.relative_trace(g.components, a.components, dim)
+    prod = product_trace(g, a, b).values
+    assert rel.shape == prod.shape == grid.shape
+    np.testing.assert_allclose(rel.ravel(), np.trace(ginv @ fa, axis1=1, axis2=2), rtol=1e-13)
+    np.testing.assert_allclose(
+        prod.ravel(), np.trace(ginv @ fa @ ginv @ fb, axis1=1, axis2=2), rtol=1e-13
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_metric_norm_source_weight_is_the_ebin_weight(dim):
+    grid, (g,) = _oracle_metrics(dim, 1)
+    op = MetricNormOperator(g, SolverConfig())
+    vol = volume_map(g).values
+    assert np.array_equal(op.vol, vol)
+    assert np.array_equal(op.source_weight, tensors.ebin_weight(g.components, dim) * vol)
+
+
+def _collar_mask_by_slices(grid, width):
+    """The collar as the union of the `width` outermost slabs along each axis."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    n = grid.n_per_axis
+    for ax in range(grid.dim):
+        ix = [slice(None)] * grid.dim
+        ix[ax] = slice(0, width)
+        mask[tuple(ix)] = True
+        ix[ax] = slice(n - width, n)
+        mask[tuple(ix)] = True
+    return mask
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_collar_mask_matches_slabs(dim, n):
+    grid = Grid(dim, "box", n, extent=2.0)
+    for width in range(n // 2 + 1):
+        expected = _collar_mask_by_slices(grid, width)
+        assert np.array_equal(tensors.collar_mask(grid, width), expected)
 
 
 def test_packed_det_diagonal(torus16):

@@ -666,6 +666,8 @@ def test_toy_geodesic_collar_detection(box64):
         comps = np.zeros((2,) + box64.shape)
         comps[:, width : n - width, width : n - width] = 1e-3
         assert _detect_collar(VectorField(box64, comps)) == width
+    # f = 0 vanishes on every ring: the widest collar, n // 2
+    assert _detect_collar(VectorField.zero(box64)) == n // 2
     with pytest.raises(ValueError, match="must vanish on the box boundary"):
         toy_geodesic(VectorField.constant(box64, (1e-3, 0.0)), n_t=2)
 
