@@ -56,6 +56,8 @@ from .randomfields import (
     band_limited_sym_tensor,
     random_spd_metric,
     random_spd_stack,
+    stream_generator,
+    stream_seeds,
     substream,
 )
 from .seqdemo import SeqSpace, vanishing_sweep
@@ -157,14 +159,19 @@ def run_submersion(cfg: ExperimentConfig):
 SWEEP_BLOCK_NODES = 1024
 
 
-def _sweep_block(cfg: ExperimentConfig, kind, seeds):
-    """Rows of the divergence-sweep pairs at ``seeds``, drawn and evaluated as stacks."""
+def _sweep_block(cfg: ExperimentConfig, kind, seeds, words):
+    """Rows of the divergence-sweep pairs at ``seeds``, drawn and evaluated as stacks.
+
+    ``words`` holds the seed words of the pairs' streams, shape (2, len(seeds), 4):
+    ``words[0]`` those of the first fields, ``words[1]`` those of the second.
+    """
     grid, p = cfg.grid, cfg.params
     metric = kind in METRIC_KINDS
     draw = random_spd_stack if metric else band_limited_density_stack
     t0 = time.perf_counter()
-    rngs = [substream(seed, f"div-{kind.value}-{side}") for side in "ab" for seed in seeds]
-    a, b = np.split(draw(grid, rngs, p["modes"], p["amplitude"]), 2)
+    rngs = [stream_generator(row) for side in words for row in side]
+    pairs = draw(grid, rngs, p["modes"], p["amplitude"])
+    a, b = pairs[: len(seeds)], pairs[len(seeds) :]
     values = divergence_stack(kind, grid, a, b)
     gaps = eigenvalue_gap_stack(grid.dim, a, b) if metric else density_ratio_gap_stack(a, b)
     runtime_ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
@@ -181,8 +188,12 @@ def run_divergence_sweep(cfg: ExperimentConfig):
     seeds = range(cfg.seed, cfg.seed + p["n_pairs"])
     rows = []
     for kind in DivergenceKind:
+        # every stream of the kind seeded in one pass: 32 bytes of seed words each
+        keys = ((seed, f"div-{kind.value}-{side}") for side in "ab" for seed in seeds)
+        words = stream_seeds(keys).reshape(2, len(seeds), 4)
         for start in range(0, len(seeds), block):
-            rows += _sweep_block(cfg, kind, seeds[start : start + block])
+            span = slice(start, start + block)
+            rows += _sweep_block(cfg, kind, seeds[span], words[:, span])
     min_value = min(r["value"] for r in rows)
     results = {
         "min_value": min_value,

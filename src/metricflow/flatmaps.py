@@ -160,10 +160,11 @@ def _integration_tolerance(grid, scale):
     return 10.0 * grid.spacing**2 * scale * grid.extent / grid.half_extent**2 + 1e-13
 
 
-def cartan_develop(frame: FrameData) -> ScalarField:
-    """Rotation angle theta with d theta = -omega, integrated from the corner.
+def cartan_develop(frame: FrameData) -> tuple[ScalarField, float]:
+    """(theta, gap): the rotation angle with d theta = -omega, integrated from
+    the corner, and the largest disagreement of its two axis orders.
 
-    Re-integration along the other axis order must agree within
+    The two orders must agree within
     10 spacing^2 ||omega||_inf extent / L^2 (L the half extent), the
     trapezoid-error budget of a flat connection; disagreement beyond that is
     a flatness inconsistency.
@@ -178,7 +179,7 @@ def cartan_develop(frame: FrameData) -> ScalarField:
             f"rotation integrals disagree across path orders by {gap:.3e} "
             f"(tolerance {tol:.3e}); the connection is not flat at this resolution"
         )
-    return ScalarField(grid, theta)
+    return ScalarField(grid, theta), gap
 
 
 def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
@@ -247,8 +248,7 @@ def factorize_flat_metric(g: MetricField, collar_width=2):
             f"curvature residual {np.max(np.abs(frame.curvature_residual.values)):.3e} "
             f"exceeds {flat_tol:.3e}: metric is not flat at this resolution"
         )
-    theta = cartan_develop(frame)
-    gap, _ = path_independence_gap(-frame.omega1.values, -frame.omega2.values, grid)
+    theta, gap = cartan_develop(frame)
     phi = reconstruct_diffeo(frame, theta)
     err = reconstruction_error(phi, g)
     report = FactorizationReport(

@@ -50,6 +50,8 @@ from metricflow.randomfields import (
     band_limited_vector,
     random_spd_metric,
     random_spd_stack,
+    stream_generator,
+    stream_seeds,
     substream,
 )
 
@@ -119,6 +121,11 @@ def test_criterion_03_second_variation_recovers_half_ebin():
     )
 
 
+def generators(keys):
+    """The ``substream`` of each (seed, label), all seeded in one pass."""
+    return [stream_generator(row) for row in stream_seeds(keys)]
+
+
 def test_criterion_04_divergence_axioms():
     grid = Grid(2, "torus", 16)
     min_value = np.inf
@@ -129,7 +136,7 @@ def test_criterion_04_divergence_axioms():
         amplitude = 0.45 if metric_kind else 0.5
         labels = [f"acc4-{kind.value}-{trial}" for trial in range(1000)]
         a, b = (
-            draw(grid, [substream(trial, label + side) for trial, label in enumerate(labels)],
+            draw(grid, generators((trial, label + side) for trial, label in enumerate(labels)),
                  3, amplitude)
             for side in ("-a", "-b")
         )

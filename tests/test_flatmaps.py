@@ -17,6 +17,7 @@ from metricflow import (
     cartan_develop,
     factorize_flat_metric,
     flat_pullback_instance,
+    flatmaps,
     frame_and_connection,
     non_flat_instance,
     pullback_metric,
@@ -25,7 +26,7 @@ from metricflow import (
 from metricflow.config import parse_config
 from metricflow.experiments import run_flat_factorize
 from metricflow.fields import diff_array
-from metricflow.flatmaps import flatness_tolerance
+from metricflow.flatmaps import flatness_tolerance, path_independence_gap
 from metricflow.tensors import collar_max
 
 
@@ -138,14 +139,15 @@ def test_non_flat_rejected_and_oracle_confirms(box64):
 
 def test_cartan_development_zero_connection(box64):
     frame = frame_and_connection(MetricField.euclidean(box64), collar_width=2)
-    theta = cartan_develop(frame)
+    theta, _ = cartan_develop(frame)
     assert np.max(np.abs(theta.values)) == 0.0
 
 
 def test_cartan_development_path_independent(box64):
     g, phi0 = flat_pullback_instance(box64, seed=2)
     frame = frame_and_connection(g, collar_width=phi0.collar_width)
-    theta = cartan_develop(frame)  # raises on cross-order disagreement
+    theta, gap = cartan_develop(frame)  # raises on cross-order disagreement
+    assert gap == path_independence_gap(-frame.omega1.values, -frame.omega2.values, box64)[0]
     # collar normalization: the angle vanishes near the boundary
     assert collar_max(theta.values[None], box64, 2) <= 10.0 * box64.spacing**2
 
@@ -157,9 +159,23 @@ def test_development_rejects_curved_connection(box64):
         cartan_develop(frame)
 
 
+def test_factorization_integrates_each_one_form_once(box64, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return path_independence_gap(*args)
+
+    monkeypatch.setattr(flatmaps, "path_independence_gap", counted)
+    g, phi0 = flat_pullback_instance(box64, seed=2)
+    factorize_flat_metric(g, collar_width=phi0.collar_width)
+    # the rotation angle, whose gap the report carries, then the two coordinates of phi
+    assert len(calls) == 3
+
+
 def test_reconstruct_identity(box64):
     frame = frame_and_connection(MetricField.euclidean(box64), collar_width=2)
-    theta = cartan_develop(frame)
+    theta, _ = cartan_develop(frame)
     phi = reconstruct_diffeo(frame, theta)
     assert np.max(np.abs(phi.displacement.components)) <= 1e-13
 

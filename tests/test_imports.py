@@ -1,9 +1,13 @@
-"""Import hygiene: every name a module or test file imports is used in it.
+"""Import hygiene: every name a module or test file imports is used in it,
+and importing the command-line front end leaves ``numpy.random`` unloaded.
 
 The package's ``__init__.py`` is skipped: its imports are the public API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,13 @@ def test_detector_flags_only_unused_names():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on first use inside a run, not in the process set-up
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, metricflow.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -9,9 +9,14 @@ from metricflow.randomfields import (
     band_limited_density,
     band_limited_density_stack,
     band_limited_scalar,
+    band_limited_sym_tensor,
     band_limited_values,
+    band_limited_vector,
     random_spd_metric,
     random_spd_stack,
+    seed_state,
+    stream_generator,
+    stream_seeds,
 )
 from metricflow.tensors import packed_det
 
@@ -32,6 +37,43 @@ def test_substream_depends_on_label_not_call_order():
     assert np.array_equal(a1, a2)
     assert np.array_equal(b1, b2)
     assert not np.array_equal(a1, b1)
+
+
+def test_seed_state_matches_numpy_seed_sequence():
+    words = np.random.default_rng(0).integers(0, 2**32, size=(10_000, 4), dtype=np.uint32)
+    extremes = np.array([[0] * 4, [2**32 - 1] * 4], dtype=np.uint32)
+    words = np.concatenate([words, extremes])
+    state = seed_state(words)
+    assert state.dtype == np.uint64 and state.shape == (len(words), 4)
+    for row, expected in zip(words, state):
+        assert np.array_equal(np.random.SeedSequence(row).generate_state(4, np.uint64), expected)
+
+
+# seeds 0 and 2^64 - 1, a non-ASCII label, an empty label and a repeated key
+STREAM_KEYS = [
+    (0, "alpha"), (2**64 - 1, "alpha"), (7, "div-kl_met-a"), (7, "métrique-γ"), (12345, ""),
+    (0, "alpha"),
+]
+
+
+def test_stream_generators_match_substream():
+    for key, words in zip(STREAM_KEYS, stream_seeds(STREAM_KEYS)):
+        rng, expected = stream_generator(words), substream(*key)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert np.array_equal(rng.normal(size=8), expected.normal(size=8))
+        assert rng.integers(2**62) == expected.integers(2**62)
+
+
+def test_stream_seeds_follow_key_order():
+    words = stream_seeds(STREAM_KEYS)
+    assert np.array_equal(stream_seeds(reversed(STREAM_KEYS)), words[::-1])
+    # a row depends on its key alone, not on its neighbours
+    assert np.array_equal(stream_seeds(STREAM_KEYS[2:3]), words[2:3])
+    assert np.array_equal(words[0], words[-1]) and not np.array_equal(words[0], words[1])
+    assert stream_seeds([]).shape == (0, 4)
+    for bad in (words[0, :3], words[:2]):
+        with pytest.raises(ValueError):
+            stream_generator(bad)
 
 
 def test_amplitude_zero_gives_background(torus16):
@@ -127,13 +169,11 @@ def test_stacked_draws_match_per_generator_calls(dim, n, modes, amplitude):
     def streams():
         return [substream(seed, f"stack-{dim}-{n}") for seed in range(3)]
 
-    # a generator listed more than once draws in turn
-    order = [0, 0, 1, 2, 2, 2]
     stacked, single = streams(), streams()
-    values = band_limited_values(grid, [stacked[i] for i in order], modes, amplitude)
-    assert values.shape == (len(order),) + grid.shape
-    for field, i in zip(values, order):
-        assert np.array_equal(field, band_limited_values(grid, [single[i]], modes, amplitude)[0])
+    values = band_limited_values(grid, stacked, modes, amplitude)
+    assert values.shape == (3,) + grid.shape
+    for field, rng in zip(values, single):
+        assert np.array_equal(field, band_limited_values(grid, [rng], modes, amplitude)[0])
     assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
 
     stacked, single = streams(), streams()
@@ -147,3 +187,34 @@ def test_stacked_draws_match_per_generator_calls(dim, n, modes, amplitude):
     for rho, rng in zip(densities, single):
         assert np.array_equal(rho, band_limited_density(grid, rng, modes, amplitude).values)
     assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
+
+
+@pytest.mark.parametrize("dim, n, modes", [(1, 16, 2), (1, 32, 8), (2, 12, 3), (2, 16, 4)])
+@pytest.mark.parametrize("per_generator", [1, 2, 3, 4])
+def test_fields_per_generator_match_repeated_listing(dim, n, modes, per_generator):
+    grid = Grid(dim, "torus", n)
+
+    def streams():
+        return [substream(seed, f"per-gen-{dim}-{n}") for seed in range(3)]
+
+    # k fields per generator in one draw equal the generator listed k times in a row
+    merged, listed = streams(), streams()
+    values = band_limited_values(grid, merged, modes, 0.4, per_generator=per_generator)
+    expected = band_limited_values(
+        grid, [rng for rng in listed for _ in range(per_generator)], modes, 0.4
+    )
+    assert values.shape == (3 * per_generator,) + grid.shape
+    assert np.array_equal(values, expected)
+    assert [rng.normal() for rng in merged] == [rng.normal() for rng in listed]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_typed_multi_field_draws_match_repeated_listing(dim):
+    grid = Grid(dim, "torus", 16)
+    count = {1: 1, 2: 3}[dim]
+    rng = substream(4, f"typed-{dim}")
+    v = band_limited_vector(grid, rng, 3, 0.5).components
+    h = band_limited_sym_tensor(grid, rng, 3, 0.5).components
+    ref = substream(4, f"typed-{dim}")
+    assert np.array_equal(v, band_limited_values(grid, [ref] * dim, 3, 0.5))
+    assert np.array_equal(h, band_limited_values(grid, [ref] * count, 3, 0.5))
