@@ -22,7 +22,7 @@ from .fields import (
     diff_array,
     divergence_array,
     gradient_array,
-    integrate,
+    integrate_array,
     sample_array,
 )
 from .flatmaps import bump_and_gradient
@@ -50,7 +50,7 @@ def _box_derivative_err(n):
 def _quadrature_err(n):
     g = Grid(2, "box", n, extent=2.0)
     x = g.coordinates()
-    val = integrate(ScalarField(g, np.exp(x[0]) * np.exp(x[1])))
+    val = float(integrate_array(np.exp(x[0]) * np.exp(x[1]), g))
     return abs(val - (np.e - np.exp(-1.0)) ** 2)
 
 
@@ -100,8 +100,8 @@ def discrete_calculus(f: ScalarField, w, rng):
     coarse-to-fine error ratio of four calculus probes (4 for second order).
     """
     grid = f.grid
-    ibp = integrate(ScalarField(grid, f.values * divergence_array(w, grid))) + integrate(
-        ScalarField(grid, np.sum(gradient_array(f.values, grid) * w, axis=0))
+    ibp = float(integrate_array(f.values * divergence_array(w, grid), grid)) + float(
+        integrate_array(np.sum(gradient_array(f.values, grid) * w, axis=0), grid)
     )
 
     g8 = Grid(2, "torus", 8)

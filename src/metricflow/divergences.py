@@ -37,7 +37,7 @@ from .fields import (
     DensityField,
     VectorField,
     integrate,
-    quadrature_weights,
+    integrate_array,
     require_same_grid,
 )
 from .randomfields import band_limited_scalar, band_limited_vector, substream
@@ -47,6 +47,7 @@ from .tensors import (
     SymTensorField,
     eigenvalues_2x2,
     packed_det,
+    packed_volume,
     pushforward_metric,
     relative_trace,
     volume_map,
@@ -92,10 +93,9 @@ def _finite(values):
     return values
 
 
-def _integrals(grid, integrand, weight=None):
-    """Int integrand (weight) per pair of a stack of nodal arrays (P,) + grid.shape."""
-    fw = _finite(integrand) if weight is None else _finite(integrand) * weight
-    return np.sum((fw * quadrature_weights(grid)).reshape(len(fw), -1), axis=1)
+def _log_gap(r):
+    """r - log r - 1 nodewise: nonnegative, and zero exactly at r = 1."""
+    return r - np.log(r) - 1.0
 
 
 def burg_generator(r, dim):
@@ -116,8 +116,8 @@ def divergence_stack(kind: DivergenceKind, grid, a, b):
     if kind in METRIC_KINDS:
         # component axis first, as the tensor kernels take it
         c0, c1 = a.swapaxes(0, 1), b.swapaxes(0, 1)
-        vol0 = _finite(np.sqrt(packed_det(c0, d)))
-        vol1 = _finite(np.sqrt(packed_det(c1, d)))
+        vol0 = _finite(packed_volume(c0, d))
+        vol1 = _finite(packed_volume(c1, d))
         r = _safe_ratio(vol0, vol1)
         tr = relative_trace(c1, c0, d)
         if kind is DivergenceKind.KL_MET:
@@ -127,15 +127,15 @@ def divergence_stack(kind: DivergenceKind, grid, a, b):
         else:  # TILDE_KL_MET
             kl = divergence_stack(DivergenceKind.CLASSICAL_KL, grid, vol0, vol1)
             return (2.0 / d) * kl + divergence_stack(DivergenceKind.SHAPE, grid, a, b)
-        return _integrals(grid, integrand, vol1)
+        return integrate_array(_finite(integrand) * vol1, grid)
 
     r = _safe_ratio(a, b)
     if kind is DivergenceKind.KL_DENSITY_FD:
-        return _integrals(grid, burg_generator(r, d), b)
+        return integrate_array(_finite(burg_generator(r, d)) * b, grid)
     if kind is DivergenceKind.CLASSICAL_KL:
-        return _integrals(grid, np.log(r) * a + b - a)
+        return integrate_array(_finite(np.log(r) * a + b - a), grid)
     # ITAKURA_SAITO
-    return _integrals(grid, r - np.log(r) - 1.0, b)
+    return integrate_array(_finite(_log_gap(r)) * b, grid)
 
 
 def divergence(kind: DivergenceKind, a, b) -> float:
@@ -163,7 +163,7 @@ def kl_density_projection(rho0: DensityField, rho1: DensityField) -> float:
 def conformal_lift(rho0: DensityField, g1: MetricField) -> MetricField:
     """The metric (rho0/vol(g1))^(2/d) g1, the optimal lift of (rho0, vol(g1))."""
     grid = require_same_grid(rho0, g1)
-    factor = (rho0.values / volume_map(g1).values) ** (2.0 / grid.dim)
+    factor = (rho0.values / packed_volume(g1.components, grid.dim)) ** (2.0 / grid.dim)
     return MetricField(SymTensorField(grid, factor * g1.components))
 
 
@@ -183,7 +183,7 @@ def eigenvalue_gap_stack(dim, g0, g1):
     det = packed_det(c0, dim) / packed_det(c1, dim)
     lams = tr[None] if dim == 1 else np.stack(eigenvalues_2x2(tr, det))
     lams = np.maximum(lams, RATIO_FLOOR)
-    return _pair_minima((lams - np.log(lams) - 1.0).swapaxes(0, 1))
+    return _pair_minima(_log_gap(lams).swapaxes(0, 1))
 
 
 def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
@@ -198,8 +198,7 @@ def density_ratio_gap_stack(rho0, rho1):
     Zero exactly on equal densities; the density kinds' counterpart of
     ``eigenvalue_gap_stack``.
     """
-    ratio = rho0 / rho1
-    return _pair_minima(ratio - np.log(ratio) - 1.0)
+    return _pair_minima(_log_gap(rho0 / rho1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ block divided by the number of pairs in that block, not a per-pair time.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import tempfile
 import time
@@ -63,6 +64,7 @@ from .randomfields import (
 from .seqdemo import SeqSpace, vanishing_sweep
 from .serialization import dumps_result, field_to_json
 from .transport import (
+    ebin_inner,
     linear_metric_path,
     path_energy,
     we_distance_bounds,
@@ -128,23 +130,23 @@ def run_wfr_norm(cfg: ExperimentConfig):
 
 def run_submersion(cfg: ExperimentConfig):
     p = cfg.params
-
-    def one(trial):
+    rows = []
+    for trial in range(p["n_trials"]):
         g = _draw(random_spd_metric, cfg, cfg.seed, f"submersion-g-{trial}")
         drho = _draw(band_limited_scalar, cfg, cfg.seed, f"submersion-drho-{trial}")
         report = verify_pi1_submersion(
             g, drho, n_perturb=p["n_perturb"], seed=cfg.seed + trial, cfg=cfg.solver
         )
-        return {
-            "trial": trial,
-            "wfr_value": report.wfr_value,
-            "we_value_of_lift": report.we_value_of_lift,
-            "gap": report.gap,
-            "relative_gap": abs(report.gap) / (1.0 + report.wfr_value),
-            "min_perturbation_gap": min(report.perturbation_gaps),
-        }
-
-    rows = [one(trial) for trial in range(p["n_trials"])]
+        rows.append(
+            {
+                "trial": trial,
+                "wfr_value": report.wfr_value,
+                "we_value_of_lift": report.we_value_of_lift,
+                "gap": report.gap,
+                "relative_gap": abs(report.gap) / (1.0 + report.wfr_value),
+                "min_perturbation_gap": min(report.perturbation_gaps),
+            }
+        )
     results = {
         "max_relative_gap": max(r["relative_gap"] for r in rows),
         "min_perturbation_gap": min(r["min_perturbation_gap"] for r in rows),
@@ -205,15 +207,23 @@ def run_divergence_sweep(cfg: ExperimentConfig):
 
 
 def run_second_variation(cfg: ExperimentConfig):
+    """Rows of the second-variation probe, two kinds per triple (g, h, k).
+
+    ``relative_error`` divides by |ebin_half|, which vanishes when h and k are
+    Ebin-orthogonal however accurate the probe is; ``cs_relative_error``
+    divides by the Cauchy-Schwarz bound (1/2) sqrt(Ebin(h, h) Ebin(k, k)) of
+    |ebin_half| instead.
+    """
     p = cfg.params
     rows = []
     for trial in range(p["n_triples"]):
         g = _draw(random_spd_metric, cfg, cfg.seed, f"sv-g-{trial}")
         h = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"sv-h-{trial}")
         k = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"sv-k-{trial}")
+        cs_bound = 0.5 * np.sqrt(ebin_inner(g, h, h) * ebin_inner(g, k, k))
         for kind in (DivergenceKind.KL_MET, DivergenceKind.TILDE_KL_MET):
             mixed, ebin_half, richardson = second_variation_probe(kind, g, h, k, p["step"])
-            rel = abs(richardson - ebin_half) / max(abs(ebin_half), 1e-14)
+            error = abs(richardson - ebin_half)
             rows.append(
                 {
                     "trial": trial,
@@ -221,11 +231,13 @@ def run_second_variation(cfg: ExperimentConfig):
                     "mixed_second": mixed,
                     "ebin_half": ebin_half,
                     "richardson": richardson,
-                    "relative_error": rel,
+                    "relative_error": error / max(abs(ebin_half), 1e-14),
+                    "cs_relative_error": float(error / max(cs_bound, 1e-14)),
                 }
             )
     results = {
         "max_relative_error": max(r["relative_error"] for r in rows),
+        "max_cs_relative_error": max(r["cs_relative_error"] for r in rows),
         "triples": p["n_triples"],
     }
     return results, rows
@@ -244,27 +256,14 @@ def run_flat_factorize(cfg: ExperimentConfig):
             np.max(np.abs(phi.displacement.components - phi0.displacement.components))
         )
         rows.append(
-            {
-                "instance": i,
-                "flat": True,
-                "max_curvature": report.max_curvature,
-                "path_independence_gap": report.path_independence_gap,
-                "reconstruction_error": report.reconstruction_error,
-                "recovery_error": recovery,
-            }
+            {"instance": i, "flat": True, **dataclasses.asdict(report), "recovery_error": recovery}
         )
         if i == 0:
             artifacts["displacement.json"] = field_to_json(
                 phi.displacement, kind="displacement",
                 extra={"collar_width": phi.collar_width},
             )
-            artifacts["report.json"] = dumps_result(
-                {
-                    "max_curvature": report.max_curvature,
-                    "path_independence_gap": report.path_independence_gap,
-                    "reconstruction_error": report.reconstruction_error,
-                }
-            )
+            artifacts["report.json"] = dumps_result(dataclasses.asdict(report))
     rejected = 0
     for i in range(p["n_non_flat"]):
         g = non_flat_instance(cfg.grid, seed=cfg.seed + 100 + i)

@@ -7,8 +7,9 @@ transport/growth pair (v, f) lifts to the metric tangent
 
 whose metric tangent norm reproduces the density tangent norm, and any
 volume-neutral (g-trace-free) perturbation of the lift can only increase it.
-Both sides are computed by independent solvers, so the gap is a genuine
-solver-vs-solver measurement.
+``optimal_lift`` is the one path to the lift: ``verify_pi1_submersion`` takes
+the lift and the density norm from it.  Both sides are computed by
+independent solvers, so the gap is a genuine solver-vs-solver measurement.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    ScalarField,
     SymTensorField,
     VectorField,
     gradient_array,
     integrate,
+    integrate_array,
     require_same_grid,
 )
 from .tensors import (
@@ -42,21 +43,24 @@ from .randomfields import band_limited_sym_tensor, substream
 def optimal_lift(g: MetricField, drho, cfg: SolverConfig = SolverConfig()):
     """Horizontal lift of a density tangent through the volume map.
 
-    Solves the density tangent-norm problem at (vol(g), drho) for (v, f) and
-    returns dg = -L_v g + (2 f / dim) g together with the minimizers.  The
+    Solves the density tangent-norm problem at (vol(g), drho) for the
+    minimizers (v, f) and returns ``(dg, result)``: the lift
+    dg = -L_v g + (2 f / dim) g and the ``DensityNormResult`` solved, whose
+    value is the density norm and whose v and f are the minimizers.  The
     volume tangent of dg reproduces drho up to O(spacing^2) (the finite
     difference defect between div(rho v) and (1/2) tr(g^-1 L_v g) vol(g)).
+    ``verify_pi1_submersion`` checks the submersion through this lift.
     """
     require_same_grid(g, drho)
     res = wfr_tangent_norm(volume_map(g), drho, cfg)
-    return _lift(g, res), res.v, res.f
-
-
-def _lift(g: MetricField, res) -> SymTensorField:
-    """dg = -L_v g + (2 f / dim) g from a solved density tangent-norm problem."""
     lie = lie_derivative_metric(res.v, g)
     scale = (2.0 / g.grid.dim) * res.f.values
-    return SymTensorField(g.grid, -lie.components + scale * g.components)
+    return SymTensorField(g.grid, -lie.components + scale * g.components), res
+
+
+# A volume-neutral perturbation of the lift may fall below the density norm
+# by at most this much (solver tolerance), or the submersion check fails.
+LIFT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,25 +69,24 @@ class LiftReport:
 
     gap = metric-norm of the optimal lift minus the density norm;
     perturbation_gaps are the same differences for volume-neutral
-    perturbations of the lift and may not fall below -tolerance.
+    perturbations of the lift and may not fall below -LIFT_TOLERANCE.
     """
 
     wfr_value: float
     we_value_of_lift: float
     gap: float
     perturbation_gaps: tuple
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if abs(self.gap - (self.we_value_of_lift - self.wfr_value)) > 1e-12 * (
             1.0 + abs(self.wfr_value)
         ):
             raise ValueError("gap must equal we_value_of_lift - wfr_value")
-        if any(p < -self.tolerance for p in self.perturbation_gaps):
+        if any(p < -LIFT_TOLERANCE for p in self.perturbation_gaps):
             worst = min(self.perturbation_gaps)
             raise ValueError(
                 f"a perturbed lift fell below the density norm by {-worst:.3e} "
-                f"(tolerance {self.tolerance:.1e}): submersion inequality violated"
+                f"(tolerance {LIFT_TOLERANCE:.1e}): submersion inequality violated"
             )
 
 
@@ -111,14 +114,12 @@ def verify_pi1_submersion(
     Equality of infima is certified one-sidedly: the lift is explicit, and
     n_perturb random trace-free perturbations of it (amplitude 0.2; exactly
     fiber tangent, independent of finite-difference error) must not beat the
-    density norm by more than LiftReport.tolerance (1e-8).  The full infimum
-    over all lifts is not checkable.  The lift and its perturbations are the
-    n_perturb + 1 lanes of one metric-norm solve at g.
+    density norm by more than LIFT_TOLERANCE (1e-8).  The full infimum over
+    all lifts is not checkable.  The lift and the density norm come from
+    ``optimal_lift``; the lift and its perturbations are the n_perturb + 1
+    lanes of one metric-norm solve at g.
     """
-    require_same_grid(g, drho)
-    rho = volume_map(g)
-    wfr = wfr_tangent_norm(rho, drho, cfg)
-    dg = _lift(g, wfr)
+    dg, wfr = optimal_lift(g, drho, cfg)
     tangents = [dg]
     for j in range(n_perturb):
         z = trace_free_perturbation(g, substream(seed, f"pi1-perturbation-{j}"))
@@ -153,9 +154,9 @@ def euler_alpha_lagrangian(v: VectorField, stencil_order=4):
     dv = gradient_array(v.components, grid, stencil_order)  # dv[i, j] = d_i v_j
     lie = dv + np.swapaxes(dv, 0, 1)
     trace_sq = np.einsum("ij...,ji...->...", lie, lie)
-    trace_form = 0.25 * integrate(ScalarField(grid, trace_sq))
+    trace_form = 0.25 * float(integrate_array(trace_sq, grid))
     deformation = 0.5 * lie
-    def_form = integrate(ScalarField(grid, np.sum(deformation**2, axis=(0, 1))))
+    def_form = float(integrate_array(np.sum(deformation**2, axis=(0, 1)), grid))
     kinetic = integrate(v.euclidean_square())
     if abs(trace_form - def_form) > 1e-10 * (1.0 + abs(def_form)):
         raise AssertionError(

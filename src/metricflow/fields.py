@@ -9,7 +9,9 @@ Discretization conventions:
   * derivatives: second-order central stencils; the torus wraps, the box uses
     second-order one-sided stencils on the boundary; a fourth-order central
     stencil is available on the torus where a probe needs the extra accuracy,
-  * quadrature: rectangle rule on the torus, trapezoid weights on the box,
+  * quadrature: rectangle rule on the torus, trapezoid weights on the box;
+    ``integrate_array`` is the one nodal quadrature, on arrays with leading
+    lane or pair axes, and ``integrate`` its typed one-field form,
   * interpolation: bilinear (linear in 1D).
 """
 
@@ -313,6 +315,11 @@ def quadrature_weights(grid):
     return np.outer(w1, w1)
 
 
+def integrate_array(values, grid):
+    """Nodal quadrature of an array over its trailing grid.dim axes; leading axes are kept."""
+    return np.sum(values * quadrature_weights(grid), axis=tuple(range(-grid.dim, 0)))
+
+
 def integrate(f, weight=None):
     """Integral of a scalar field against a density (defaults to Lebesgue)."""
     if weight is None:
@@ -321,7 +328,7 @@ def integrate(f, weight=None):
     else:
         grid = require_same_grid(f, weight)
         fw = _values_of(f) * _values_of(weight)
-    return float(np.sum(fw * quadrature_weights(grid)))
+    return float(integrate_array(fw, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ in the flat factor, and along the middle segment |c(t)|^2 >= m_n^(-1/2) -
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,31 +39,18 @@ def default_conformal(s):
 
 @dataclass(frozen=True)
 class SeqSpace:
-    """Truncation dimension, diagonal weights and conformal factor.
+    """Truncation dimension, with the weights ``default_weights(n_max)``.
 
-    The certified bounds below assume ``conformal_f`` is nonincreasing
-    (checked on a sample grid at construction); the default 1/(1+s) is.
+    The conformal factor is ``default_conformal``, 1/(1+s); the certified
+    bounds below assume it is nonincreasing, which it is.
     """
 
     n_max: int = 64
-    weights: np.ndarray | None = None
-    conformal_f: Callable[[np.ndarray], np.ndarray] = default_conformal
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    conformal_f = staticmethod(default_conformal)
 
     def __post_init__(self):
-        w = default_weights(self.n_max) if self.weights is None else np.asarray(self.weights, float)
-        if w.shape != (self.n_max,):
-            raise ValueError(f"weights must have length n_max = {self.n_max}")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if np.any(np.diff(w) > 0.0):
-            raise ValueError("weights must be nonincreasing")
-        object.__setattr__(self, "weights", w)
-        probe = np.geomspace(1e-6, 1e12, 37)
-        vals = np.asarray(self.conformal_f(probe), float)
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            raise ValueError("conformal factor must be positive and finite")
-        if np.any(np.diff(vals) > 1e-15):
-            raise ValueError("conformal factor must be nonincreasing")
+        object.__setattr__(self, "weights", default_weights(self.n_max))
 
     def vector(self, coords) -> np.ndarray:
         v = np.zeros(self.n_max)

@@ -3,9 +3,10 @@
 All 2x2 kernels use closed forms (adjugate inverse, the explicit square
 root (A + sqrt(det) I)/sqrt(tr + 2 sqrt(det))); no general eigensolver is
 involved.  Each pointwise concept is one kernel on packed components:
-``relative_trace`` (tr g^-1 h), ``eigenvalues_2x2``, ``ebin_weight`` (the
-Ebin integrand tr(g^-1 a g^-1 b)), ``lie_jet_matrix`` (L_v g on the velocity
-jet, applied by ``lie_apply``) and ``collar_rings`` (box rings).
+``packed_volume`` (the volume form sqrt(det g)), ``relative_trace``
+(tr g^-1 h), ``eigenvalues_2x2``, ``ebin_weight`` (the Ebin integrand
+tr(g^-1 a g^-1 b)), ``lie_jet_matrix`` (L_v g on the velocity jet, applied
+by ``lie_apply``) and ``collar_rings`` (box rings).
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ def packed_det(comps, dim):
     if dim == 1:
         return comps[0]
     return comps[0] * comps[2] - comps[1] ** 2
+
+
+def packed_volume(comps, dim):
+    """sqrt(det g) per node for packed metric components: the volume form."""
+    return np.sqrt(packed_det(comps, dim))
 
 
 def packed_trace(comps, dim):
@@ -222,7 +228,7 @@ def inverse_components(comps, dim):
 def sqrt_components(comps, dim):
     if dim == 1:
         return np.sqrt(comps[0:1])
-    root_det = np.sqrt(packed_det(comps, dim))
+    root_det = packed_volume(comps, dim)
     denom = np.sqrt(packed_trace(comps, dim) + 2.0 * root_det)
     return np.stack([comps[0] + root_det, comps[1], comps[2] + root_det]) / denom
 
@@ -297,14 +303,14 @@ def product_trace(g: MetricField, a, b) -> ScalarField:
 
 def volume_map(g: MetricField) -> DensityField:
     """vol(g) = sqrt(det g) as a density w.r.t. Lebesgue."""
-    return DensityField(g.grid, np.sqrt(packed_det(g.components, g.grid.dim)))
+    return DensityField(g.grid, packed_volume(g.components, g.grid.dim))
 
 
 def volume_tangent(g: MetricField, dg: SymTensorField) -> ScalarField:
     """Derivative of vol at g in direction dg: (1/2) tr(g^{-1} dg) vol(g)."""
     grid = require_same_grid(g, dg)
     tr = relative_trace(g.components, dg.components, grid.dim)
-    return ScalarField(grid, 0.5 * tr * volume_map(g).values)
+    return ScalarField(grid, 0.5 * tr * packed_volume(g.components, grid.dim))
 
 
 def velocity_jet(vc, grid):

@@ -71,6 +71,7 @@ from .fields import (
     divergence_array,
     gradient_array,
     integrate,
+    integrate_array,
     require_same_grid,
     sample_array,
 )
@@ -86,7 +87,7 @@ from .tensors import (
     lie_apply,
     lie_jet_matrix,
     nodewise_einsum,
-    packed_det,
+    packed_volume,
     product_trace,
     velocity_jet,
     volume_map,
@@ -273,12 +274,11 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
     sol = _solve("wfr_tangent_norm", rho, apply_op, rhs[None], cfg, density_norm_preconditioner)
     x = sol.x[0]
     v = VectorField(grid, x)
-    f_vals = (dr + divergence_array(r * x, grid)) / r
-    f = ScalarField(grid, f_vals)
-    value = integrate(v.euclidean_square(), rho) + lam * integrate(
-        ScalarField(grid, f_vals**2), rho
+    f = ScalarField(grid, (dr + divergence_array(r * x, grid)) / r)
+    value = integrate_array(np.sum(x**2, axis=0) * r, grid) + lam * integrate_array(
+        f.values**2 * r, grid
     )
-    return DensityNormResult(value, v, f, sol.iterations, sol.residual)
+    return DensityNormResult(float(value), v, f, sol.iterations, sol.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def _metric_norm_coefficients(comps, grid, lam):
     that shape.
     """
     d = grid.dim
-    vol = np.sqrt(packed_det(comps, d))
+    vol = packed_volume(comps, d)
     jet_map = lie_jet_matrix(comps, grid)
     source_weight = ebin_weight(comps, d) * vol
     weighted_lie = np.einsum("pr...,rs...->ps...", source_weight, jet_map)
@@ -380,8 +380,7 @@ class MetricNormOperator:
         weighted = nodewise_einsum("pq,...q->...p", d, self.source_weight, h)
         quad = np.sum(weighted * h, axis=-(d + 1))
         kinetic = self.vol * np.sum(np.asarray(vc) ** 2, axis=-(d + 1))
-        cell = self.grid.spacing**d
-        value = np.sum(kinetic + self.weight * quad, axis=tuple(range(-d, 0))) * cell
+        value = integrate_array(kinetic + self.weight * quad, self.grid)
         return float(value) if value.ndim == 0 else value
 
 
@@ -493,7 +492,7 @@ def path_interval_norms(path: MetricPath, cfg: SolverConfig, which="we"):
         raise ValueError(f"unknown energy kind {which!r}")
     grid, dt = path.grid, 1.0 / path.n_intervals
     if which == "wfr":
-        vols = [volume_map(m).values for m in path.metrics]
+        vols = [packed_volume(m.components, grid.dim) for m in path.metrics]
     norms = []
     for i in range(path.n_intervals):
         if which == "wfr":
@@ -540,7 +539,7 @@ def displacement_path_interval_energies(maps):
     out = []
     for i in range(n_intervals):
         du = (maps[i + 1].displacement.components - maps[i].displacement.components) / dt
-        out.append(integrate(VectorField(grid, du).euclidean_square()))
+        out.append(integrate_array(np.sum(du**2, axis=0), grid))
     return np.array(out)
 
 
@@ -662,12 +661,11 @@ def we_distance_bounds(
     ebin_length = path_length(path, cfg, which="ebin")
     upper = 0.5 * np.sqrt(d * lam) * ebin_length
 
-    vol0, vol1 = volume_map(g0), volume_map(g1)
-    m0 = integrate(ScalarField(grid, np.ones(grid.shape)), vol0)
-    m1 = integrate(ScalarField(grid, np.ones(grid.shape)), vol1)
+    vol0, vol1 = packed_volume(g0.components, d), packed_volume(g1.components, d)
+    m0, m1 = integrate_array(vol0, grid), integrate_array(vol1, grid)
     mass_bound = 2.0 * np.sqrt(lam) * abs(np.sqrt(m0) - np.sqrt(m1))
 
-    ratio = vol1.values / vol0.values
+    ratio = vol1 / vol0
     conformal = float(np.max(ratio) - np.min(ratio)) <= 1e-10 * (1.0 + float(np.max(ratio)))
     if conformal:
         lower = float(mass_bound)

@@ -22,6 +22,7 @@ from metricflow.divergences import (
 )
 from metricflow.errors import ConfigError
 from metricflow.experiments import EXPERIMENTS, run_divergence_sweep, run_experiment
+from metricflow.fiber import trace_free_perturbation
 from metricflow.randomfields import band_limited_density, random_spd_metric, substream
 
 
@@ -432,7 +433,8 @@ CSV_SCHEMA = {
         ["kind", "seed", "value", "min_eigen_gap", "runtime_ms"], TORUS12, {"n_pairs": 1},
     ),
     "second-variation": (
-        ["trial", "kind", "mixed_second", "ebin_half", "richardson", "relative_error"],
+        ["trial", "kind", "mixed_second", "ebin_half", "richardson", "relative_error",
+         "cs_relative_error"],
         TORUS12, {"n_triples": 1},
     ),
     "flat-factorize": (
@@ -483,6 +485,31 @@ def test_csv_columns_are_pinned(tmp_path, name):
         rows = [[v for i, v in enumerate(row) if i not in timing] for row in rows]
         runs.append((json.dumps(manifest, sort_keys=True), rows))
     assert runs[0] == runs[1]
+
+
+def test_cs_relative_error_holds_where_ebin_half_vanishes(monkeypatch):
+    # h = g and a g-trace-free k are Ebin-orthogonal, Ebin(g, k) = Int tr(g^-1 k) vol(g) = 0,
+    # so relative_error divides roundoff by roundoff; the Cauchy-Schwarz form does not
+    draw = experiments._draw
+    metrics = {}
+
+    def orthogonal_draw(make, cfg, seed, label):
+        trial = label.rsplit("-", 1)[1]
+        if label.startswith("sv-g"):
+            metrics[trial] = draw(make, cfg, seed, label)
+            return metrics[trial]
+        if label.startswith("sv-h"):
+            return metrics[trial].tensor
+        return trace_free_perturbation(metrics[trial], substream(seed, label))
+
+    monkeypatch.setattr(experiments, "_draw", orthogonal_draw)
+    for seed in (0, 1, 2):
+        cfg = parse_config({"experiment": "second-variation", "seed": seed,
+                            "params": {"n_triples": 1}})
+        results, rows = experiments.run_second_variation(cfg)
+        assert all(abs(r["ebin_half"]) <= 1e-15 for r in rows)
+        assert results["max_relative_error"] > 1e-4  # criterion 03's bound
+        assert results["max_cs_relative_error"] <= 1e-9
 
 
 def test_we_norm_manifest_carries_substrate_and_closed_forms(tmp_path):

@@ -29,16 +29,16 @@ CFG = SolverConfig()
 
 def test_optimal_lift_zero_tangent(torus16):
     g = MetricField.euclidean(torus16)
-    dg, v, f = optimal_lift(g, ScalarField.constant(torus16, 0.0), CFG)
+    dg, _ = optimal_lift(g, ScalarField.constant(torus16, 0.0), CFG)
     assert np.max(np.abs(dg.components)) == 0.0
 
 
 def test_optimal_lift_conformal_case(torus16):
     # g = I, drho = 0.5 vol(g): v = 0, f = 0.5, dg = 0.5 I
     g = MetricField.euclidean(torus16)
-    dg, v, f = optimal_lift(g, ScalarField.constant(torus16, 0.5), CFG)
-    assert np.max(np.abs(v.components)) <= 1e-12
-    assert np.allclose(f.values, 0.5, atol=1e-12)
+    dg, res = optimal_lift(g, ScalarField.constant(torus16, 0.5), CFG)
+    assert np.max(np.abs(res.v.components)) <= 1e-12
+    assert np.allclose(res.f.values, 0.5, atol=1e-12)
     assert np.allclose(dg.components[0], 0.5, atol=1e-11)
     assert np.allclose(dg.components[1], 0.0, atol=1e-11)
     assert np.allclose(dg.components[2], 0.5, atol=1e-11)
@@ -50,7 +50,7 @@ def test_optimal_lift_projects_back_to_drho(torus16):
     for seed in (0, 1, 2):
         g = random_spd_metric(torus16, substream(seed, "lift-g"), 3, 0.15)
         drho = band_limited_scalar(torus16, substream(seed, "lift-dr"), 3, 0.15)
-        dg, _, _ = optimal_lift(g, drho, CFG)
+        dg, _ = optimal_lift(g, drho, CFG)
         back = volume_tangent(g, dg)
         assert np.max(np.abs(back.values - drho.values)) <= 2.0 * torus16.spacing**2
 

@@ -16,17 +16,6 @@ def space():
     return SeqSpace()
 
 
-def test_space_validation():
-    with pytest.raises(ValueError):
-        SeqSpace(n_max=8, weights=np.ones(4))
-    with pytest.raises(ValueError):
-        SeqSpace(n_max=4, weights=np.array([1.0, -0.5, 0.1, 0.01]))
-    with pytest.raises(ValueError):
-        SeqSpace(n_max=4, weights=np.array([0.1, 0.5, 0.6, 0.7]))  # increasing
-    with pytest.raises(ValueError):
-        SeqSpace(conformal_f=lambda s: s + 1.0)  # increasing conformal factor
-
-
 def test_default_weights_name_n_max_where_they_underflow():
     assert SeqSpace(n_max=1074).weights[-1] > 0.0
     with pytest.raises(ValueError, match="n_max = 1075"):

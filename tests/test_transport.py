@@ -464,7 +464,7 @@ def _lane_problem():
     b = 0.4 * (_cos2_bump(grid, (0.25, 0.25), 0.15) - _cos2_bump(grid, (0.25, 0.75), 0.15))
     g = MetricField.from_components(grid, np.stack([1.0 + b, 0.3 * b, 1.0 - 0.5 * b]))
     drho = band_limited_scalar(grid, substream(5, "lane-drho"), 3, 0.15)
-    lift, _, _ = optimal_lift(g, drho, CFG)
+    lift, _ = optimal_lift(g, drho, CFG)
     tangents = [lift]
     for j in range(3):
         z = trace_free_perturbation(g, substream(5, f"lane-z-{j}"))
