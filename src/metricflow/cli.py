@@ -3,8 +3,9 @@
     metricflow <experiment> --config cfg.json [--seed N] [--out DIR]
     metricflow validate --config cfg.json
 
-Exit codes: 0 success, 2 invalid configuration, violated precondition or a
-result that cannot be written (non-finite), 3 solver failure.
+Exit codes: 0 success, 2 invalid configuration, violated precondition, a
+result that cannot be written (non-finite) or a run that memory cannot hold,
+3 solver failure.
 
 Memory policy: ``main`` owns its process, so it first tells glibc's malloc to
 keep freed heap pages (trim threshold 64 MiB, mmap threshold 32 MiB).  By
@@ -112,6 +113,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
         return 2
 
 

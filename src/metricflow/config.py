@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 from .experiments import EXPERIMENTS
 from .fields import Grid
-from .serialization import grid_to_dict
 from .transport import SolverConfig
 
 _GRID_KEYS = {"dim", "topology", "n_per_axis", "extent"}
@@ -44,7 +43,7 @@ class ExperimentConfig:
     def to_dict(self):
         return {
             "experiment": self.experiment,
-            "grid": grid_to_dict(self.grid),
+            "grid": asdict(self.grid),
             "solver": {
                 "tol": self.solver.tol,
                 "max_iter": self.solver.max_iter,
@@ -108,7 +107,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     else:
         merged.setdefault("extent", 1.0)
     try:
-        grid = Grid(merged["dim"], merged["topology"], merged["n_per_axis"], merged["extent"])
+        grid = Grid(**merged)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 

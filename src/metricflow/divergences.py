@@ -44,7 +44,6 @@ from .randomfields import band_limited_scalar, band_limited_vector, substream
 from .tensors import (
     DisplacementMap,
     MetricField,
-    SymTensorField,
     eigenvalues_2x2,
     packed_det,
     packed_volume,
@@ -164,7 +163,7 @@ def conformal_lift(rho0: DensityField, g1: MetricField) -> MetricField:
     """The metric (rho0/vol(g1))^(2/d) g1, the optimal lift of (rho0, vol(g1))."""
     grid = require_same_grid(rho0, g1)
     factor = (rho0.values / packed_volume(g1.components, grid.dim)) ** (2.0 / grid.dim)
-    return MetricField(SymTensorField(grid, factor * g1.components))
+    return MetricField(grid, factor * g1.components)
 
 
 def _pair_minima(values):
@@ -206,7 +205,7 @@ def density_ratio_gap_stack(rho0, rho1):
 
 
 def _shifted(g: MetricField, h, s) -> MetricField:
-    return MetricField(SymTensorField(g.grid, g.components + s * h.components))
+    return MetricField(g.grid, g.components + s * h.components)
 
 
 def second_variation_probe(kind: DivergenceKind, g: MetricField, h, k, step=1e-2):
@@ -310,8 +309,8 @@ def static_local_search(problem: StaticProblem, iters=20, seed=0, modes=2):
         # (i) conformal step on gbar0
         xi = band_limited_scalar(grid, rng, modes=modes, amplitude=1.0).values
         eps = 1e-4
-        plus = MetricField(SymTensorField(grid, np.exp(eps * xi) * gbar.components))
-        minus = MetricField(SymTensorField(grid, np.exp(-eps * xi) * gbar.components))
+        plus = MetricField(grid, np.exp(eps * xi) * gbar.components)
+        minus = MetricField(grid, np.exp(-eps * xi) * gbar.components)
         slope = (
             static_objective(problem, plus, phi) - static_objective(problem, minus, phi)
         ) / (2.0 * eps)
@@ -320,9 +319,7 @@ def static_local_search(problem: StaticProblem, iters=20, seed=0, modes=2):
             sign = -np.sign(slope) if slope != 0.0 else 0.0
             if sign == 0.0:
                 break
-            trial = MetricField(
-                SymTensorField(grid, np.exp(sign * step * xi) * gbar.components)
-            )
+            trial = MetricField(grid, np.exp(sign * step * xi) * gbar.components)
             val = static_objective(problem, trial, phi)
             if val < best:
                 gbar, best = trial, val

@@ -63,6 +63,7 @@ from .randomfields import (
 )
 from .seqdemo import SeqSpace, vanishing_sweep
 from .serialization import dumps_result, field_to_json
+from .tensors import DisplacementMap
 from .transport import (
     ebin_inner,
     linear_metric_path,
@@ -356,8 +357,6 @@ def run_static_eval(cfg: ExperimentConfig):
     problem = StaticProblem(
         g0, g1, lambda_balance=p["lambda_balance"], kind=DivergenceKind(p["kind"])
     )
-    from .tensors import DisplacementMap
-
     start = static_objective(problem, g0, DisplacementMap.identity(cfg.grid))
     gbar, phi, value, trace = static_local_search(
         problem, iters=p["iters"], seed=cfg.seed, modes=p["modes"]

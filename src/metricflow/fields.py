@@ -1,9 +1,12 @@
 """Grids, discrete fields and finite-difference calculus.
 
 Domains are the unit torus (periodic in every axis, extent fixed to 1) or a
-centered box [-L, L]^d.  All fields store one value set per grid node in
-row-major layout; arrays are frozen after construction so every operation in
-the package is a pure function of its inputs.
+centered box [-L, L]^d; ``Grid`` is a frozen dataclass.  All fields store one
+value set per grid node in row-major layout; arrays are frozen after
+construction so every operation in the package is a pure function of its
+inputs.  A constrained field subclasses the field it constrains:
+``DensityField`` is a positive ``ScalarField``, ``tensors.MetricField`` an
+SPD ``SymTensorField``.
 
 Discretization conventions:
   * derivatives: second-order central stencils; the torus wraps, the box uses
@@ -17,6 +20,8 @@ Discretization conventions:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import GridMismatchError, OutOfDomainError, PositivityViolation
@@ -25,6 +30,7 @@ TORUS = "torus"
 BOX = "box"
 
 
+@dataclass(frozen=True, slots=True)
 class Grid:
     """Uniform grid on the unit torus or a centered box.
 
@@ -36,9 +42,13 @@ class Grid:
     extent : side length; must be 1.0 on the torus, a finite 2*L > 0 on the box
     """
 
-    __slots__ = ("dim", "topology", "n_per_axis", "extent")
+    dim: int
+    topology: str
+    n_per_axis: int
+    extent: float = 1.0
 
-    def __init__(self, dim, topology, n_per_axis, extent=1.0):
+    def __post_init__(self):
+        dim, topology, n_per_axis = self.dim, self.topology, self.n_per_axis
         if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
             raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
         if topology not in (TORUS, BOX):
@@ -47,18 +57,12 @@ class Grid:
             raise ValueError(f"n_per_axis must be an integer, got {n_per_axis!r}")
         if n_per_axis < 8:
             raise ValueError(f"n_per_axis must be >= 8, got {n_per_axis}")
-        extent = float(extent)
+        extent = float(self.extent)
         if topology == TORUS and extent != 1.0:
             raise ValueError("torus grids have extent fixed to 1.0")
         if not 0.0 < extent < np.inf:
             raise ValueError(f"extent must be positive and finite, got {extent}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "n_per_axis", n_per_axis)
         object.__setattr__(self, "extent", extent)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Grid is immutable")
 
     @property
     def spacing(self):
@@ -94,24 +98,6 @@ class Grid:
         x0, x1 = np.meshgrid(ax, ax, indexing="ij")
         return np.stack([x0, x1])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.dim == other.dim
-            and self.topology == other.topology
-            and self.n_per_axis == other.n_per_axis
-            and self.extent == other.extent
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.topology, self.n_per_axis, self.extent))
-
-    def __repr__(self):
-        return (
-            f"Grid(dim={self.dim}, topology={self.topology!r}, "
-            f"n_per_axis={self.n_per_axis}, extent={self.extent})"
-        )
-
 
 def _frozen(values, shape):
     arr = np.array(values, dtype=float)
@@ -141,27 +127,21 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-class DensityField:
+class DensityField(ScalarField):
     """One strictly positive real per node (Radon-Nikodym w.r.t. Lebesgue)."""
 
     kind = "density"
 
     def __init__(self, grid, values):
-        self.grid = grid
-        arr = np.array(values, dtype=float)
-        if arr.shape != grid.shape:
-            raise ValueError(f"expected value array of shape {grid.shape}, got {arr.shape}")
-        if not np.all(arr > 0.0):
+        # positivity comes before finiteness: a 0 next to an inf names the 0
+        arr = np.asarray(values, dtype=float)
+        if arr.shape == grid.shape and not np.all(arr > 0.0):
             node = tuple(int(i) for i in np.unravel_index(int(np.argmin(arr)), grid.shape))
             raise PositivityViolation(
                 f"density must be strictly positive; node {node} has value {arr[node]}",
                 node=node,
             )
-        self.values = _frozen(arr, grid.shape)
-
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.shape, float(value)))
+        super().__init__(grid, arr)
 
 
 class VectorField:
@@ -210,7 +190,7 @@ class SymTensorField:
 
 
 def _values_of(field):
-    if isinstance(field, (ScalarField, DensityField)):
+    if isinstance(field, ScalarField):
         return field.values
     return field.components
 
@@ -277,7 +257,7 @@ def diff_array(values, grid, axis, order=2):
 
 def partial_derivative(field, axis):
     """Central-difference partial derivative of a scalar or density field."""
-    if isinstance(field, (ScalarField, DensityField)):
+    if isinstance(field, ScalarField):
         return ScalarField(field.grid, diff_array(field.values, field.grid, axis))
     raise TypeError("partial_derivative expects a ScalarField or DensityField")
 

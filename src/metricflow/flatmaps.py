@@ -326,7 +326,7 @@ def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008):
             u[i] += direction[i] * psi
             for j in range(2):
                 du[i, j] += direction[i] * dpsi[j]
-    g = MetricField(SymTensorField(grid, jacobian_gram(du)))
+    g = MetricField(grid, jacobian_gram(du))
     phi0 = DisplacementMap(VectorField(grid, u), collar_width=2)
     return g, phi0
 
@@ -344,4 +344,4 @@ def non_flat_instance(grid: Grid, seed=0):
     comps = np.stack(
         [np.ones(grid.shape), np.zeros(grid.shape), 1.0 + 0.4 * psi * wobble]
     )
-    return MetricField(SymTensorField(grid, comps))
+    return MetricField(grid, comps)

@@ -290,9 +290,9 @@ def random_spd_stack(grid, rngs, modes=4, amplitude=0.3):
     valid = np.all(np.isfinite(comps)) and not np.any(
         spd_violations(comps.swapaxes(0, 1), grid.dim)
     )
-    return _checked(comps, valid, lambda c: MetricField(SymTensorField(grid, c)))
+    return _checked(comps, valid, lambda c: MetricField(grid, c))
 
 
 def random_spd_metric(grid, rng, modes=4, amplitude=0.3) -> MetricField:
     """One metric of ``random_spd_stack``."""
-    return MetricField(SymTensorField(grid, random_spd_stack(grid, [rng], modes, amplitude)[0]))
+    return MetricField(grid, random_spd_stack(grid, [rng], modes, amplitude)[0])

@@ -101,7 +101,6 @@ def ic_speed_grid_search(space: SeqSpace, x, u, split_grid=1000) -> float:
 
 
 def _simpson(values, dt):
-    n = len(values) - 1
     return (dt / 3.0) * float(
         values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-2:2])
     )
@@ -175,7 +174,9 @@ def baseline_distances(space: SeqSpace, x, y) -> BaselineDistances:
     d2_lower multiplies |x - y| by the minimum of sqrt(f) over the tube of
     radius |x - y| around the segment: any competitor either stays in the
     tube (where f is at least that minimum) or must travel a full |x - y|
-    inside it before leaving, so this is a certified lower bound.
+    inside it before leaving, so this is a certified lower bound.  The
+    conformal factor is nonincreasing, so that minimum is f at the tube's
+    outer squared radius.
     """
     x = space.vector(x)
     y = space.vector(y)
@@ -184,9 +185,7 @@ def baseline_distances(space: SeqSpace, x, y) -> BaselineDistances:
     if dist == 0.0:
         return BaselineDistances(0.0, 0.0)
     reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(y))) + dist
-    probes = np.linspace(0.0, reach**2, 257)
-    f_min = float(np.min(np.asarray(space.conformal_f(probes), float)))
-    f_min = min(f_min, float(space.conformal_f(reach**2)))
+    f_min = float(space.conformal_f(reach**2))
     return BaselineDistances(d1, float(np.sqrt(f_min) * dist))
 
 

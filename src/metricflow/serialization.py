@@ -47,19 +47,6 @@ def _data_json(arr) -> str:
     return "[" + ", ".join(", ".join(["%.17g"] * len(b)) % tuple(b) for b in blocks) + "]"
 
 
-def grid_to_dict(grid: Grid) -> dict:
-    return {
-        "dim": grid.dim,
-        "topology": grid.topology,
-        "n_per_axis": grid.n_per_axis,
-        "extent": grid.extent,
-    }
-
-
-def grid_from_dict(d: dict) -> Grid:
-    return Grid(d["dim"], d["topology"], d["n_per_axis"], d["extent"])
-
-
 def _grid_json(grid: Grid) -> str:
     return (
         '{"dim": %d, "topology": "%s", "n_per_axis": %d, "extent": %s}'
@@ -89,7 +76,7 @@ def field_from_json(text: str):
     avoid a circular import with the tensor module.
     """
     obj = json.loads(text)
-    grid = grid_from_dict(obj["grid"])
+    grid = Grid(**obj["grid"])
     kind = obj["kind"]
     data = np.array(obj["data"], dtype=float)
     extra = {k: v for k, v in obj.items() if k not in ("grid", "kind", "data")}
@@ -102,13 +89,10 @@ def field_from_json(text: str):
         return DensityField(grid, data.reshape(grid.shape)), extra
     if kind == "vector":
         return VectorField(grid, data.reshape((grid.dim,) + grid.shape)), extra
-    if kind == "sym_tensor":
+    if kind in ("sym_tensor", "metric"):
         ncomp = grid.dim * (grid.dim + 1) // 2
-        return SymTensorField(grid, data.reshape((ncomp,) + grid.shape)), extra
-    if kind == "metric":
-        ncomp = grid.dim * (grid.dim + 1) // 2
-        tensor = SymTensorField(grid, data.reshape((ncomp,) + grid.shape))
-        return MetricField(tensor), extra
+        cls = MetricField if kind == "metric" else SymTensorField
+        return cls(grid, data.reshape((ncomp,) + grid.shape)), extra
     if kind == "displacement":
         u = VectorField(grid, data.reshape((grid.dim,) + grid.shape))
         return DisplacementMap(u, collar_width=extra.get("collar_width", 0)), extra

@@ -7,6 +7,9 @@ involved.  Each pointwise concept is one kernel on packed components:
 (tr g^-1 h), ``eigenvalues_2x2``, ``ebin_weight`` (the Ebin integrand
 tr(g^-1 a g^-1 b)), ``lie_jet_matrix`` (L_v g on the velocity jet, applied
 by ``lie_apply``) and ``collar_rings`` (box rings).
+
+``MetricField(grid, components)`` is a ``SymTensorField`` that is SPD at every
+node, so a metric is accepted wherever a symmetric tensor is.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ def packed_volume(comps, dim):
     return np.sqrt(packed_det(comps, dim))
 
 
-def packed_trace(comps, dim):
-    if dim == 1:
-        return comps[0]
+def packed_trace(comps):
+    """tr g per node for packed 2-D components."""
     return comps[0] + comps[2]
 
 
@@ -60,8 +62,6 @@ def eigenvalues_2x2(tr, det):
 def spd_violations(comps, dim):
     """Nodes failing the leading-principal-minor test (see ``spd_check``)."""
     scale = SPD_TOL * (1.0 + np.max(np.abs(comps), axis=0))
-    if dim == 1:
-        return comps[0] <= scale
     return (comps[0] <= scale) | (packed_det(comps, dim) <= scale)
 
 
@@ -81,23 +81,14 @@ def spd_check(comps, dim, what="tensor"):
         )
 
 
-class MetricField:
+class MetricField(SymTensorField):
     """Symmetric positive-definite 2-tensor field; SPD is checked nodewise."""
 
     kind = "metric"
 
-    def __init__(self, tensor: SymTensorField):
-        spd_check(tensor.components, tensor.grid.dim, what="metric")
-        self.grid = tensor.grid
-        self.tensor = tensor
-
-    @property
-    def components(self):
-        return self.tensor.components
-
-    @classmethod
-    def from_components(cls, grid, components):
-        return cls(SymTensorField(grid, components))
+    def __init__(self, grid, components):
+        super().__init__(grid, components)
+        spd_check(self.components, grid.dim, what="metric")
 
     @classmethod
     def euclidean(cls, grid):
@@ -109,7 +100,7 @@ class MetricField:
         comps[0] = factor
         if grid.dim == 2:
             comps[2] = factor
-        return cls(SymTensorField(grid, comps))
+        return cls(grid, comps)
 
 
 class DisplacementMap:
@@ -229,7 +220,7 @@ def sqrt_components(comps, dim):
     if dim == 1:
         return np.sqrt(comps[0:1])
     root_det = packed_volume(comps, dim)
-    denom = np.sqrt(packed_trace(comps, dim) + 2.0 * root_det)
+    denom = np.sqrt(packed_trace(comps) + 2.0 * root_det)
     return np.stack([comps[0] + root_det, comps[1], comps[2] + root_det]) / denom
 
 def packed_to_full(comps, dim):
@@ -393,7 +384,7 @@ def pullback_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
     g_at_phi = sample_array(g.components, grid, clamp_to_box(phi.positions(), phi))
     gfull = packed_to_full(g_at_phi, dim)
     pulled = np.einsum("ki...,kl...,lj...->ij...", jac, gfull, jac)
-    return MetricField(SymTensorField(grid, full_to_packed(pulled, dim)))
+    return MetricField(grid, full_to_packed(pulled, dim))
 
 
 def _inverse_jacobian_apply(dw, v):

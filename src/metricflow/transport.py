@@ -464,7 +464,7 @@ def linear_metric_path(g0: MetricField, g1: MetricField, n_t=16) -> MetricPath:
     grid = require_same_grid(g0, g1)
     ts = np.linspace(0.0, 1.0, n_t + 1)
     mets = [
-        MetricField(SymTensorField(grid, (1.0 - t) * g0.components + t * g1.components))
+        MetricField(grid, (1.0 - t) * g0.components + t * g1.components)
         for t in ts
     ]
     return MetricPath(grid, mets)
@@ -473,7 +473,7 @@ def linear_metric_path(g0: MetricField, g1: MetricField, n_t=16) -> MetricPath:
 def _midpoint_metric(a: MetricField, b: MetricField, t_mid) -> MetricField:
     comps = 0.5 * (a.components + b.components)
     try:
-        return MetricField(SymTensorField(a.grid, comps))
+        return MetricField(a.grid, comps)
     except PositivityViolation as exc:
         raise DegeneratePathError(
             f"midpoint average at t = {t_mid} is not positive definite", time=t_mid
@@ -613,7 +613,7 @@ def toy_geodesic(f: VectorField, n_t=16):
 def pullback_metric_by(phi_inv: DisplacementMap) -> MetricField:
     """(dphi_inv)^T (dphi_inv) — the pushforward of the flat metric."""
     du = displacement_jacobian(phi_inv.displacement)
-    return MetricField(SymTensorField(phi_inv.grid, jacobian_gram(du)))
+    return MetricField(phi_inv.grid, jacobian_gram(du))
 
 
 def _detect_collar(f: VectorField):

@@ -160,7 +160,7 @@ def test_criterion_04_divergence_axioms():
     for trial in range(20):
         shape = random_spd_metric(grid, substream(trial, "acc4-lift"), 3, 0.45)
         det = shape.components[0] * shape.components[2] - shape.components[1] ** 2
-        lift = MetricField.from_components(grid, rho0.values * shape.components / np.sqrt(det))
+        lift = MetricField(grid, rho0.values * shape.components / np.sqrt(det))
         if divergence(K.KL_MET, lift, g1) < floor - 1e-9:
             dominates = False
     ok = min_value >= -1e-12 and positive_sep and lift_gap <= 1e-9 and dominates

@@ -499,7 +499,7 @@ def test_cs_relative_error_holds_where_ebin_half_vanishes(monkeypatch):
             metrics[trial] = draw(make, cfg, seed, label)
             return metrics[trial]
         if label.startswith("sv-h"):
-            return metrics[trial].tensor
+            return metrics[trial]
         return trace_free_perturbation(metrics[trial], substream(seed, label))
 
     monkeypatch.setattr(experiments, "_draw", orthogonal_draw)
@@ -631,6 +631,15 @@ def run_cli_process(tmp_path, cfg):
             2,
             "precondition error: ",
             id="flat-factorize-huge-box",
+        ),
+        pytest.param(
+            # the 2^44-double node meshgrid (128 TiB) exceeds the 47-bit user
+            # address space, so the allocation fails at once
+            {"experiment": "euler-alpha",
+             "grid": {"dim": 2, "topology": "torus", "n_per_axis": 4194304}},
+            2,
+            "resource error: ",
+            id="euler-alpha-grid-beyond-memory",
         ),
     ],
 )

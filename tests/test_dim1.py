@@ -57,7 +57,7 @@ def test_sample_1d(line64):
 
 
 def test_volume_and_tangent_1d(line64):
-    g = MetricField.from_components(line64, np.full((1,) + line64.shape, 4.0))
+    g = MetricField(line64, np.full((1,) + line64.shape, 4.0))
     assert np.allclose(volume_map(g).values, 2.0)
     dg = SymTensorField(line64, np.full((1,) + line64.shape, 1.0))
     # (1/2) (1/4) * 2 = 0.25
@@ -65,7 +65,7 @@ def test_volume_and_tangent_1d(line64):
 
 
 def test_trace_decompose_1d(line64):
-    g = MetricField.from_components(line64, np.full((1,) + line64.shape, 2.0))
+    g = MetricField(line64, np.full((1,) + line64.shape, 2.0))
     h = SymTensorField(line64, np.full((1,) + line64.shape, 3.0))
     z, r = trace_decompose(g, h)
     assert np.max(np.abs(z.components)) <= 1e-14  # dim 1: everything is trace
@@ -73,7 +73,7 @@ def test_trace_decompose_1d(line64):
 
 
 def test_ebin_inner_1d(line64):
-    g = MetricField.from_components(line64, np.ones((1,) + line64.shape))
+    g = MetricField(line64, np.ones((1,) + line64.shape))
     h = SymTensorField(line64, np.ones((1,) + line64.shape))
     assert ebin_inner(g, h, h) == pytest.approx(1.0, abs=1e-13)
 
@@ -87,15 +87,15 @@ def test_wfr_conformal_1d(line64):
 
 def test_we_conformal_1d(line64):
     # d = 1: value = (1 * lam / 4) * c^2 * 1 = 0.0625 for c = 0.5
-    g = MetricField.from_components(line64, np.ones((1,) + line64.shape))
+    g = MetricField(line64, np.ones((1,) + line64.shape))
     dg = SymTensorField(line64, np.full((1,) + line64.shape, 0.5))
     res = we_tangent_norm(g, dg, CFG)
     assert res.value == pytest.approx(0.0625, abs=1e-10)
 
 
 def test_divergences_1d(line64):
-    g0 = MetricField.from_components(line64, np.ones((1,) + line64.shape))
-    g1 = MetricField.from_components(line64, np.full((1,) + line64.shape, np.e**2))
+    g0 = MetricField(line64, np.ones((1,) + line64.shape))
+    g1 = MetricField(line64, np.full((1,) + line64.shape, np.e**2))
     # A = e^-2, r = e^-1: (1/2)(e^-2 + 2 - 1) * e
     expected = 0.5 * (np.e**-2 + 2.0 - 1.0) * np.e
     assert divergence(DivergenceKind.KL_MET, g0, g1) == pytest.approx(expected, abs=1e-12)
@@ -112,7 +112,7 @@ def test_lie_derivative_1d(line64):
 
     x = line64.coordinates()
     v = VectorField(line64, 0.1 * np.sin(2 * np.pi * x))
-    g = MetricField.from_components(line64, np.ones((1,) + line64.shape))
+    g = MetricField(line64, np.ones((1,) + line64.shape))
     lie = lie_derivative_metric(v, g)
     exact = 2.0 * 0.1 * 2 * np.pi * np.cos(2 * np.pi * x[0])
     assert np.max(np.abs(lie.components[0] - exact)) <= 1e-2

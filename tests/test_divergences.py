@@ -60,7 +60,7 @@ def test_kl_met_conformal_closed_form(torus16):
 def test_shape_vanishes_on_conformal_pairs(torus16):
     g1 = random_spd_metric(torus16, substream(2, "shape"), 3, 0.3)
     factor = np.exp(band_limited_scalar(torus16, substream(2, "shape-c"), 3, 0.4).values)
-    g0 = MetricField.from_components(torus16, factor * g1.components)
+    g0 = MetricField(torus16, factor * g1.components)
     assert abs(divergence(K.SHAPE, g0, g1)) <= 1e-12
 
 
@@ -115,7 +115,7 @@ def test_projection_optimality_over_non_conformal_lifts(torus16):
         shape = random_spd_metric(torus16, substream(trial, "opt-s"), 3, 0.4)
         det = shape.components[0] * shape.components[2] - shape.components[1] ** 2
         unimodular = shape.components / np.sqrt(det)
-        lift = MetricField.from_components(torus16, rho0.values * unimodular)
+        lift = MetricField(torus16, rho0.values * unimodular)
         assert np.max(np.abs(volume_map(lift).values - rho0.values)) <= 1e-10
         assert divergence(K.KL_MET, lift, g1) >= floor - 1e-9
 
@@ -137,11 +137,11 @@ def test_zero_only_on_equal_pairs(torus16):
     a = random_spd_metric(torus16, substream(77, "eq"), 3, 0.3)
     bumped = a.components.copy()
     bumped[0] += 5e-10
-    b = MetricField.from_components(torus16, bumped)
+    b = MetricField(torus16, bumped)
     assert divergence(K.KL_MET, a, b) <= 1e-12  # below resolution of the criterion
     bumped2 = a.components.copy()
     bumped2[0] += 1e-3
-    c = MetricField.from_components(torus16, bumped2)
+    c = MetricField(torus16, bumped2)
     assert divergence(K.KL_MET, a, c) > 1e-9
 
 
@@ -191,7 +191,7 @@ def test_first_variation_vanishes_on_diagonal(torus16):
     h = band_limited_sym_tensor(torus16, substream(9, "fv-h"), 3, 0.3)
     diffs = []
     for s in (1e-3, 5e-4):
-        shifted = MetricField.from_components(torus16, g.components + s * h.components)
+        shifted = MetricField(torus16, g.components + s * h.components)
         diffs.append(divergence(K.KL_MET, shifted, g) / s)
     # first derivative vanishes: difference quotients decay linearly in s
     assert abs(diffs[1]) <= 0.6 * abs(diffs[0]) + 1e-12
@@ -293,7 +293,7 @@ def test_stacked_divergences_match_per_pair_calls(kind, dim, n):
     assert values.shape == gaps.shape == (5,)
     for i in range(5):
         if metric:
-            fa, fb = (MetricField.from_components(grid, x[i]) for x in (a, b))
+            fa, fb = (MetricField(grid, x[i]) for x in (a, b))
             gap = min_eigenvalue_gap(fa, fb)
         else:
             fa, fb = DensityField(grid, a[i]), DensityField(grid, b[i])

@@ -96,7 +96,7 @@ def test_fiber_independence_of_metric_choice(torus16):
             comps[2] + 2.0 * shear * comps[1] + shear**2 * comps[0],
         ]
     )
-    g_b = MetricField.from_components(torus16, sheared)
+    g_b = MetricField(torus16, sheared)
     assert np.max(np.abs(volume_map(g_a).values - volume_map(g_b).values)) <= 1e-12
     drho = band_limited_scalar(torus16, substream(8, "fi-dr"), 3, 0.15)
     rep_a = verify_pi1_submersion(g_a, drho, n_perturb=3, seed=8, cfg=CFG)
@@ -106,10 +106,10 @@ def test_fiber_independence_of_metric_choice(torus16):
 
 
 def test_lift_report_invariant_enforced():
+    report = LiftReport(wfr_value=1.0, we_value_of_lift=1.5, perturbation_gaps=(0.0,))
+    assert report.gap == 0.5  # derived, never stored
     with pytest.raises(ValueError):
-        LiftReport(wfr_value=1.0, we_value_of_lift=1.0, gap=0.5, perturbation_gaps=(0.0,))
-    with pytest.raises(ValueError):
-        LiftReport(wfr_value=1.0, we_value_of_lift=1.0, gap=0.0, perturbation_gaps=(-1.0,))
+        LiftReport(wfr_value=1.0, we_value_of_lift=1.0, perturbation_gaps=(-1.0,))
 
 
 # ---------------------------------------------------------------------------

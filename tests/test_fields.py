@@ -1,5 +1,6 @@
 """Grid construction, finite differences, quadrature, interpolation, JSON."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from metricflow import (
     DensityField,
     Grid,
+    MetricField,
     OutOfDomainError,
+    PositivityViolation,
     ScalarField,
     SymTensorField,
     field_from_json,
@@ -49,6 +52,16 @@ def test_grid_validation():
         Grid(2, "torus", True)
 
 
+def test_grid_is_a_value():
+    grid = Grid(2, "torus", 16)
+    assert grid == Grid(2, "torus", 16, 1) and hash(grid) == hash(Grid(2, "torus", 16, 1))
+    assert {grid: "a"}[Grid(2, "torus", 16, 1.0)] == "a"
+    with pytest.raises(AttributeError):
+        grid.n_per_axis = 32
+    with pytest.raises(ValueError):
+        dataclasses.replace(grid, n_per_axis=4)  # validation cannot be bypassed
+
+
 def test_grid_spacing_conventions():
     assert Grid(2, "torus", 16).spacing == pytest.approx(1.0 / 16)
     assert Grid(2, "box", 17, extent=2.0).spacing == pytest.approx(2.0 / 16)
@@ -68,6 +81,20 @@ def test_density_requires_positivity(torus16):
     with pytest.raises(Exception) as err:
         DensityField(torus16, vals)
     assert "(3, 4)" in str(err.value)
+
+
+def test_density_reports_positivity_before_finiteness(torus16):
+    vals = np.ones(torus16.shape)
+    vals[2, 5] = 0.0
+    vals[7, 1] = np.inf
+    with pytest.raises(PositivityViolation) as err:
+        DensityField(torus16, vals)
+    assert "node (2, 5) has value 0.0" in str(err.value)
+
+
+def test_constrained_fields_are_the_fields_they_constrain(torus16):
+    assert isinstance(MetricField.euclidean(torus16), SymTensorField)
+    assert isinstance(DensityField.constant(torus16, 1.0), ScalarField)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from metricflow import (
     FlatnessInconsistencyError,
     Grid,
     MetricField,
-    SymTensorField,
     assert_flat,
     cartan_develop,
     factorize_flat_metric,
@@ -97,7 +96,7 @@ def test_frame_sqrt_reproduces_metric(box64):
 def test_frame_rejects_dim_one():
     grid = Grid(1, "box", 16, extent=2.0)
     comps = np.ones((1,) + grid.shape)
-    g = MetricField(SymTensorField(grid, comps))
+    g = MetricField(grid, comps)
     with pytest.raises(ValueError) as err:
         frame_and_connection(g, collar_width=2)
     assert "codimension-two" in str(err.value)

@@ -46,7 +46,7 @@ from metricflow.transport import MetricNormOperator, SolverConfig, _detect_colla
 
 
 def diag_metric(grid, a, b):
-    return MetricField.from_components(
+    return MetricField(
         grid, np.stack([np.full(grid.shape, a), np.zeros(grid.shape), np.full(grid.shape, b)])
     )
 
@@ -55,7 +55,7 @@ def test_spd_check_rejects_and_names_node(torus16):
     comps = np.stack([np.ones(torus16.shape), np.zeros(torus16.shape), np.ones(torus16.shape)])
     comps[2, 5, 7] = -1.0
     with pytest.raises(PositivityViolation) as err:
-        MetricField.from_components(torus16, comps)
+        MetricField(torus16, comps)
     assert err.value.node == (5, 7)
 
 
@@ -100,7 +100,7 @@ def _oracle_metrics(dim, count):
     grid = Grid(dim, "torus", 8)
     rngs = [substream(5, f"oracle-{i}") for i in range(count)]
     comps = random_spd_stack(grid, rngs, 2, 0.45)
-    return grid, [MetricField.from_components(grid, c) for c in comps]
+    return grid, [MetricField(grid, c) for c in comps]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -189,10 +189,10 @@ def test_volume_tangent_matches_finite_difference_oracle(torus16):
     errs = []
     for s in (1e-3, 5e-4):
         plus = volume_map(
-            MetricField.from_components(torus16, g.components + s * dg.components)
+            MetricField(torus16, g.components + s * dg.components)
         ).values
         minus = volume_map(
-            MetricField.from_components(torus16, g.components - s * dg.components)
+            MetricField(torus16, g.components - s * dg.components)
         ).values
         errs.append(float(np.max(np.abs((plus - minus) / (2 * s) - exact))))
     assert errs[0] <= 1e-5

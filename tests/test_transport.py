@@ -76,7 +76,7 @@ def test_ebin_inner_identity(torus16):
 
 def test_ebin_inner_conformal_scaling(torus16):
     g = MetricField.scaled_identity(torus16, 4.0)
-    assert ebin_inner(g, g.tensor, g.tensor) == pytest.approx(8.0, abs=1e-12)
+    assert ebin_inner(g, g, g) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_ebin_trace_orthogonality(torus16):
@@ -96,7 +96,7 @@ def test_orbit_norm_zero_and_unit(torus16):
 def test_orbit_norm_depends_only_on_volume(torus16):
     v = band_limited_vector(torus16, substream(1, "onv"), modes=2, amplitude=1.0)
     g_a = MetricField.euclidean(torus16)
-    g_b = MetricField.from_components(
+    g_b = MetricField(
         torus16,
         np.stack(
             [np.full(torus16.shape, 2.0), np.zeros(torus16.shape), np.full(torus16.shape, 0.5)]
@@ -351,7 +351,7 @@ def _pc_problem(grid, seed):
 
 def _constant_metric(grid):
     entries = (1.7,) if grid.dim == 1 else (2.0, 0.3, 1.0)
-    return MetricField.from_components(
+    return MetricField(
         grid, np.stack([np.full(grid.shape, e) for e in entries])
     )
 
@@ -462,7 +462,7 @@ def _lane_problem():
     """
     grid = Grid(2, "torus", 32)
     b = 0.4 * (_cos2_bump(grid, (0.25, 0.25), 0.15) - _cos2_bump(grid, (0.25, 0.75), 0.15))
-    g = MetricField.from_components(grid, np.stack([1.0 + b, 0.3 * b, 1.0 - 0.5 * b]))
+    g = MetricField(grid, np.stack([1.0 + b, 0.3 * b, 1.0 - 0.5 * b]))
     drho = band_limited_scalar(grid, substream(5, "lane-drho"), 3, 0.15)
     lift, _ = optimal_lift(g, drho, CFG)
     tangents = [lift]
@@ -473,7 +473,7 @@ def _lane_problem():
     op = MetricNormOperator(g, CFG)
     rhs = [op.rhs(t.components) for t in tangents]
     mean = np.mean(g.components, axis=(1, 2), keepdims=True)
-    gbar = MetricField.from_components(grid, np.broadcast_to(mean, g.components.shape))
+    gbar = MetricField(grid, np.broadcast_to(mean, g.components.shape))
     u = _cos2_bump(grid, (0.75, 0.5), 0.15) * np.array([1.0, -0.5])[:, None, None]
     rhs.append(MetricNormOperator(gbar, CFG).apply(u))
     return g, tangents, np.stack(rhs)
@@ -635,11 +635,8 @@ def test_midpoint_guard_raises_on_degenerate_sample(torus16):
     good = MetricField.euclidean(torus16)
     bad = object.__new__(MetricField)
     bad.grid = torus16
-    bad.tensor = SymTensorField(
-        torus16,
-        np.stack(
-            [np.ones(torus16.shape), np.zeros(torus16.shape), -3.0 * np.ones(torus16.shape)]
-        ),
+    bad.components = np.stack(
+        [np.ones(torus16.shape), np.zeros(torus16.shape), -3.0 * np.ones(torus16.shape)]
     )
     path = MetricPath(torus16, [good, bad])
     with pytest.raises(DegeneratePathError) as err:
@@ -742,7 +739,7 @@ def test_bounds_conformal_pair(torus16):
 
 def test_bounds_equal_volumes_degenerate(torus16):
     g0 = MetricField.euclidean(torus16)
-    g1 = MetricField.from_components(
+    g1 = MetricField(
         torus16,
         np.stack(
             [np.full(torus16.shape, 2.0), np.zeros(torus16.shape), np.full(torus16.shape, 0.5)]
