@@ -72,9 +72,8 @@ from .tensors import (
     volume_tangent,
 )
 from .transport import (
-    MetricPath,
+    NormResult,
     SolverConfig,
-    TangentDecomposition,
     ebin_inner,
     linear_metric_path,
     path_energy,

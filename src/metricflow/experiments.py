@@ -81,18 +81,18 @@ if TYPE_CHECKING:
 # experiment bodies
 
 
-def _draw(make, cfg: ExperimentConfig, seed, label):
+def _draw(make, cfg: ExperimentConfig, label):
     """make(grid, rng, modes, amplitude) with the experiment's modes and amplitude."""
     p = cfg.params
-    return make(cfg.grid, substream(seed, label), p["modes"], p["amplitude"])
+    return make(cfg.grid, substream(cfg.seed, label), p["modes"], p["amplitude"])
 
 
 def run_we_norm(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_trials"]):
-        g = _draw(random_spd_metric, cfg, cfg.seed, f"we-norm-g-{trial}")
-        dg = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"we-norm-dg-{trial}")
+        g = _draw(random_spd_metric, cfg, f"we-norm-g-{trial}")
+        dg = _draw(band_limited_sym_tensor, cfg, f"we-norm-dg-{trial}")
         res = we_tangent_norm(g, dg, cfg.solver)
         rows.append(
             {
@@ -100,7 +100,6 @@ def run_we_norm(cfg: ExperimentConfig):
                 "value": res.value,
                 "iters": res.iterations,
                 "residual": res.residual,
-                "decomposition_residual": res.decomposition.residual,
             }
         )
     grid24 = Grid(2, "torus", 24)
@@ -120,8 +119,8 @@ def run_wfr_norm(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_trials"]):
-        rho = _draw(band_limited_density, cfg, cfg.seed, f"wfr-rho-{trial}")
-        drho = _draw(band_limited_scalar, cfg, cfg.seed, f"wfr-drho-{trial}")
+        rho = _draw(band_limited_density, cfg, f"wfr-rho-{trial}")
+        drho = _draw(band_limited_scalar, cfg, f"wfr-drho-{trial}")
         res = wfr_tangent_norm(rho, drho, cfg.solver)
         rows.append(
             {"trial": trial, "value": res.value, "iters": res.iterations, "residual": res.residual}
@@ -133,8 +132,8 @@ def run_submersion(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_trials"]):
-        g = _draw(random_spd_metric, cfg, cfg.seed, f"submersion-g-{trial}")
-        drho = _draw(band_limited_scalar, cfg, cfg.seed, f"submersion-drho-{trial}")
+        g = _draw(random_spd_metric, cfg, f"submersion-g-{trial}")
+        drho = _draw(band_limited_scalar, cfg, f"submersion-drho-{trial}")
         report = verify_pi1_submersion(
             g, drho, n_perturb=p["n_perturb"], seed=cfg.seed + trial, cfg=cfg.solver
         )
@@ -218,9 +217,9 @@ def run_second_variation(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_triples"]):
-        g = _draw(random_spd_metric, cfg, cfg.seed, f"sv-g-{trial}")
-        h = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"sv-h-{trial}")
-        k = _draw(band_limited_sym_tensor, cfg, cfg.seed, f"sv-k-{trial}")
+        g = _draw(random_spd_metric, cfg, f"sv-g-{trial}")
+        h = _draw(band_limited_sym_tensor, cfg, f"sv-h-{trial}")
+        k = _draw(band_limited_sym_tensor, cfg, f"sv-k-{trial}")
         cs_bound = 0.5 * np.sqrt(ebin_inner(g, h, h) * ebin_inner(g, k, k))
         for kind in (DivergenceKind.KL_MET, DivergenceKind.TILDE_KL_MET):
             mixed, ebin_half, richardson = second_variation_probe(kind, g, h, k, p["step"])
@@ -260,10 +259,7 @@ def run_flat_factorize(cfg: ExperimentConfig):
             {"instance": i, "flat": True, **dataclasses.asdict(report), "recovery_error": recovery}
         )
         if i == 0:
-            artifacts["displacement.json"] = field_to_json(
-                phi.displacement, kind="displacement",
-                extra={"collar_width": phi.collar_width},
-            )
+            artifacts["displacement.json"] = field_to_json(phi)
             artifacts["report.json"] = dumps_result(dataclasses.asdict(report))
     rejected = 0
     for i in range(p["n_non_flat"]):
@@ -330,8 +326,8 @@ def run_path_energy(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_paths"]):
-        g0 = _draw(random_spd_metric, cfg, cfg.seed, f"path-g0-{trial}")
-        g1 = _draw(random_spd_metric, cfg, cfg.seed, f"path-g1-{trial}")
+        g0 = _draw(random_spd_metric, cfg, f"path-g0-{trial}")
+        g1 = _draw(random_spd_metric, cfg, f"path-g1-{trial}")
         path = linear_metric_path(g0, g1, n_t=p["n_t"])
         we = path_energy(path, cfg.solver, which="we")
         ebin = path_energy(path, cfg.solver, which="ebin")
@@ -399,8 +395,8 @@ def run_bounds(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
     for trial in range(p["n_pairs"]):
-        g0 = _draw(random_spd_metric, cfg, cfg.seed, f"bounds-g0-{trial}")
-        g1 = _draw(random_spd_metric, cfg, cfg.seed, f"bounds-g1-{trial}")
+        g0 = _draw(random_spd_metric, cfg, f"bounds-g0-{trial}")
+        g1 = _draw(random_spd_metric, cfg, f"bounds-g1-{trial}")
         b = we_distance_bounds(g0, g1, cfg.solver, n_t=p["n_t"])
         rows.append(
             {

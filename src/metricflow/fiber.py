@@ -45,8 +45,8 @@ def optimal_lift(g: MetricField, drho, cfg: SolverConfig = SolverConfig()):
 
     Solves the density tangent-norm problem at (vol(g), drho) for the
     minimizers (v, f) and returns ``(dg, result)``: the lift
-    dg = -L_v g + (2 f / dim) g and the ``DensityNormResult`` solved, whose
-    value is the density norm and whose v and f are the minimizers.  The
+    dg = -L_v g + (2 f / dim) g and the ``NormResult`` solved, whose value
+    is the density norm and whose v and source are the minimizers v and f.  The
     volume tangent of dg reproduces drho up to O(spacing^2) (the finite
     difference defect between div(rho v) and (1/2) tr(g^-1 L_v g) vol(g)).
     ``verify_pi1_submersion`` checks the submersion through this lift.
@@ -54,7 +54,7 @@ def optimal_lift(g: MetricField, drho, cfg: SolverConfig = SolverConfig()):
     require_same_grid(g, drho)
     res = wfr_tangent_norm(volume_map(g), drho, cfg)
     lie = lie_derivative_metric(res.v, g)
-    scale = (2.0 / g.grid.dim) * res.f.values
+    scale = (2.0 / g.grid.dim) * res.source.values
     return SymTensorField(g.grid, -lie.components + scale * g.components), res
 
 

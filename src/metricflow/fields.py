@@ -116,8 +116,6 @@ def sym_component_count(dim):
 class ScalarField:
     """One real per node."""
 
-    kind = "scalar"
-
     def __init__(self, grid, values):
         self.grid = grid
         self.values = _frozen(values, grid.shape)
@@ -129,8 +127,6 @@ class ScalarField:
 
 class DensityField(ScalarField):
     """One strictly positive real per node (Radon-Nikodym w.r.t. Lebesgue)."""
-
-    kind = "density"
 
     def __init__(self, grid, values):
         # positivity comes before finiteness: a 0 next to an inf names the 0
@@ -146,8 +142,6 @@ class DensityField(ScalarField):
 
 class VectorField:
     """dim reals per node, stored as components[k] = k-th coordinate."""
-
-    kind = "vector"
 
     def __init__(self, grid, components):
         self.grid = grid
@@ -170,8 +164,6 @@ class VectorField:
 
 class SymTensorField:
     """Symmetric 2-tensor per node; packed components (11,) in 1D, (11, 12, 22) in 2D."""
-
-    kind = "sym_tensor"
 
     def __init__(self, grid, components):
         self.grid = grid

@@ -1,14 +1,14 @@
-"""JSON serialization for grids and fields.
+"""JSON wire format of displacement maps, and deterministic result JSON.
 
-Wire format:
+The one field artifact is a displacement map:
 
-    {"grid": {"dim": 2, "topology": "torus", "n_per_axis": 16, "extent": 1.0},
-     "kind": "scalar",
-     "data": [ ... row-major reals ... ]}
+    {"grid": {"dim": 2, "topology": "box", "n_per_axis": 16, "extent": 2.0},
+     "kind": "displacement",
+     "collar_width": 3,
+     "data": [ ... row-major reals of the displacement u ... ]}
 
 Reals are written with 17 significant digits so that parsing reproduces the
-original float64 bit pattern.  Displacement maps use kind "displacement" and,
-on box grids, an extra integer entry "collar_width".
+original float64 bit pattern.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ import math
 import numpy as np
 
 from .errors import InvalidResultError
-from .fields import (
-    DensityField,
-    Grid,
-    ScalarField,
-    SymTensorField,
-    VectorField,
-)
+from .fields import Grid, VectorField
+from .tensors import DisplacementMap
 
 
 def format_real(x: float) -> str:
@@ -54,49 +49,28 @@ def _grid_json(grid: Grid) -> str:
     )
 
 
-def field_to_json(field, kind=None, extra=None) -> str:
-    """Serialize a field to the JSON wire format (17-significant-digit reals)."""
-    kind = kind or field.kind
-    data = field.values if hasattr(field, "values") else field.components
-    parts = ['"grid": ' + _grid_json(field.grid), '"kind": "%s"' % kind]
-    if extra:
-        for key in sorted(extra):
-            parts.append('"%s": %s' % (key, json.dumps(extra[key])))
-    parts.append('"data": ' + _data_json(data))
-    return "{" + ", ".join(parts) + "}"
+def field_to_json(phi: DisplacementMap) -> str:
+    """Serialize a displacement map to the wire format (17-significant-digit reals)."""
+    return "{" + ", ".join([
+        '"grid": ' + _grid_json(phi.grid),
+        '"kind": "displacement"',
+        '"collar_width": %d' % phi.collar_width,
+        '"data": ' + _data_json(phi.displacement.components),
+    ]) + "}"
 
 
-def field_from_json(text: str):
-    """Parse the wire format back into the matching field object.
+def field_from_json(text: str) -> DisplacementMap:
+    """Parse the wire format back into the displacement map it holds.
 
-    Kept as the reader that proves the ``displacement.json`` wire format
-    round-trips.
-    Returns (field, extra) where extra holds any auxiliary entries such as
-    "collar_width".  Metric and displacement kinds are resolved lazily to
-    avoid a circular import with the tensor module.
+    The reader that proves the ``displacement.json`` wire format round-trips;
+    any kind other than "displacement" raises ValueError.
     """
     obj = json.loads(text)
+    if obj["kind"] != "displacement":
+        raise ValueError(f"unknown field kind {obj['kind']!r}")
     grid = Grid(**obj["grid"])
-    kind = obj["kind"]
-    data = np.array(obj["data"], dtype=float)
-    extra = {k: v for k, v in obj.items() if k not in ("grid", "kind", "data")}
-
-    from .tensors import DisplacementMap, MetricField
-
-    if kind == "scalar":
-        return ScalarField(grid, data.reshape(grid.shape)), extra
-    if kind == "density":
-        return DensityField(grid, data.reshape(grid.shape)), extra
-    if kind == "vector":
-        return VectorField(grid, data.reshape((grid.dim,) + grid.shape)), extra
-    if kind in ("sym_tensor", "metric"):
-        ncomp = grid.dim * (grid.dim + 1) // 2
-        cls = MetricField if kind == "metric" else SymTensorField
-        return cls(grid, data.reshape((ncomp,) + grid.shape)), extra
-    if kind == "displacement":
-        u = VectorField(grid, data.reshape((grid.dim,) + grid.shape))
-        return DisplacementMap(u, collar_width=extra.get("collar_width", 0)), extra
-    raise ValueError(f"unknown field kind {kind!r}")
+    u = VectorField(grid, np.array(obj["data"], dtype=float).reshape((grid.dim,) + grid.shape))
+    return DisplacementMap(u, collar_width=obj["collar_width"])
 
 
 def dumps_result(obj) -> str:

@@ -84,8 +84,6 @@ def spd_check(comps, dim, what="tensor"):
 class MetricField(SymTensorField):
     """Symmetric positive-definite 2-tensor field; SPD is checked nodewise."""
 
-    kind = "metric"
-
     def __init__(self, grid, components):
         super().__init__(grid, components)
         spd_check(self.components, grid.dim, what="metric")
@@ -110,8 +108,6 @@ class DisplacementMap:
     (orientation preserving); on box grids u must vanish in a boundary
     collar of ``collar_width`` node rings (within ``collar_tol``).
     """
-
-    kind = "displacement"
 
     def __init__(self, displacement: VectorField, collar_width=0, collar_tol=1e-12):
         self.grid = displacement.grid

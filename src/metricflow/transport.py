@@ -19,6 +19,11 @@ Metric tangent norm (transport velocity v, source h):
                + (d Lam / 4) Int tr(g^-1 H g^-1 H) vol(g),
     H = dg + L_v g.
 
+Both norms return one record, ``NormResult(value, v, source, ...)``: the
+minimizing velocity and the source term, f for densities and H for metrics.
+A metric path is the list of its samples, uniform in time on [0, 1], as a
+map path is the list of its maps.
+
 Both normal operators are assembled by composing the central-difference
 operators with their discrete adjoints, which on the torus are exact
 (skew-adjointness under the rectangle rule); the solvers therefore require
@@ -60,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cg import solve_spd
-from .errors import DegeneratePathError, PositivityViolation, SolverFailure
+from .errors import DegeneratePathError, NonInvertibleMapError, PositivityViolation, SolverFailure
 from .fields import (
     TORUS,
     DensityField,
@@ -119,25 +124,17 @@ class SolverConfig:
                 raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-class TangentDecomposition(NamedTuple):
-    """Transport/source split dg = -L_v g + h of a metric tangent vector."""
+class NormResult(NamedTuple):
+    """A tangent norm and its minimizing (v, source) pair.
 
-    v: VectorField
-    h: SymTensorField
-    residual: float
+    ``source`` is the growth rate f (a ScalarField) for the density norm and
+    h = dg + L_v g (a SymTensorField) for the metric norm; ``iterations`` and
+    ``residual`` are those of the solve.
+    """
 
-
-class DensityNormResult(NamedTuple):
     value: float
     v: VectorField
-    f: ScalarField
-    iterations: int
-    residual: float
-
-
-class MetricNormResult(NamedTuple):
-    value: float
-    decomposition: TangentDecomposition
+    source: ScalarField | SymTensorField
     iterations: int
     residual: float
 
@@ -278,7 +275,7 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
     value = integrate_array(np.sum(x**2, axis=0) * r, grid) + lam * integrate_array(
         f.values**2 * r, grid
     )
-    return DensityNormResult(float(value), v, f, sol.iterations, sol.residual)
+    return NormResult(float(value), v, f, sol.iterations, sol.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +397,9 @@ def metric_norm_preconditioner(g: MetricField, cfg: SolverConfig):
 def we_tangent_norm(g: MetricField, dg: SymTensorField, cfg: SolverConfig = SolverConfig()):
     """Minimize the transport + source energy over velocities v.
 
-    Returns the minimum value together with the feasible decomposition
-    dg = -L_v g + h, where h = dg + L_v g is defined from the minimizer, so
-    the decomposition residual is zero by construction (it is still measured
-    and reported).  A one-lane ``we_tangent_norms``.
+    Returns the ``NormResult`` of the minimum: the velocity v and the source
+    h = dg + L_v g defined from it, so dg = -L_v g + h holds by construction.
+    A one-lane ``we_tangent_norms``.
     """
     return we_tangent_norms(g, [dg], cfg)[0]
 
@@ -413,61 +409,37 @@ def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
 
     The normal operator and its preconditioner are built once, and each
     tangent is one lane of ``cg.solve_spd``, so each gets the value and the
-    iteration count of its own solve.  Returns a list of MetricNormResult.
+    iteration count of its own solve.  Returns a list of NormResult.
     """
     grid = require_same_grid(g, *dgs)
     op = MetricNormOperator(g, cfg)
     dg = np.stack([t.components for t in dgs])
     sol = _solve("we_tangent_norm", g, op.apply, op.rhs(dg), cfg, metric_norm_preconditioner)
-    lv = op.lie(sol.x)
-    h = dg + lv
+    h = dg + op.lie(sol.x)
     values = op.objective(sol.x, dg)
-    out = []
-    for lane, x in enumerate(sol.x):
-        resid = float(np.max(np.abs(dg[lane] - (-lv[lane] + h[lane]))))
-        out.append(
-            MetricNormResult(
-                float(values[lane]),
-                TangentDecomposition(VectorField(grid, x), SymTensorField(grid, h[lane]), resid),
-                sol.lane_iterations[lane],
-                sol.lane_residuals[lane],
-            )
+    return [
+        NormResult(
+            float(values[lane]),
+            VectorField(grid, sol.x[lane]),
+            SymTensorField(grid, h[lane]),
+            sol.lane_iterations[lane],
+            sol.lane_residuals[lane],
         )
-    return out
+        for lane in range(len(dgs))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # paths
 
 
-class MetricPath:
-    """Uniformly time-sampled path of metrics on [0, 1]."""
-
-    def __init__(self, grid, metrics):
-        if len(metrics) < 2:
-            raise ValueError("a path needs at least two samples (n_t >= 1)")
-        for m in metrics:
-            require_same_grid(m, metrics[0])
-        if grid != metrics[0].grid:
-            raise ValueError("grid does not match the metric samples")
-        self.grid = grid
-        self.metrics = list(metrics)
-        self.times = np.linspace(0.0, 1.0, len(metrics))
-
-    @property
-    def n_intervals(self):
-        return len(self.metrics) - 1
-
-
-def linear_metric_path(g0: MetricField, g1: MetricField, n_t=16) -> MetricPath:
-    """Componentwise linear interpolation between two metrics."""
+def linear_metric_path(g0: MetricField, g1: MetricField, n_t=16):
+    """Componentwise linear interpolation between two metrics: its n_t + 1 samples."""
     grid = require_same_grid(g0, g1)
-    ts = np.linspace(0.0, 1.0, n_t + 1)
-    mets = [
+    return [
         MetricField(grid, (1.0 - t) * g0.components + t * g1.components)
-        for t in ts
+        for t in np.linspace(0.0, 1.0, n_t + 1)
     ]
-    return MetricPath(grid, mets)
 
 
 def _midpoint_metric(a: MetricField, b: MetricField, t_mid) -> MetricField:
@@ -480,30 +452,35 @@ def _midpoint_metric(a: MetricField, b: MetricField, t_mid) -> MetricField:
         ) from exc
 
 
-def path_interval_norms(path: MetricPath, cfg: SolverConfig, which="we"):
+def path_interval_norms(path, cfg: SolverConfig, which="we"):
     """Squared tangent norm of each interval's difference quotient.
 
+    ``path`` is the list of a metric path's samples, uniform on [0, 1] (at
+    least two, on one grid), as ``linear_metric_path`` returns it.
     which: "we" (transport + source), "ebin" (pure source) or "wfr"
     (transport + growth of the volume-projected path vol(g(t)): midpoint
     density and difference quotient of the sampled volumes).  The three
     bracket the submersion: E_wfr <= E_we <= (d lam / 4) E_ebin.
     """
+    if len(path) < 2:
+        raise ValueError("a path needs at least two samples (n_t >= 1)")
+    grid = require_same_grid(*path)
     if which not in ("we", "ebin", "wfr"):
         raise ValueError(f"unknown energy kind {which!r}")
-    grid, dt = path.grid, 1.0 / path.n_intervals
+    times = np.linspace(0.0, 1.0, len(path))
+    dt = 1.0 / (len(path) - 1)
     if which == "wfr":
-        vols = [packed_volume(m.components, grid.dim) for m in path.metrics]
+        vols = [packed_volume(m.components, grid.dim) for m in path]
     norms = []
-    for i in range(path.n_intervals):
+    for i in range(len(path) - 1):
         if which == "wfr":
             mid = DensityField(grid, 0.5 * (vols[i] + vols[i + 1]))
             delta = ScalarField(grid, (vols[i + 1] - vols[i]) / dt)
             norms.append(wfr_tangent_norm(mid, delta, cfg).value)
             continue
-        t_mid = (path.times[i] + path.times[i + 1]) / 2.0
-        gbar = _midpoint_metric(path.metrics[i], path.metrics[i + 1], t_mid)
-        dstep = (path.metrics[i + 1].components - path.metrics[i].components) / dt
-        gdot = SymTensorField(grid, dstep)
+        t_mid = (times[i] + times[i + 1]) / 2.0
+        gbar = _midpoint_metric(path[i], path[i + 1], t_mid)
+        gdot = SymTensorField(grid, (path[i + 1].components - path[i].components) / dt)
         if which == "ebin":
             norms.append(ebin_inner(gbar, gdot, gdot))
         else:
@@ -511,15 +488,15 @@ def path_interval_norms(path: MetricPath, cfg: SolverConfig, which="we"):
     return np.array(norms)
 
 
-def path_energy(path: MetricPath, cfg: SolverConfig = SolverConfig(), which="we") -> float:
+def path_energy(path, cfg: SolverConfig = SolverConfig(), which="we") -> float:
     """Midpoint-rule action integral of the squared tangent norm."""
     norms = path_interval_norms(path, cfg, which)
-    return float(np.sum(norms) / path.n_intervals)
+    return float(np.sum(norms) / len(norms))
 
 
-def path_length(path: MetricPath, cfg: SolverConfig = SolverConfig(), which="we") -> float:
+def path_length(path, cfg: SolverConfig = SolverConfig(), which="we") -> float:
     norms = path_interval_norms(path, cfg, which)
-    return float(np.sum(np.sqrt(np.maximum(norms, 0.0))) / path.n_intervals)
+    return float(np.sum(np.sqrt(np.maximum(norms, 0.0))) / len(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +562,7 @@ def toy_geodesic(f: VectorField, n_t=16):
                     VectorField(grid, t * f.components), collar_width=collar_width
                 )
             )
-        except Exception as exc:
+        except NonInvertibleMapError as exc:
             raise DegeneratePathError(
                 f"id + t f is not orientation preserving at t = {t}", time=float(t)
             ) from exc

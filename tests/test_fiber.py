@@ -38,7 +38,7 @@ def test_optimal_lift_conformal_case(torus16):
     g = MetricField.euclidean(torus16)
     dg, res = optimal_lift(g, ScalarField.constant(torus16, 0.5), CFG)
     assert np.max(np.abs(res.v.components)) <= 1e-12
-    assert np.allclose(res.f.values, 0.5, atol=1e-12)
+    assert np.allclose(res.source.values, 0.5, atol=1e-12)
     assert np.allclose(dg.components[0], 0.5, atol=1e-11)
     assert np.allclose(dg.components[1], 0.0, atol=1e-11)
     assert np.allclose(dg.components[2], 0.5, atol=1e-11)

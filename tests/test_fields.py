@@ -8,12 +8,14 @@ import pytest
 
 from metricflow import (
     DensityField,
+    DisplacementMap,
     Grid,
     MetricField,
     OutOfDomainError,
     PositivityViolation,
     ScalarField,
     SymTensorField,
+    VectorField,
     field_from_json,
     field_to_json,
     integrate,
@@ -346,27 +348,15 @@ def test_vector_field_sampling_shape(torus16):
 # serialization
 
 
-@pytest.mark.parametrize("kind", ["scalar", "density", "vector", "sym_tensor"])
-def test_json_round_trip_bitwise(kind, torus16):
-    rng = substream(17, f"ser-{kind}")
-    if kind == "scalar":
-        f = band_limited_scalar(torus16, rng, modes=3, amplitude=0.7)
-    elif kind == "density":
-        f = DensityField(torus16, np.exp(band_limited_scalar(torus16, rng, 3, 0.5).values))
-    elif kind == "vector":
-        f = band_limited_vector(torus16, rng, modes=3, amplitude=0.7)
-    else:
-        comps = np.stack(
-            [band_limited_scalar(torus16, rng, 3, 0.7).values for _ in range(3)]
-        )
-        f = SymTensorField(torus16, comps)
-    text = field_to_json(f)
-    back, extra = field_from_json(text)
-    orig = f.values if hasattr(f, "values") else f.components
-    new = back.values if hasattr(back, "values") else back.components
-    assert np.array_equal(orig, new)
-    assert back.grid == f.grid
-    assert extra == {}
+def test_json_round_trip_bitwise(torus16):
+    u = band_limited_vector(torus16, substream(17, "ser-displacement"), modes=3, amplitude=0.005)
+    phi = DisplacementMap(u)
+    text = field_to_json(phi)
+    back = field_from_json(text)
+    assert isinstance(back, DisplacementMap)
+    assert np.array_equal(back.displacement.components, u.components)
+    assert back.grid == phi.grid and back.collar_width == 0
+    assert field_to_json(back) == text
 
 
 def test_data_json_matches_per_element_format_oracle():
@@ -385,22 +375,23 @@ def test_data_json_matches_per_element_format_oracle():
 
 
 def test_json_format_shape(torus16):
-    f = ScalarField.constant(torus16, np.pi)
-    obj = json.loads(field_to_json(f))
-    assert obj["kind"] == "scalar"
+    phi = DisplacementMap(VectorField.constant(torus16, (np.pi, 0.0)))
+    obj = json.loads(field_to_json(phi))
+    assert list(obj) == ["grid", "kind", "collar_width", "data"]
+    assert obj["kind"] == "displacement"
     assert obj["grid"]["topology"] == "torus"
-    assert len(obj["data"]) == torus16.node_count
+    assert len(obj["data"]) == torus16.dim * torus16.node_count
     # 17 significant digits round-trip the double exactly
     assert obj["data"][0] == np.pi
+    # the wire format holds displacement maps only
+    with pytest.raises(ValueError, match="unknown field kind 'scalar'"):
+        field_from_json(json.dumps({**obj, "kind": "scalar"}))
 
 
 def test_json_displacement_collar():
-    from metricflow import DisplacementMap
-
     grid = Grid(2, "box", 16, extent=2.0)
     phi = DisplacementMap.identity(grid, collar_width=3)
-    text = field_to_json(phi.displacement, kind="displacement", extra={"collar_width": 3})
-    back, extra = field_from_json(text)
+    back = field_from_json(field_to_json(phi))
     assert isinstance(back, DisplacementMap)
     assert back.collar_width == 3
 

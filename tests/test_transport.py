@@ -7,6 +7,7 @@ from metricflow import (
     DegeneratePathError,
     DensityField,
     Grid,
+    GridMismatchError,
     MetricField,
     ScalarField,
     SolverConfig,
@@ -41,7 +42,6 @@ from metricflow.randomfields import (
 from metricflow.tensors import DisplacementMap, invert_displacement, packed_to_full
 from metricflow.transport import (
     MetricNormOperator,
-    MetricPath,
     _detect_collar,
     density_norm_preconditioner,
     displacement_path_energy,
@@ -123,7 +123,7 @@ def test_wfr_conformal_closed_form(torus16):
     res = wfr_tangent_norm(rho, drho, CFG)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert np.max(np.abs(res.v.components)) <= 1e-12
-    assert np.allclose(res.f.values, 0.5, atol=1e-12)
+    assert np.allclose(res.source.values, 0.5, atol=1e-12)
 
 
 def test_wfr_pure_transport_competitor_bound(torus16):
@@ -171,7 +171,7 @@ def test_we_conformal_closed_form(torus16):
     dg = SymTensorField.from_matrix_entries(torus16, 0.5, 0.0, 0.5)
     res = we_tangent_norm(g, dg, CFG)
     assert res.value == pytest.approx(0.25, abs=1e-10)
-    assert np.max(np.abs(res.decomposition.v.components)) <= 1e-10
+    assert np.max(np.abs(res.v.components)) <= 1e-10
 
 
 def _random_problem(seed, grid, amplitude=0.25):
@@ -202,9 +202,8 @@ def test_we_decomposition_feasible(torus16):
 
     g, dg = _random_problem(13, torus16)
     res = we_tangent_norm(g, dg, CFG)
-    assert res.decomposition.residual <= 1e-12
-    lie = lie_derivative_metric(res.decomposition.v, g)
-    recon = -lie.components + res.decomposition.h.components
+    lie = lie_derivative_metric(res.v, g)
+    recon = -lie.components + res.source.components
     assert np.max(np.abs(recon - dg.components)) <= 1e-10
 
 
@@ -312,11 +311,11 @@ def test_we_first_order_stationarity(torus16):
     g, dg = _random_problem(19, torus16)
     res = we_tangent_norm(g, dg, CFG)
     op = MetricNormOperator(g, CFG)
-    base = op.objective(res.decomposition.v.components, dg.components)
+    base = op.objective(res.v.components, dg.components)
     for trial in range(3):
         w = band_limited_vector(torus16, substream(trial, "stat-w"), 3, 1.0).components
         for s in (1e-3, -1e-3):
-            moved = op.objective(res.decomposition.v.components + s * w, dg.components)
+            moved = op.objective(res.v.components + s * w, dg.components)
             assert moved - base >= -1e-8
         # curvature of the quadratic along w is <A w, w> >= 0
         assert float(np.vdot(op.apply(w), w)) >= 0.0
@@ -504,7 +503,6 @@ def test_lane_stacked_norms_match_single_solves():
         single = we_tangent_norm(g, tangent, CFG)
         assert lane.iterations == single.iterations
         assert abs(lane.value - single.value) <= 1e-12 * abs(single.value)
-        assert lane.decomposition.residual <= 1e-12
     assert stacked[-1].iterations == 0 and stacked[-1].value == 0.0
 
 
@@ -579,12 +577,12 @@ def test_wfr_path_of_scaled_identities_closed_form(torus16):
     path = linear_metric_path(
         MetricField.euclidean(torus16), MetricField.scaled_identity(torus16, c), n_t=4
     )
-    vols = [float(volume_map(m).values[0, 0]) for m in path.metrics]
+    vols = [float(volume_map(m).values[0, 0]) for m in path]
     for lam in (0.5, 2.0):
         norms = path_interval_norms(path, SolverConfig(lam=lam), which="wfr")
         for i, norm in enumerate(norms):
             rho_mid = 0.5 * (vols[i] + vols[i + 1])
-            rate = (vols[i + 1] - vols[i]) * path.n_intervals
+            rate = (vols[i + 1] - vols[i]) * (len(path) - 1)
             assert norm == pytest.approx(lam * rate**2 / rho_mid, rel=1e-12)
 
 
@@ -592,6 +590,11 @@ def test_path_interval_norms_unknown_kind(torus16):
     g = MetricField.euclidean(torus16)
     with pytest.raises(ValueError, match="unknown energy kind 'orbit'"):
         path_interval_norms(linear_metric_path(g, g, n_t=2), CFG, which="orbit")
+    # a path is at least two samples on one grid
+    with pytest.raises(ValueError, match="at least two samples"):
+        path_interval_norms([g], CFG)
+    with pytest.raises(GridMismatchError):
+        path_interval_norms([g, MetricField.euclidean(Grid(2, "torus", 8))], CFG)
 
 
 def test_linear_conformal_path_ebin_energy_closed_form():
@@ -638,9 +641,8 @@ def test_midpoint_guard_raises_on_degenerate_sample(torus16):
     bad.components = np.stack(
         [np.ones(torus16.shape), np.zeros(torus16.shape), -3.0 * np.ones(torus16.shape)]
     )
-    path = MetricPath(torus16, [good, bad])
     with pytest.raises(DegeneratePathError) as err:
-        path_energy(path, CFG, which="ebin")
+        path_energy([good, bad], CFG, which="ebin")
     assert err.value.time is not None
 
 
@@ -690,6 +692,19 @@ def test_toy_geodesic_orientation_failure(box64):
     with pytest.raises(DegeneratePathError) as err:
         toy_geodesic(toy_field(box64, 3.0), n_t=4)
     assert err.value.time is not None
+
+
+def test_toy_geodesic_passes_other_failures_through(monkeypatch):
+    # only the orientation check means a degenerate path; any other failure
+    # building a map keeps its own type
+    from metricflow import transport
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(transport, "DisplacementMap", out_of_memory)
+    with pytest.raises(MemoryError):
+        toy_geodesic(toy_field(Grid(2, "box", 32, extent=2.0), 0.08), n_t=2)
 
 
 def test_perturbed_paths_cost_more(box64):
