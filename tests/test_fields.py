@@ -31,6 +31,7 @@ from metricflow.fields import (
     sample_array,
 )
 from metricflow.randomfields import band_limited_scalar, band_limited_vector, substream
+from metricflow.tensors import packed_to_full
 
 
 def test_grid_validation():
@@ -348,13 +349,30 @@ def test_vector_field_sampling_shape(torus16):
 # serialization
 
 
-def test_json_round_trip_bitwise(torus16):
-    u = band_limited_vector(torus16, substream(17, "ser-displacement"), modes=3, amplitude=0.005)
-    phi = DisplacementMap(u)
+@pytest.mark.parametrize("kind", ["scalar", "density", "vector", "sym_tensor"])
+def test_json_round_trip_bitwise(kind, torus16):
+    """A displacement built from a field of each kind survives the wire format bit for bit.
+
+    scalar: the gradient of a potential; density: the gradient of log rho;
+    vector: a band-limited field; sym_tensor: the row divergence of a tensor.
+    """
+    rng = substream(17, f"ser-{kind}")
+    if kind == "scalar":
+        u = 1e-3 * gradient_array(band_limited_scalar(torus16, rng, 3, 0.7).values, torus16)
+    elif kind == "density":
+        rho = DensityField(torus16, np.exp(band_limited_scalar(torus16, rng, 3, 0.5).values))
+        u = 1e-3 * gradient_array(np.log(rho.values), torus16)
+    elif kind == "vector":
+        u = band_limited_vector(torus16, rng, modes=3, amplitude=0.005).components
+    else:
+        comps = np.stack([band_limited_scalar(torus16, rng, 3, 0.7).values for _ in range(3)])
+        full = packed_to_full(SymTensorField(torus16, comps).components, torus16.dim)
+        u = 1e-3 * np.stack([divergence_array(row, torus16) for row in full])
+    phi = DisplacementMap(VectorField(torus16, u))
     text = field_to_json(phi)
     back = field_from_json(text)
     assert isinstance(back, DisplacementMap)
-    assert np.array_equal(back.displacement.components, u.components)
+    assert np.array_equal(back.displacement.components, u)
     assert back.grid == phi.grid and back.collar_width == 0
     assert field_to_json(back) == text
 
