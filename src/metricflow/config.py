@@ -18,6 +18,7 @@ least values all come from ``experiments.EXPERIMENTS``.  ``--seed`` /
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -144,6 +145,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
         )
         entries = value if type(value) is list else [value]
         _expect(entries != [], f"param {key!r} for {experiment} must not be empty")
+        # json.load reads NaN and +-Infinity, which JSON itself does not have
+        _expect(
+            all(math.isfinite(v) for v in entries if type(v) is float),
+            f"param {key!r} for {experiment} must be finite, got {value!r}",
+        )
         least = spec.minimums.get(key, 1)
         _expect(
             all(v >= least for v in entries if type(v) is int),

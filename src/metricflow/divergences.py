@@ -39,7 +39,7 @@ from .fields import (
     integrate_array,
     require_same_grid,
 )
-from .randomfields import band_limited_scalar, band_limited_vector, substream
+from .randomfields import band_limited_scalar, band_limited_vector
 from .tensors import (
     DisplacementMap,
     MetricField,
@@ -286,24 +286,23 @@ class SearchTrace:
     accepted: int
 
 
-def static_local_search(problem: StaticProblem, iters=20, seed=0, modes=2):
+def static_local_search(problem: StaticProblem, rng, iters=20, modes=2):
     """Coordinate descent on (conformal factor of gbar0, displacement of phi).
 
     Alternates (i) line-searched steps of gbar0 along band-limited conformal
     directions with a finite-difference directional derivative and (ii) small
-    band-limited displacement updates, accepting only decreases.  A baseline,
+    band-limited displacement updates, accepting only decreases.  Every
+    iteration draws its two directions from ``rng``, in order.  A baseline,
     not a solver: the returned value never exceeds the starting objective at
     (g0, id) nor any accepted iterate.
     """
     grid = problem.g0.grid
-    collar = 1 if grid.topology == "box" else 0
     gbar = problem.g0
-    phi = DisplacementMap.identity(grid, collar_width=max(collar, 1))
+    phi = DisplacementMap.identity(grid)
     best = static_objective(problem, gbar, phi)
     trace = SearchTrace(values=[best], accepted=0)
 
-    for it in range(iters):
-        rng = substream(seed, f"static-search-{it}")
+    for _ in range(iters):
         # (i) conformal step on gbar0
         xi = band_limited_scalar(grid, rng, modes=modes, amplitude=1.0).values
         eps = 1e-4

@@ -11,9 +11,15 @@ wall-time field.
 EXPERIMENTS is the one registry of experiment names: the CLI subcommands,
 the config schema and the dispatch in run_experiment are all read from it.
 
-divergence-sweep draws and evaluates its pairs in blocks of stacked pairs
-(SWEEP_BLOCK_NODES), so its ``runtime_ms`` column is the time of a pair's
-block divided by the number of pairs in that block, not a per-pair time.
+Only the runners seed random streams: each draw comes from
+``substream(cfg.seed, label)``, whose label names the draw and its index,
+and library functions take the generators, so two seeds share no draw.
+divergence-sweep draws each kind's pairs in the order a0, b0, a1, b1, ...
+from ``substream(cfg.seed, "div-<kind>")``; its ``pair`` column is the
+0-based index, so a run of n pairs is a prefix of a longer run at the same
+seed.  It evaluates the pairs in blocks of stacked pairs (SWEEP_BLOCK_NODES),
+so its ``runtime_ms`` column is the time of a pair's block divided by the
+number of pairs in that block, not a per-pair time.
 """
 
 from __future__ import annotations
@@ -57,8 +63,6 @@ from .randomfields import (
     band_limited_sym_tensor,
     random_spd_metric,
     random_spd_stack,
-    stream_generator,
-    stream_seeds,
     substream,
 )
 from .seqdemo import SeqSpace, vanishing_sweep
@@ -134,9 +138,8 @@ def run_submersion(cfg: ExperimentConfig):
     for trial in range(p["n_trials"]):
         g = _draw(random_spd_metric, cfg, f"submersion-g-{trial}")
         drho = _draw(band_limited_scalar, cfg, f"submersion-drho-{trial}")
-        report = verify_pi1_submersion(
-            g, drho, n_perturb=p["n_perturb"], seed=cfg.seed + trial, cfg=cfg.solver
-        )
+        rngs = [substream(cfg.seed, f"submersion-z-{trial}-{j}") for j in range(p["n_perturb"])]
+        report = verify_pi1_submersion(g, drho, rngs, cfg.solver)
         rows.append(
             {
                 "trial": trial,
@@ -161,41 +164,36 @@ def run_submersion(cfg: ExperimentConfig):
 SWEEP_BLOCK_NODES = 1024
 
 
-def _sweep_block(cfg: ExperimentConfig, kind, seeds, words):
-    """Rows of the divergence-sweep pairs at ``seeds``, drawn and evaluated as stacks.
+def _sweep_block(cfg: ExperimentConfig, kind, rng, pairs):
+    """Rows of the sweep's ``pairs`` (indices), drawn from ``rng`` and evaluated as stacks.
 
-    ``words`` holds the seed words of the pairs' streams, shape (2, len(seeds), 4):
-    ``words[0]`` those of the first fields, ``words[1]`` those of the second.
+    Their fields are the next 2 * len(pairs) draws of ``rng``: a0, b0, a1, b1, ...
     """
     grid, p = cfg.grid, cfg.params
     metric = kind in METRIC_KINDS
     draw = random_spd_stack if metric else band_limited_density_stack
     t0 = time.perf_counter()
-    rngs = [stream_generator(row) for side in words for row in side]
-    pairs = draw(grid, rngs, p["modes"], p["amplitude"])
-    a, b = pairs[: len(seeds)], pairs[len(seeds) :]
+    fields = draw(grid, [rng] * (2 * len(pairs)), p["modes"], p["amplitude"])
+    a, b = fields[0::2], fields[1::2]
     values = divergence_stack(kind, grid, a, b)
     gaps = eigenvalue_gap_stack(grid.dim, a, b) if metric else density_ratio_gap_stack(a, b)
-    runtime_ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
+    runtime_ms = (time.perf_counter() - t0) * 1e3 / len(pairs)
     return [
-        {"kind": kind.value, "seed": seed, "value": value, "min_eigen_gap": gap,
+        {"kind": kind.value, "pair": pair, "value": value, "min_eigen_gap": gap,
          "runtime_ms": runtime_ms}
-        for seed, value, gap in zip(seeds, values.tolist(), gaps.tolist())
+        for pair, value, gap in zip(pairs, values.tolist(), gaps.tolist())
     ]
 
 
 def run_divergence_sweep(cfg: ExperimentConfig):
     p = cfg.params
     block = max(1, SWEEP_BLOCK_NODES // cfg.grid.node_count)
-    seeds = range(cfg.seed, cfg.seed + p["n_pairs"])
+    pairs = range(p["n_pairs"])
     rows = []
     for kind in DivergenceKind:
-        # every stream of the kind seeded in one pass: 32 bytes of seed words each
-        keys = ((seed, f"div-{kind.value}-{side}") for side in "ab" for seed in seeds)
-        words = stream_seeds(keys).reshape(2, len(seeds), 4)
-        for start in range(0, len(seeds), block):
-            span = slice(start, start + block)
-            rows += _sweep_block(cfg, kind, seeds[span], words[:, span])
+        rng = substream(cfg.seed, f"div-{kind.value}")
+        for start in range(0, len(pairs), block):
+            rows += _sweep_block(cfg, kind, rng, pairs[start : start + block])
     min_value = min(r["value"] for r in rows)
     results = {
         "min_value": min_value,
@@ -248,7 +246,7 @@ def run_flat_factorize(cfg: ExperimentConfig):
     rows = []
     artifacts = {}
     for i in range(p["n_instances"]):
-        g, phi0 = flat_pullback_instance(cfg.grid, seed=cfg.seed + i, amplitude=p["amplitude"])
+        g, phi0 = flat_pullback_instance(cfg.grid, substream(cfg.seed, f"flat-{i}"), p["amplitude"])
         phi, frame, theta, report = factorize_flat_metric(
             g, collar_width=phi0.collar_width
         )
@@ -263,7 +261,7 @@ def run_flat_factorize(cfg: ExperimentConfig):
             artifacts["report.json"] = dumps_result(dataclasses.asdict(report))
     rejected = 0
     for i in range(p["n_non_flat"]):
-        g = non_flat_instance(cfg.grid, seed=cfg.seed + 100 + i)
+        g = non_flat_instance(cfg.grid, substream(cfg.seed, f"non-flat-{i}"))
         frame = frame_and_connection(g, collar_width=2)
         flat = assert_flat(frame, flatness_tolerance(cfg.grid))
         rejected += int(not flat)
@@ -355,7 +353,7 @@ def run_static_eval(cfg: ExperimentConfig):
     )
     start = static_objective(problem, g0, DisplacementMap.identity(cfg.grid))
     gbar, phi, value, trace = static_local_search(
-        problem, iters=p["iters"], seed=cfg.seed, modes=p["modes"]
+        problem, substream(cfg.seed, "static-search"), iters=p["iters"], modes=p["modes"]
     )
     rows = [{"step": i, "value": v} for i, v in enumerate(trace.values)]
     results = {

@@ -37,7 +37,7 @@ from .transport import (
     we_tangent_norms,
     wfr_tangent_norm,
 )
-from .randomfields import band_limited_sym_tensor, substream
+from .randomfields import band_limited_sym_tensor
 
 
 def optimal_lift(g: MetricField, drho, cfg: SolverConfig = SolverConfig()):
@@ -102,26 +102,22 @@ def trace_free_perturbation(g: MetricField, rng, amplitude=0.2) -> SymTensorFiel
 
 
 def verify_pi1_submersion(
-    g: MetricField,
-    drho,
-    n_perturb=10,
-    seed=0,
-    cfg: SolverConfig = SolverConfig(),
+    g: MetricField, drho, rngs, cfg: SolverConfig = SolverConfig()
 ) -> LiftReport:
     """Check the density norm against the metric norm of the optimal lift.
 
     Equality of infima is certified one-sidedly: the lift is explicit, and
-    n_perturb random trace-free perturbations of it (amplitude 0.2; exactly
-    fiber tangent, independent of finite-difference error) must not beat the
-    density norm by more than LIFT_TOLERANCE (1e-8).  The full infimum over
-    all lifts is not checkable.  The lift and the density norm come from
-    ``optimal_lift``; the lift and its perturbations are the n_perturb + 1
-    lanes of one metric-norm solve at g.
+    one random trace-free perturbation of it per generator in ``rngs``
+    (amplitude 0.2; exactly fiber tangent, independent of finite-difference
+    error) must not beat the density norm by more than LIFT_TOLERANCE
+    (1e-8).  The full infimum over all lifts is not checkable.  The lift and
+    the density norm come from ``optimal_lift``; the lift and its
+    perturbations are the len(rngs) + 1 lanes of one metric-norm solve at g.
     """
     dg, wfr = optimal_lift(g, drho, cfg)
     tangents = [dg]
-    for j in range(n_perturb):
-        z = trace_free_perturbation(g, substream(seed, f"pi1-perturbation-{j}"))
+    for rng in rngs:
+        z = trace_free_perturbation(g, rng)
         tangents.append(SymTensorField(g.grid, dg.components + z.components))
     we, *perturbed = (res.value for res in we_tangent_norms(g, tangents, cfg))
     return LiftReport(

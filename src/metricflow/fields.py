@@ -109,6 +109,11 @@ def _frozen(values, shape):
     return arr
 
 
+def node_at(flat_index, shape):
+    """The node, a tuple of ints, at a flat (argmin or argmax) index into ``shape``."""
+    return tuple(int(i) for i in np.unravel_index(int(flat_index), shape))
+
+
 def sym_component_count(dim):
     return dim * (dim + 1) // 2
 
@@ -132,7 +137,7 @@ class DensityField(ScalarField):
         # positivity comes before finiteness: a 0 next to an inf names the 0
         arr = np.asarray(values, dtype=float)
         if arr.shape == grid.shape and not np.all(arr > 0.0):
-            node = tuple(int(i) for i in np.unravel_index(int(np.argmin(arr)), grid.shape))
+            node = node_at(np.argmin(arr), grid.shape)
             raise PositivityViolation(
                 f"density must be strictly positive; node {node} has value {arr[node]}",
                 node=node,

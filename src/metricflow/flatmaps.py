@@ -31,7 +31,7 @@ from .errors import (
     FlatnessInconsistencyError,
     FrameDegeneracyError,
 )
-from .fields import BOX, Grid, ScalarField, SymTensorField, VectorField, diff_array
+from .fields import BOX, Grid, ScalarField, SymTensorField, VectorField, diff_array, node_at
 from .tensors import (
     DisplacementMap,
     MetricField,
@@ -103,7 +103,7 @@ def frame_and_connection(
     det = s11 * s22 - s12 * s12
     degenerate = np.abs(det) <= 1e-14 * (1.0 + np.abs(s11) + np.abs(s22))
     if np.any(degenerate):
-        node = tuple(int(i) for i in np.unravel_index(int(np.argmax(degenerate)), grid.shape))
+        node = node_at(np.argmax(degenerate), grid.shape)
         raise FrameDegeneracyError(f"coframe is singular at node {node}")
     om1 = (-s11 * c1 - s12 * c2) / det
     om2 = (-s12 * c1 - s22 * c2) / det
@@ -293,16 +293,16 @@ def bump_and_gradient(coords, center, radius):
     return psi, dpsi
 
 
-def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008):
+def flat_pullback_instance(grid: Grid, rng, amplitude=0.008):
     """Pullback of the flat metric by a two-bump compactly supported map, sampled exactly.
 
     The displacement and its Jacobian are evaluated analytically, so the
     returned metric is a true flat metric sampled on the nodes, not a
-    finite-difference artifact.  Returns (g, phi0) with phi0 the generating
-    displacement.
+    finite-difference artifact.  Each bump's radius, center and direction
+    are drawn from ``rng`` in turn.  Returns (g, phi0) with phi0 the
+    generating displacement.
     """
     _require_flat_domain(grid)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x666C6174]))
     half = grid.half_extent
     coords = grid.coordinates()
     u = np.zeros((2,) + grid.shape)
@@ -331,10 +331,12 @@ def flat_pullback_instance(grid: Grid, seed=0, amplitude=0.008):
     return g, phi0
 
 
-def non_flat_instance(grid: Grid, seed=0):
-    """Collar-Euclidean metric with order-one curvature inside a bump (amplitude 0.4)."""
+def non_flat_instance(grid: Grid, rng):
+    """Collar-Euclidean metric with order-one curvature inside a bump (amplitude 0.4).
+
+    The bump's radius, center and phase are drawn from ``rng``.
+    """
     _require_flat_domain(grid)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x63757276]))
     half = grid.half_extent
     coords = grid.coordinates()
     radius = half * rng.uniform(0.5, 0.6)

@@ -1,24 +1,12 @@
 """Seeded band-limited random fields.
 
-All generators draw from ``numpy.random.Generator`` streams keyed by
-``(seed, label)``, so every trial is deterministic: a stream depends only on
-the 64-bit seed and the label string, never on execution order.  Its four
-entropy words are the first 16 bytes of sha256("seed:label"), expanded to
-PCG64's seed by ``numpy.random.SeedSequence``'s hash.  Two paths build it,
-and both are bit-identical to NumPy's ``SeedSequence``:
-
-- ``substream(seed, label)`` serves one stream through NumPy's own
-  ``SeedSequence``, 20-26 us a stream.  It is the reference, and the faster
-  path when streams come one or a few at a time.
-- ``stream_seeds(keys)`` serves many: it hashes every key's words in one
-  pass of uint32 array arithmetic (``seed_state``, the SeedSequence hash
-  restated for 4 words in and 4 uint64 words out), and
-  ``stream_generator(row)`` hands a row to PCG64, which seeds itself from
-  it as from a SeedSequence.  Over 400 streams that is about 3 us a stream,
-  but each pass costs about 0.17 ms whatever its size, so below about ten
-  streams ``substream`` is faster (timings on a shared 2-vCPU VM).  These
-  generators carry no ``SeedSequence``, so ``Generator.spawn`` is not
-  available on them; no caller spawns.
+Every kernel draws from the ``numpy.random.Generator`` streams it is given
+and seeds none itself.  One policy keys the streams: only the experiment
+runners call ``substream(cfg.seed, label)``, whose label names the draw and
+its index (``"we-norm-g-3"``), so a stream depends only on the 64-bit seed
+and the label, never on execution order, and no two seeds share a stream.
+Its four entropy words are the first 16 bytes of sha256("seed:label"),
+expanded to PCG64's seed by NumPy's ``SeedSequence``.
 
 Scalar fields are truncated Fourier series with modes up to m = ``modes``
 per axis (must be resolvable, m <= n_per_axis / 4) rescaled to a prescribed
@@ -38,11 +26,12 @@ by construction.
 The kernels take a sequence of generators and return a stack with a leading
 field (or pair) axis: per generator, ``band_limited_values`` returns
 ``per_generator`` scalar series, ``random_spd_stack`` one metric's packed
-components and ``band_limited_density_stack`` one density.
-Each generator draws all its coefficients in one ``normal`` call, in the
-order listed, and every field of the stack is then synthesized in one
-batched product, bit-identical to drawing the fields one at a time.  The
-typed one-field functions (``band_limited_scalar``, ``band_limited_vector``,
+components and ``band_limited_density_stack`` one density.  Each generator
+draws all its coefficients in one ``normal`` call, in the order listed; a
+generator listed k times draws its k entries in order, as k one-entry draws
+from it would.  Every field of the stack is then synthesized in one batched
+product, bit-identical to drawing the fields one at a time.  The typed
+one-field functions (``band_limited_scalar``, ``band_limited_vector``,
 ``random_spd_metric``, ...) are one-generator calls of the same kernels.
 """
 
@@ -64,102 +53,14 @@ from .fields import (
 from .tensors import MetricField, eigenvalues_2x2, jacobian_gram, spd_violations
 
 
-def _digest(seed, label):
-    """The 16 bytes of sha256("seed:label") that seed the stream (seed, label)."""
-    return hashlib.sha256(f"{int(seed)}:{label}".encode()).digest()[:16]
-
-
 def substream(seed, label: str) -> np.random.Generator:
-    """Deterministic generator for (seed, label), seeded by NumPy's own SeedSequence."""
-    digest = _digest(seed, label)
+    """Deterministic generator for (seed, label), seeded by NumPy's SeedSequence.
+
+    Its four entropy words are the first 16 bytes of sha256("seed:label").
+    """
+    digest = hashlib.sha256(f"{int(seed)}:{label}".encode()).digest()[:16]
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence(words))
-
-
-def _hash_steps(init, mult, count):
-    """(xor, multiplier) of ``count`` successive SeedSequence hash steps.
-
-    The hash constant starts at ``init``; each step xors the value with it,
-    multiplies the constant by ``mult`` (mod 2^32) and the value by the result.
-    """
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    consts = [np.uint32(c) for c in consts]
-    return list(zip(consts[:-1], consts[1:]))
-
-
-# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx).
-# 4 entropy words into its pool of 4 take 4 fills and 12 cross mixes, 16 hash
-# steps in all; 4 uint64 words of state take 8 output steps.
-_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
-_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_step(value, xor, mult):
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def seed_state(words):
-    """``SeedSequence(w).generate_state(4, np.uint64)`` for each row w of an (S, 4) uint32 array.
-
-    One pass of uint32 array arithmetic over all rows; returns (S, 4) uint64.
-    """
-    entropy = np.asarray(words, dtype=np.uint32).T
-    steps = iter(_POOL_STEPS)
-    pool = [_hash_step(word, *next(steps)) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * _hash_step(pool[src], *next(steps))
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    state = np.empty((entropy.shape[1], 8), dtype="<u4")
-    for i, step in enumerate(_STATE_STEPS):
-        state[:, i] = _hash_step(pool[i % 4], *step)
-    return state.view("<u8").astype(np.uint64)
-
-
-def stream_seeds(keys):
-    """PCG64 seed words of the streams ``substream(seed, label)``, one row per (seed, label).
-
-    Returns the (S, 4) uint64 ``seed_state`` of the keys' words, so row i
-    is what ``substream`` seeds PCG64 with for key i; ``stream_generator``
-    turns a row into that generator.
-    """
-    digests = b"".join(_digest(seed, label) for seed, label in keys)
-    return seed_state(np.frombuffer(digests, dtype="<u4").reshape(-1, 4))
-
-
-@functools.cache
-def _seed_words_type():
-    """A SeedSequence stand-in that hands PCG64 a fixed row of seed words.
-
-    Defined on first use: subclassing numpy's ISeedSequence imports
-    numpy.random, which importing this module does not.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("seed words serve PCG64's 4 uint64 words only")
-            return self.words
-
-    return SeedWords
-
-
-def stream_generator(words) -> np.random.Generator:
-    """The generator of one ``stream_seeds`` row, bit-identical to its ``substream``."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    # PCG64 reads four words from the array's buffer, unchecked
-    if words.shape != (4,):
-        raise ValueError(f"a stream's seed is 4 uint64 words, got shape {words.shape}")
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def _check_modes(grid, modes):
@@ -188,8 +89,9 @@ def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, per_generator=1):
     Returns shape (len(rngs) * per_generator,) + grid.shape, a generator's
     fields next to each other.  Each generator draws the coefficients of
     its fields in one call, in the order given (one call of k fields draws
-    what k calls of one field would); then every field is synthesized in
-    one batched product.  A single field is
+    what k calls of one field would), and a generator listed k times draws
+    its k entries in order, as k calls with it would; then every field is
+    synthesized in one batched product.  A single field is
     ``band_limited_values(grid, [rng], ...)[0]``.
     """
     _check_modes(grid, modes)

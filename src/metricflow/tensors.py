@@ -26,6 +26,7 @@ from .fields import (
     diff_array,
     divergence_array,
     gradient_array,
+    node_at,
     require_same_grid,
     sample_array,
     sym_component_count,
@@ -73,7 +74,7 @@ def spd_check(comps, dim, what="tensor"):
     """
     bad = spd_violations(comps, dim)
     if np.any(bad):
-        node = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        node = node_at(np.argmax(bad), bad.shape)
         entries = [float(c[node]) for c in comps]
         raise PositivityViolation(
             f"{what} is not positive definite at node {node}: components {entries}",
@@ -117,7 +118,7 @@ class DisplacementMap:
         du = displacement_jacobian(displacement)
         det = jacobian_det(du)
         if np.any(det <= 0.0):
-            node = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), det.shape))
+            node = node_at(np.argmin(det), det.shape)
             raise NonInvertibleMapError(
                 f"displacement is orientation reversing: det(I+du) = {det[node]} at node {node}"
             )

@@ -50,8 +50,6 @@ from metricflow.randomfields import (
     band_limited_vector,
     random_spd_metric,
     random_spd_stack,
-    stream_generator,
-    stream_seeds,
     substream,
 )
 
@@ -73,7 +71,8 @@ def test_criterion_01_submersion_identity():
     for trial in range(20):
         g = random_spd_metric(grid, substream(1000 + trial, "acc1-g"), 3, 0.15)
         drho = band_limited_scalar(grid, substream(1000 + trial, "acc1-dr"), 3, 0.15)
-        rep = verify_pi1_submersion(g, drho, n_perturb=10, seed=trial, cfg=CFG)
+        rngs = [substream(trial, f"pi1-perturbation-{j}") for j in range(10)]
+        rep = verify_pi1_submersion(g, drho, rngs, CFG)
         worst_gap = max(worst_gap, abs(rep.gap) / (1.0 + rep.wfr_value))
         worst_pert = min(worst_pert, min(rep.perturbation_gaps))
     elapsed = time.perf_counter() - started
@@ -122,8 +121,8 @@ def test_criterion_03_second_variation_recovers_half_ebin():
 
 
 def generators(keys):
-    """The ``substream`` of each (seed, label), all seeded in one pass."""
-    return [stream_generator(row) for row in stream_seeds(keys)]
+    """The ``substream`` of each (seed, label)."""
+    return [substream(seed, label) for seed, label in keys]
 
 
 def test_criterion_04_divergence_axioms():
@@ -172,6 +171,14 @@ def test_criterion_04_divergence_axioms():
     )
 
 
+FLAT_TAG, NON_FLAT_TAG = 0x666C6174, 0x63757276
+
+
+def legacy_rng(seed, tag):
+    """The stream this criterion has always drawn instance ``seed`` of a kind from."""
+    return np.random.default_rng(np.random.SeedSequence([seed, tag]))
+
+
 def test_criterion_05_flat_factorization():
     started = time.perf_counter()
     errors = {}
@@ -179,14 +186,15 @@ def test_criterion_05_flat_factorization():
         grid = Grid(2, "box", n, extent=2.0)
         errors[n] = []
         for seed in range(5):
-            g, phi0 = flat_pullback_instance(grid, seed=seed)
+            g, phi0 = flat_pullback_instance(grid, legacy_rng(seed, FLAT_TAG))
             _, _, _, rep = factorize_flat_metric(g, collar_width=phi0.collar_width)
             errors[n].append(rep.reconstruction_error)
     ratios = [a / b for a, b in zip(errors[64], errors[128])]
     grid = Grid(2, "box", 64, extent=2.0)
     rejected = 0
     for seed in range(3):
-        frame = frame_and_connection(non_flat_instance(grid, seed=seed), collar_width=2)
+        g = non_flat_instance(grid, legacy_rng(seed, NON_FLAT_TAG))
+        frame = frame_and_connection(g, collar_width=2)
         rejected += int(not assert_flat(frame, 10.0 * grid.spacing**2))
     elapsed = time.perf_counter() - started
     ok = (

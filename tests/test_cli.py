@@ -129,6 +129,25 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("static-eval", "lambda_balance", float("nan")),
+        ("second-variation", "amplitude", float("inf")),
+        ("path-energy", "amplitude", float("-inf")),
+    ],
+)
+def test_non_finite_param_rejected(tmp_path, capsys, experiment, key, value):
+    # json.load reads the non-JSON numbers NaN, Infinity and -Infinity
+    cfg = {"experiment": experiment, "seed": 1, "params": {key: value}}
+    with pytest.raises(ConfigError, match=f"param '{key}' for {experiment} must be finite"):
+        parse_config(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "cfg",
     [
         pytest.param(
@@ -322,32 +341,33 @@ def test_divergence_sweep_csv_columns(tmp_path):
     assert main(["divergence-sweep", "--config", path, "--out", str(out_dir)]) == 0
     with open(out_dir / "divergence_sweep.csv") as fh:
         reader = csv.DictReader(fh)
-        assert reader.fieldnames == ["kind", "seed", "value", "min_eigen_gap", "runtime_ms"]
+        assert reader.fieldnames == ["kind", "pair", "value", "min_eigen_gap", "runtime_ms"]
         rows = list(reader)
     assert len(rows) == 18  # 3 pairs x 6 kinds
     assert all(float(r["value"]) >= -1e-12 for r in rows)
 
 
 def per_pair_sweep_rows(cfg):
-    """The divergence-sweep rows, without runtime_ms, drawn and evaluated one pair at a time."""
+    """The divergence-sweep rows, without runtime_ms, drawn and evaluated one pair at a time.
+
+    Each kind draws its pairs in order from one stream: a0, b0, a1, b1, ...
+    """
     p = cfg.params
     rows = []
     for kind in DivergenceKind:
         metric = kind in METRIC_KINDS
         make = random_spd_metric if metric else band_limited_density
-        for seed in range(cfg.seed, cfg.seed + p["n_pairs"]):
-            a, b = (
-                make(cfg.grid, substream(seed, f"div-{kind.value}-{side}"), p["modes"],
-                     p["amplitude"])
-                for side in "ab"
-            )
+        rng = substream(cfg.seed, f"div-{kind.value}")
+        for pair in range(p["n_pairs"]):
+            a = make(cfg.grid, rng, p["modes"], p["amplitude"])
+            b = make(cfg.grid, rng, p["modes"], p["amplitude"])
             if metric:
                 gap = min_eigenvalue_gap(a, b)
             else:
                 ratio = a.values / b.values
                 gap = float(np.min(ratio - np.log(ratio) - 1.0))
             rows.append(
-                {"kind": kind.value, "seed": seed, "value": divergence(kind, a, b),
+                {"kind": kind.value, "pair": pair, "value": divergence(kind, a, b),
                  "min_eigen_gap": gap}
             )
     return rows
@@ -375,6 +395,41 @@ def test_sweep_blocks_match_per_pair_oracle(dim, n, extra):
     for start in range(0, len(rows), n_pairs):
         first = [r["runtime_ms"] for r in rows[start : start + min(block, n_pairs)]]
         assert len(set(first)) == 1 and first[0] > 0.0
+
+
+def test_sweep_of_n_pairs_is_a_prefix_of_more_pairs(monkeypatch):
+    monkeypatch.setattr(experiments, "conformal_closed_forms", lambda solver: {})
+    grid = {"dim": 2, "topology": "torus", "n_per_axis": 16}
+
+    def rows_by_kind(n_pairs):
+        cfg = parse_config({"experiment": "divergence-sweep", "grid": grid, "seed": 7,
+                            "params": {"n_pairs": n_pairs}})
+        rows = [{k: v for k, v in r.items() if k != "runtime_ms"}
+                for r in run_divergence_sweep(cfg)[1]]
+        return [rows[i : i + n_pairs] for i in range(0, len(rows), n_pairs)]
+
+    assert [kind[:3] for kind in rows_by_kind(9)] == rows_by_kind(3)
+
+
+def test_runs_at_different_seeds_share_no_draws(monkeypatch):
+    monkeypatch.setattr(experiments, "conformal_closed_forms", lambda solver: {})
+
+    def rows(experiment, grid, seed, params):
+        cfg = parse_config(
+            {"experiment": experiment, "grid": grid, "seed": seed, "params": params}
+        )
+        return EXPERIMENTS[experiment].run(cfg)[1]
+
+    # every flat-factorize row, flat or not, has its own curvature
+    curvatures = [
+        {r["max_curvature"] for r in rows("flat-factorize", BOX64, seed, {})} for seed in (7, 11)
+    ]
+    assert len(curvatures[0]) == 8 and not curvatures[0] & curvatures[1]
+    values = [
+        {r["value"] for r in rows("divergence-sweep", TORUS12, seed, {"n_pairs": 3})}
+        for seed in (7, 8)
+    ]
+    assert len(values[0]) == 18 and not values[0] & values[1]
 
 
 def test_sweep_memory_does_not_grow_with_pairs(monkeypatch):
@@ -430,7 +485,7 @@ CSV_SCHEMA = {
         {**TORUS12, "n_per_axis": 16}, {"n_trials": 1, "n_perturb": 1},
     ),
     "divergence-sweep": (
-        ["kind", "seed", "value", "min_eigen_gap", "runtime_ms"], TORUS12, {"n_pairs": 1},
+        ["kind", "pair", "value", "min_eigen_gap", "runtime_ms"], TORUS12, {"n_pairs": 1},
     ),
     "second-variation": (
         ["trial", "kind", "mixed_second", "ebin_half", "richardson", "relative_error",

@@ -265,7 +265,7 @@ def test_static_local_search_monotone_decrease(torus16):
     g1 = random_spd_metric(torus16, substream(13, "ls-b"), 2, 0.2)
     problem = StaticProblem(g0, g1, lambda_balance=1.0, kind=K.KL_MET)
     start = static_objective(problem, g0, DisplacementMap.identity(torus16))
-    gbar, phi, value, trace = static_local_search(problem, iters=6, seed=13)
+    gbar, phi, value, trace = static_local_search(problem, substream(13, "static-search"), iters=6)
     assert value <= start + 1e-12
     assert all(a >= b - 1e-12 for a, b in zip(trace.values, trace.values[1:]))
     assert trace.accepted >= 1

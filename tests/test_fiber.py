@@ -27,6 +27,11 @@ from metricflow.randomfields import (
 CFG = SolverConfig()
 
 
+def perturbations(seed, count):
+    """The streams of ``count`` trace-free perturbations, keyed by seed and index."""
+    return [substream(seed, f"pi1-perturbation-{j}") for j in range(count)]
+
+
 def test_optimal_lift_zero_tangent(torus16):
     g = MetricField.euclidean(torus16)
     dg, _ = optimal_lift(g, ScalarField.constant(torus16, 0.0), CFG)
@@ -58,7 +63,7 @@ def test_optimal_lift_projects_back_to_drho(torus16):
 def test_pi1_submersion_conformal(torus16):
     g = MetricField.euclidean(torus16)
     drho = ScalarField.constant(torus16, 0.5)
-    report = verify_pi1_submersion(g, drho, n_perturb=4, seed=3, cfg=CFG)
+    report = verify_pi1_submersion(g, drho, perturbations(3, 4), CFG)
     assert abs(report.gap) <= 1e-6 * (1.0 + report.wfr_value)
     assert min(report.perturbation_gaps) >= -1e-8
 
@@ -67,7 +72,7 @@ def test_pi1_submersion_random(torus16):
     for seed in (0, 1):
         g = random_spd_metric(torus16, substream(seed, "pi1-g"), 3, 0.15)
         drho = band_limited_scalar(torus16, substream(seed, "pi1-dr"), 3, 0.15)
-        report = verify_pi1_submersion(g, drho, n_perturb=5, seed=seed, cfg=CFG)
+        report = verify_pi1_submersion(g, drho, perturbations(seed, 5), CFG)
         assert abs(report.gap) <= 1e-5 * (1.0 + report.wfr_value)
         assert min(report.perturbation_gaps) >= -1e-8
 
@@ -79,7 +84,7 @@ def test_pi1_zero_tangent_perturbation_is_pure_source(torus16):
     z = trace_free_perturbation(g, substream(5, "z"), amplitude=0.3)
     value = we_tangent_norm(g, z, CFG).value
     assert value > 1e-4
-    report = verify_pi1_submersion(g, drho, n_perturb=2, seed=5, cfg=CFG)
+    report = verify_pi1_submersion(g, drho, perturbations(5, 2), CFG)
     assert report.wfr_value == 0.0
     assert all(p > 0.0 for p in report.perturbation_gaps)
 
@@ -99,8 +104,8 @@ def test_fiber_independence_of_metric_choice(torus16):
     g_b = MetricField(torus16, sheared)
     assert np.max(np.abs(volume_map(g_a).values - volume_map(g_b).values)) <= 1e-12
     drho = band_limited_scalar(torus16, substream(8, "fi-dr"), 3, 0.15)
-    rep_a = verify_pi1_submersion(g_a, drho, n_perturb=3, seed=8, cfg=CFG)
-    rep_b = verify_pi1_submersion(g_b, drho, n_perturb=3, seed=8, cfg=CFG)
+    rep_a = verify_pi1_submersion(g_a, drho, perturbations(8, 3), CFG)
+    rep_b = verify_pi1_submersion(g_b, drho, perturbations(8, 3), CFG)
     assert rep_a.wfr_value == pytest.approx(rep_b.wfr_value, abs=1e-12)
     assert abs(rep_a.gap - rep_b.gap) <= 1e-6 * (1.0 + rep_a.wfr_value)
 

@@ -1,8 +1,12 @@
 """Determinism and construction guarantees of the seeded field generators."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import metricflow
 from metricflow import Grid, substream
 from metricflow.randomfields import (
     _trig_tables,
@@ -14,9 +18,6 @@ from metricflow.randomfields import (
     band_limited_vector,
     random_spd_metric,
     random_spd_stack,
-    seed_state,
-    stream_generator,
-    stream_seeds,
 )
 from metricflow.tensors import packed_det
 
@@ -39,41 +40,19 @@ def test_substream_depends_on_label_not_call_order():
     assert not np.array_equal(a1, b1)
 
 
-def test_seed_state_matches_numpy_seed_sequence():
-    words = np.random.default_rng(0).integers(0, 2**32, size=(10_000, 4), dtype=np.uint32)
-    extremes = np.array([[0] * 4, [2**32 - 1] * 4], dtype=np.uint32)
-    words = np.concatenate([words, extremes])
-    state = seed_state(words)
-    assert state.dtype == np.uint64 and state.shape == (len(words), 4)
-    for row, expected in zip(words, state):
-        assert np.array_equal(np.random.SeedSequence(row).generate_state(4, np.uint64), expected)
-
-
-# seeds 0 and 2^64 - 1, a non-ASCII label, an empty label and a repeated key
-STREAM_KEYS = [
-    (0, "alpha"), (2**64 - 1, "alpha"), (7, "div-kl_met-a"), (7, "métrique-γ"), (12345, ""),
-    (0, "alpha"),
-]
-
-
-def test_stream_generators_match_substream():
-    for key, words in zip(STREAM_KEYS, stream_seeds(STREAM_KEYS)):
-        rng, expected = stream_generator(words), substream(*key)
-        assert rng.bit_generator.state == expected.bit_generator.state
-        assert np.array_equal(rng.normal(size=8), expected.normal(size=8))
-        assert rng.integers(2**62) == expected.integers(2**62)
-
-
-def test_stream_seeds_follow_key_order():
-    words = stream_seeds(STREAM_KEYS)
-    assert np.array_equal(stream_seeds(reversed(STREAM_KEYS)), words[::-1])
-    # a row depends on its key alone, not on its neighbours
-    assert np.array_equal(stream_seeds(STREAM_KEYS[2:3]), words[2:3])
-    assert np.array_equal(words[0], words[-1]) and not np.array_equal(words[0], words[1])
-    assert stream_seeds([]).shape == (0, 4)
-    for bad in (words[0, :3], words[:2]):
-        with pytest.raises(ValueError):
-            stream_generator(bad)
+def test_only_the_runners_seed_streams():
+    # substream is defined in randomfields and called by the experiment runners
+    # alone; library code takes generators and builds none
+    seeding = re.compile(r"\b(substream|SeedSequence|default_rng)\(")
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in pathlib.Path(metricflow.__file__).parent.glob("*.py")
+    }
+    assert {name for name, text in sources.items() if seeding.search(text)} == {
+        "randomfields.py",
+        "experiments.py",
+    }
+    assert not any("seed +" in text for text in sources.values())
 
 
 def test_amplitude_zero_gives_background(torus16):
