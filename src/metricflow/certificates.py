@@ -108,11 +108,8 @@ def discrete_calculus(f: ScalarField, w, rng):
     screened = screened_laplacian(g8)
     rhs = rng.normal(size=g8.shape)
     n = g8.node_count
-    dense = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        dense[:, j] = screened(e.reshape(g8.shape)).ravel()
+    # column j is the operator applied to the j-th unit vector, all in one apply
+    dense = screened(np.eye(n).reshape((n,) + g8.shape)).reshape(n, n).T
     direct = np.linalg.solve(dense, rhs.ravel()).reshape(g8.shape)
     cg_err = float(np.max(np.abs(solve_spd(screened, rhs[None], tol=1e-12).x[0] - direct)))
 

@@ -6,7 +6,11 @@ caller's contract.  An optional preconditioner ``r -> M^-1 r`` turns the
 loop into standard preconditioned CG (PCG); M must be symmetric positive
 definite too, so that <r, M^-1 r> is an inner product and the iterates
 minimize the energy over the Krylov spaces of M^-1 A.  Either way the stop
-rule is on the true residual, ||A x - b||_2 <= tol ||b||_2.  The iteration
+rule ||r_k||_2 <= tol ||b||_2 is on the recursively updated residual
+r_k = r_(k-1) - alpha_k A p_k, not on a recomputed ||A x_k - b||_2; the two
+are equal in exact arithmetic, and for both tangent norms at n = 16, 32, 64
+and 128 (tol 1e-10 and 1e-12) they agree to three digits (ROADMAP, "the CG
+residual").  The iteration
 always starts from x = 0 (there is no initial-guess argument), which makes
 the quadratic energy 1/2 <Ax, x> - <b, x> monotonically nonincreasing along
 the iterates, which several competitor-bound checks in the test suite rely
@@ -63,11 +67,12 @@ def solve_spd(
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
-    """Solve A x = rhs with ||A x - rhs||_2 <= tol * ||rhs||_2, starting from x = 0.
+    """Solve A x = rhs to ||r||_2 <= tol * ||rhs||_2, starting from x = 0.
 
-    ``precondition`` applies M^-1 for an SPD M; None is plain CG.  The
-    leading axis of rhs and of the returned x indexes independent systems
-    (module docstring), so rhs needs at least two axes (ValueError
+    r is the recursively updated residual, equal to rhs - A x up to
+    roundoff.  ``precondition`` applies M^-1 for an SPD M; None is plain
+    CG.  The leading axis of rhs and of the returned x indexes independent
+    systems (module docstring), so rhs needs at least two axes (ValueError
     otherwise); a zero lane returns x = 0 after 0 iterations.  Raises
     SolverFailure (carrying the final residual) if a lane does not reach the
     tolerance within max_iter iterations (default 10 * unknowns per lane),

@@ -247,9 +247,7 @@ def run_flat_factorize(cfg: ExperimentConfig):
     artifacts = {}
     for i in range(p["n_instances"]):
         g, phi0 = flat_pullback_instance(cfg.grid, substream(cfg.seed, f"flat-{i}"), p["amplitude"])
-        phi, frame, theta, report = factorize_flat_metric(
-            g, collar_width=phi0.collar_width
-        )
+        phi, frame, theta, report = factorize_flat_metric(g)
         recovery = float(
             np.max(np.abs(phi.displacement.components - phi0.displacement.components))
         )
@@ -262,14 +260,14 @@ def run_flat_factorize(cfg: ExperimentConfig):
     rejected = 0
     for i in range(p["n_non_flat"]):
         g = non_flat_instance(cfg.grid, substream(cfg.seed, f"non-flat-{i}"))
-        frame = frame_and_connection(g, collar_width=2)
+        frame = frame_and_connection(g)
         flat = assert_flat(frame, flatness_tolerance(cfg.grid))
         rejected += int(not flat)
         rows.append(
             {
                 "instance": p["n_instances"] + i,
                 "flat": flat,
-                "max_curvature": float(np.max(np.abs(frame.curvature_residual.values))),
+                "max_curvature": frame.max_curvature(),
                 "path_independence_gap": float("nan"),
                 "reconstruction_error": float("nan"),
                 "recovery_error": float("nan"),
@@ -399,10 +397,10 @@ def run_bounds(cfg: ExperimentConfig):
         rows.append(
             {
                 "trial": trial,
-                "lower": b.lower,
+                "projected_wfr": b.projected_wfr,
                 "upper": b.upper,
                 "mass_lower_bound": b.mass_lower_bound,
-                "lower_flag": b.lower_flag,
+                "projected_wfr_flag": b.projected_wfr_flag,
                 "upper_flag": b.upper_flag,
             }
         )

@@ -1,13 +1,13 @@
 """Factorization of flat metrics on a box through a moving frame.
 
-Given a 2D metric that is Euclidean in a boundary collar, take the pointwise
-square root s = sqrt(g); its rows form an orthonormal coframe sigma with
-g = sigma^T sigma.  The rotation u(theta) that makes u . sigma exact is then
-determined by the structure equations
+Given a 2D metric that is Euclidean in the FLAT_COLLAR = 2 boundary node
+rings, take the pointwise square root s = sqrt(g); its rows form an
+orthonormal coframe sigma with g = sigma^T sigma.  The rotation u(theta)
+that makes u . sigma exact is then determined by the structure equations
 
     d sigma_1 = -omega ^ sigma_2,    d sigma_2 = omega ^ sigma_1,
 
-a nodewise 2x2 linear solve for the connection component omega.  Flatness
+a nodewise 2x2 linear solve for the connection 1-form omega.  Flatness
 means d omega = 0, so theta with d theta = -omega is a line integral that
 must not depend on the integration path; the map with d phi = u(theta) sigma,
 normalized to the identity in the collar, satisfies dphi^T dphi = g.
@@ -39,28 +39,31 @@ from .tensors import (
     collar_max,
     displacement_jacobian,
     jacobian_gram,
+    packed_det,
     sqrt_components,
 )
 
 
+FLAT_COLLAR = 2  # boundary node rings where the flat pipeline's metrics are Euclidean
+
+
 @dataclass(frozen=True)
 class FrameData:
-    """Pointwise metric square root, connection component and its curl."""
+    """Pointwise metric square root, connection 1-form omega and its curl."""
 
     s: SymTensorField
-    omega1: ScalarField
-    omega2: ScalarField
+    omega: VectorField
     curvature_residual: ScalarField
-    collar_width: int
 
     @property
     def grid(self):
         return self.s.grid
 
     def omega_max(self):
-        return float(
-            max(np.max(np.abs(self.omega1.values)), np.max(np.abs(self.omega2.values)))
-        )
+        return float(np.max(np.abs(self.omega.components)))
+
+    def max_curvature(self):
+        return float(np.max(np.abs(self.curvature_residual.values)))
 
 
 def _require_flat_domain(grid: Grid):
@@ -74,52 +77,34 @@ def _require_flat_domain(grid: Grid):
         raise ValueError("flat-metric factorization runs on box grids")
 
 
-def frame_and_connection(
-    g: MetricField, collar_width=2, require_euclidean_collar=True
-) -> FrameData:
-    """Orthonormal coframe and connection component of a collar-Euclidean metric.
+def frame_and_connection(g: MetricField) -> FrameData:
+    """Orthonormal coframe s = sqrt(g) and connection 1-form omega of a metric.
 
-    The Euclidean collar pins down the reconstruction's normalization; the
-    connection itself is defined for any metric, so the collar check can be
-    bypassed when only omega or the curvature residual is wanted.
+    Each derivative is one stencil call per axis on stacked components.
     """
     grid = g.grid
     _require_flat_domain(grid)
-    if require_euclidean_collar:
-        euclidean = np.array([1.0, 0.0, 1.0])[:, None, None]
-        resid = collar_max(g.components - euclidean, grid, collar_width)
-        if resid > 1e-12:
-            raise ValueError(
-                f"metric must equal the Euclidean metric in the {collar_width}-node "
-                f"collar (max deviation {resid:.3e})"
-            )
-
     s = sqrt_components(g.components, 2)
-    s11, s12, s22 = s[0], s[1], s[2]
-    # c_i = (d sigma_i)(e1, e2) with sigma_i = s_i1 dx1 + s_i2 dx2
-    c1 = diff_array(s12, grid, 0) - diff_array(s11, grid, 1)
-    c2 = diff_array(s22, grid, 0) - diff_array(s12, grid, 1)
-    # [-s22  s21; s12  -s11] [om1, om2]^T = [c1, c2]^T; s21 = s12
-    det = s11 * s22 - s12 * s12
-    degenerate = np.abs(det) <= 1e-14 * (1.0 + np.abs(s11) + np.abs(s22))
+    # c_i = (d sigma_i)(e1, e2) with sigma_i = s_i1 dx1 + s_i2 dx2; s21 = s12
+    c1, c2 = diff_array(s[1:], grid, 0) - diff_array(s[:2], grid, 1)
+    # [-s22  s21; s12  -s11] [om1, om2]^T = [c1, c2]^T
+    det = packed_det(s, 2)
+    degenerate = np.abs(det) <= 1e-14 * (1.0 + np.abs(s[0]) + np.abs(s[2]))
     if np.any(degenerate):
         node = node_at(np.argmax(degenerate), grid.shape)
         raise FrameDegeneracyError(f"coframe is singular at node {node}")
-    om1 = (-s11 * c1 - s12 * c2) / det
-    om2 = (-s12 * c1 - s22 * c2) / det
-    curl = diff_array(om2, grid, 0) - diff_array(om1, grid, 1)
+    om = np.stack([-s[0] * c1 - s[1] * c2, -s[1] * c1 - s[2] * c2]) / det
+    curl = diff_array(om[1], grid, 0) - diff_array(om[0], grid, 1)
     return FrameData(
         s=SymTensorField(grid, s),
-        omega1=ScalarField(grid, om1),
-        omega2=ScalarField(grid, om2),
+        omega=VectorField(grid, om),
         curvature_residual=ScalarField(grid, curl),
-        collar_width=collar_width,
     )
 
 
 def assert_flat(frame: FrameData, tol) -> bool:
     """True iff the connection's curl stays below tol everywhere."""
-    return float(np.max(np.abs(frame.curvature_residual.values))) <= tol
+    return frame.max_curvature() <= tol
 
 
 def _cumtrap(values, h, axis):
@@ -130,20 +115,15 @@ def _cumtrap(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _integrate_one_form(a1, a2, grid):
-    """Potentials of the 1-form a1 dx1 + a2 dx2 along both axis orders."""
+def path_independence_gap(form, grid):
+    """(max gap, mean) of form[0] dx1 + form[1] dx2's corner potentials in both axis orders."""
     h = grid.spacing
-    f1 = _cumtrap(a1, h, 0)  # along x1 at each x2
-    f2 = _cumtrap(a2, h, 1)  # along x2 at each x1
+    f1 = _cumtrap(form[0], h, 0)  # along x1 at each x2
+    f2 = _cumtrap(form[1], h, 1)  # along x2 at each x1
     # corner -> (x1, corner) -> (x1, x2)
     pot_a = f1[:, 0][:, None] + f2
     # corner -> (corner, x2) -> (x1, x2)
     pot_b = f2[0, :][None, :] + f1
-    return pot_a, pot_b
-
-
-def path_independence_gap(a1, a2, grid):
-    pot_a, pot_b = _integrate_one_form(a1, a2, grid)
     return float(np.max(np.abs(pot_a - pot_b))), 0.5 * (pot_a + pot_b)
 
 
@@ -170,9 +150,7 @@ def cartan_develop(frame: FrameData) -> tuple[ScalarField, float]:
     a flatness inconsistency.
     """
     grid = frame.grid
-    gap, theta = path_independence_gap(
-        -frame.omega1.values, -frame.omega2.values, grid
-    )
+    gap, theta = path_independence_gap(-frame.omega.components, grid)
     tol = _integration_tolerance(grid, frame.omega_max())
     if gap > tol:
         raise FlatnessInconsistencyError(
@@ -205,7 +183,7 @@ def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
     scale = max(1.0, float(np.max(np.abs(alpha))))
     tol = _integration_tolerance(grid, scale)
     for i in range(2):
-        gap, pot = path_independence_gap(alpha[i, 0], alpha[i, 1], grid)
+        gap, pot = path_independence_gap(alpha[i], grid)
         if gap > tol:
             raise ClosednessViolationError(
                 f"coordinate {i + 1} integrals disagree across path orders by "
@@ -215,11 +193,11 @@ def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
 
     u = phi - coords
     # remove the constant so the collar sits at the identity
-    u -= np.mean(u[:, collar_mask(grid, frame.collar_width)], axis=1)[:, None, None]
-    collar_resid = collar_max(u, grid, frame.collar_width)
+    u -= np.mean(u[:, collar_mask(grid, FLAT_COLLAR)], axis=1)[:, None, None]
+    collar_resid = collar_max(u, grid, FLAT_COLLAR)
     return DisplacementMap(
         VectorField(grid, u),
-        collar_width=frame.collar_width,
+        collar_width=FLAT_COLLAR,
         collar_tol=max(1e-12, 1.05 * collar_resid),
     )
 
@@ -231,9 +209,11 @@ class FactorizationReport:
     reconstruction_error: float
 
 
-def factorize_flat_metric(g: MetricField, collar_width=2):
+def factorize_flat_metric(g: MetricField):
     """Full pipeline: frame, flatness gate, development, reconstruction.
 
+    g must equal the Euclidean metric in the FLAT_COLLAR boundary rings,
+    which pins down the reconstruction's normalization (ValueError otherwise).
     The flatness gate is a curvature residual of at most
     ``flatness_tolerance(grid)`` = 10 (spacing / L)^2 / L^2, L the half
     extent (10 spacing^2 on the default box of extent 2); a metric failing
@@ -241,18 +221,26 @@ def factorize_flat_metric(g: MetricField, collar_width=2):
     Returns (displacement, frame, theta, report).
     """
     grid = g.grid
-    frame = frame_and_connection(g, collar_width=collar_width)
+    _require_flat_domain(grid)
+    euclidean = np.array([1.0, 0.0, 1.0])[:, None, None]
+    resid = collar_max(g.components - euclidean, grid, FLAT_COLLAR)
+    if resid > 1e-12:
+        raise ValueError(
+            f"metric must equal the Euclidean metric in the {FLAT_COLLAR}-node "
+            f"collar (max deviation {resid:.3e})"
+        )
+    frame = frame_and_connection(g)
     flat_tol = flatness_tolerance(grid)
     if not assert_flat(frame, flat_tol):
         raise FlatnessInconsistencyError(
-            f"curvature residual {np.max(np.abs(frame.curvature_residual.values)):.3e} "
+            f"curvature residual {frame.max_curvature():.3e} "
             f"exceeds {flat_tol:.3e}: metric is not flat at this resolution"
         )
     theta, gap = cartan_develop(frame)
     phi = reconstruct_diffeo(frame, theta)
     err = reconstruction_error(phi, g)
     report = FactorizationReport(
-        max_curvature=float(np.max(np.abs(frame.curvature_residual.values))),
+        max_curvature=frame.max_curvature(),
         path_independence_gap=gap,
         reconstruction_error=err,
     )
@@ -327,7 +315,7 @@ def flat_pullback_instance(grid: Grid, rng, amplitude=0.008):
             for j in range(2):
                 du[i, j] += direction[i] * dpsi[j]
     g = MetricField(grid, jacobian_gram(du))
-    phi0 = DisplacementMap(VectorField(grid, u), collar_width=2)
+    phi0 = DisplacementMap(VectorField(grid, u), collar_width=FLAT_COLLAR)
     return g, phi0
 
 

@@ -25,6 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Quadrature points per ic_speed call in segment_length: its memory stays near
+# SPEED_BLOCK * n_max floats for any quad_points.
+SPEED_BLOCK = 4096
+
 
 def default_weights(n_max):
     """m_i = 2^-i for i = 1..n_max; refused where the last weight underflows to zero."""
@@ -70,15 +74,19 @@ class SeqSpace:
         return v
 
 
-def ic_speed(space: SeqSpace, x, u) -> float:
+def ic_speed(space: SeqSpace, x, u):
     """Closed-form infimal-convolution speed: harmonic-mean weights.
 
-    ``ic_speed_grid_search`` is its brute-force check over the coordinatewise
-    splits.
+    ``x`` is one point, shape (n_max,), or a stack of points (q, n_max) that
+    share the velocity ``u``; a point gives a float, a stack an array of q
+    speeds.  ``ic_speed_grid_search`` is its brute-force check over the
+    coordinatewise splits.
     """
-    f_val = float(space.conformal_f(float(np.dot(x, x))))
+    x = np.asarray(x, float)
+    f_val = space.conformal_f(np.einsum("...i,...i->...", x, x))[..., None]
     weights = space.weights * f_val / (space.weights + f_val)
-    return float(np.dot(weights, np.asarray(u, float) ** 2))
+    speed = weights @ np.asarray(u, float) ** 2
+    return float(speed) if x.ndim == 1 else speed
 
 
 def ic_speed_grid_search(space: SeqSpace, x, u, split_grid=1000) -> float:
@@ -111,7 +119,10 @@ def segment_length(space: SeqSpace, start, velocity, quad_points=2049) -> float:
     if quad_points % 2 == 0:
         quad_points += 1
     ts = np.linspace(0.0, 1.0, quad_points)
-    speeds = np.array([np.sqrt(ic_speed(space, start + t * velocity, velocity)) for t in ts])
+    speeds = np.concatenate([
+        np.sqrt(ic_speed(space, start + block[:, None] * velocity, velocity))
+        for block in np.split(ts, range(SPEED_BLOCK, quad_points, SPEED_BLOCK))
+    ])
     return _simpson(speeds, ts[1] - ts[0])
 
 

@@ -141,6 +141,27 @@ class DisplacementMap:
         """phi evaluated at the nodes, shape (dim,) + grid.shape."""
         return self.grid.coordinates() + self.displacement.components
 
+    def sample(self, values, positions=None):
+        """Bilinear samples of node values at positions, by default phi's own.
+
+        On a box grid a collar-identity map can exit the box by up to its
+        collar residual; an overshoot within 10 collar_tol + 1e-12 extent is
+        clipped to the box, anything larger is a genuine domain violation.
+        """
+        grid = self.grid
+        pos = self.positions() if positions is None else positions
+        if grid.topology == BOX:
+            half = grid.half_extent
+            overshoot = float(max(np.max(pos) - half, -half - np.min(pos), 0.0))
+            allowed = 10.0 * self.collar_tol + 1e-12 * grid.extent
+            if overshoot > allowed:
+                raise OutOfDomainError(
+                    f"displacement maps positions {overshoot:.3e} beyond the box "
+                    f"(collar allowance {allowed:.3e})"
+                )
+            pos = np.clip(pos, -half, half)
+        return sample_array(values, grid, pos)
+
 
 def collar_rings(grid):
     """Ring index of each node: the minimum over axes of min(i, n - 1 - i)."""
@@ -158,26 +179,6 @@ def collar_max(comps, grid, width):
     """Max |value| over the nodes within `width` rings of the box boundary."""
     region = np.abs(np.asarray(comps)).max(axis=0)[collar_mask(grid, width)]
     return float(np.max(region, initial=0.0))
-
-
-def clamp_to_box(pos, phi: DisplacementMap):
-    """Positions for sampling along phi on a box grid.
-
-    A collar-identity map can exit the box by up to its collar residual; that
-    overshoot is clamped, anything larger is a genuine domain violation.
-    """
-    grid = phi.grid
-    if grid.topology != BOX:
-        return pos
-    half = grid.half_extent
-    overshoot = float(max(np.max(pos) - half, -half - np.min(pos), 0.0))
-    allowed = 10.0 * phi.collar_tol + 1e-12 * grid.extent
-    if overshoot > allowed:
-        raise OutOfDomainError(
-            f"displacement maps positions {overshoot:.3e} beyond the box "
-            f"(collar allowance {allowed:.3e})"
-        )
-    return np.clip(pos, -half, half)
 
 
 def displacement_jacobian(u: VectorField):
@@ -378,8 +379,7 @@ def pullback_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
     jac = du.copy()
     for i in range(dim):
         jac[i, i] += 1.0
-    g_at_phi = sample_array(g.components, grid, clamp_to_box(phi.positions(), phi))
-    gfull = packed_to_full(g_at_phi, dim)
+    gfull = packed_to_full(phi.sample(g.components), dim)
     pulled = np.einsum("ki...,kl...,lj...->ij...", jac, gfull, jac)
     return MetricField(grid, full_to_packed(pulled, dim))
 
@@ -421,7 +421,7 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
     x = grid.coordinates()
 
     def residual_of(w):
-        return w + sample_array(u, grid, clamp_to_box(x + w, phi))
+        return w + phi.sample(u, x + w)
 
     uinv = -u.copy()
     for _ in range(200):

@@ -78,12 +78,10 @@ from .fields import (
     integrate,
     integrate_array,
     require_same_grid,
-    sample_array,
 )
 from .tensors import (
     DisplacementMap,
     MetricField,
-    clamp_to_box,
     collar_rings,
     displacement_jacobian,
     ebin_weight,
@@ -576,21 +574,13 @@ def toy_geodesic(f: VectorField, n_t=16):
             VectorField(grid, t_mid * f.components), collar_width=collar_width
         )
         inv_mid = invert_displacement(phi_mid)
-        g_mid = pullback_metric_by(inv_mid)
-        v_mid = VectorField(
-            grid, sample_array(f.components, grid, clamp_to_box(inv_mid.positions(), inv_mid))
-        )
+        g_mid = MetricField(grid, jacobian_gram(displacement_jacobian(inv_mid.displacement)))
+        v_mid = VectorField(grid, inv_mid.sample(f.components))
         eulerian.append(wasserstein_orbit_norm(g_mid, v_mid))
     eulerian = np.array(eulerian)
 
     energy = float(np.sum(material) / n_t)
     return ToyGeodesic(material, eulerian, energy)
-
-
-def pullback_metric_by(phi_inv: DisplacementMap) -> MetricField:
-    """(dphi_inv)^T (dphi_inv) — the pushforward of the flat metric."""
-    du = displacement_jacobian(phi_inv.displacement)
-    return MetricField(phi_inv.grid, jacobian_gram(du))
 
 
 def _detect_collar(f: VectorField):
@@ -607,9 +597,9 @@ def _detect_collar(f: VectorField):
 
 
 class DistanceBounds(NamedTuple):
-    lower: float
+    projected_wfr: float
     upper: float
-    lower_flag: str
+    projected_wfr_flag: str
     upper_flag: str
     mass_lower_bound: float
 
@@ -617,20 +607,23 @@ class DistanceBounds(NamedTuple):
 def we_distance_bounds(
     g0: MetricField, g1: MetricField, cfg: SolverConfig = SolverConfig(), n_t=16
 ) -> DistanceBounds:
-    """Bracket the transport-metric distance between two metrics.
+    """A certified upper bound on the transport-metric distance between two
+    metrics, and the density-transport distance of their volumes.
 
     upper: sqrt(d lam)/2 times the source-metric length of the linear
     interpolation path (a feasible pure-source path; certified up to the
     midpoint-rule time discretization; flagged "linear-path-upper-bound").
 
-    lower: for proportional volume densities, the exact density-transport
-    distance of the projected volumes, 2 sqrt(lam) |sqrt(m0) - sqrt(m1)|
-    with m_i the total volumes (pure-growth geodesic; path independent).
-    Otherwise the distance of the projected volumes has no closed form, and
-    the lower slot carries the transport+growth length of the volume-projected
-    linear path, flagged as an estimate rather than a proven bound.  The
-    certified mass bound 2 sqrt(lam) |sqrt(m0) - sqrt(m1)| (Cauchy-Schwarz on
-    the growth term) is always reported alongside.
+    projected_wfr: d_WFR(vol g0, vol g1).  For proportional volume densities
+    it is exact, 2 sqrt(lam) |sqrt(m0) - sqrt(m1)| with m_i the total volumes
+    (pure-growth geodesic; path independent; flagged
+    "conformal-volumes-exact-wfr").  Otherwise it has no closed form, and the
+    slot carries the transport+growth length of the volume-projected linear
+    path (flagged "projected-path-wfr-length-estimate"): an upper estimate of
+    d_WFR(vol g0, vol g1), which bounds nothing about the transport-metric
+    distance.  The certified mass bound 2 sqrt(lam) |sqrt(m0) - sqrt(m1)|
+    (Cauchy-Schwarz on the growth term) is always reported alongside as
+    mass_lower_bound.
     """
     grid = require_same_grid(g0, g1)
     d, lam = grid.dim, cfg.lam
@@ -645,10 +638,10 @@ def we_distance_bounds(
     ratio = vol1 / vol0
     conformal = float(np.max(ratio) - np.min(ratio)) <= 1e-10 * (1.0 + float(np.max(ratio)))
     if conformal:
-        lower = float(mass_bound)
+        projected_wfr = float(mass_bound)
         flag = "conformal-volumes-exact-wfr"
     else:
-        lower = path_length(path, cfg, which="wfr")
+        projected_wfr = path_length(path, cfg, which="wfr")
         flag = "projected-path-wfr-length-estimate"
-    return DistanceBounds(lower, float(upper), flag,
+    return DistanceBounds(projected_wfr, float(upper), flag,
                           "linear-path-upper-bound", float(mass_bound))

@@ -186,15 +186,15 @@ def test_criterion_05_flat_factorization():
         grid = Grid(2, "box", n, extent=2.0)
         errors[n] = []
         for seed in range(5):
-            g, phi0 = flat_pullback_instance(grid, legacy_rng(seed, FLAT_TAG))
-            _, _, _, rep = factorize_flat_metric(g, collar_width=phi0.collar_width)
+            g, _ = flat_pullback_instance(grid, legacy_rng(seed, FLAT_TAG))
+            _, _, _, rep = factorize_flat_metric(g)
             errors[n].append(rep.reconstruction_error)
     ratios = [a / b for a, b in zip(errors[64], errors[128])]
     grid = Grid(2, "box", 64, extent=2.0)
     rejected = 0
     for seed in range(3):
         g = non_flat_instance(grid, legacy_rng(seed, NON_FLAT_TAG))
-        frame = frame_and_connection(g, collar_width=2)
+        frame = frame_and_connection(g)
         rejected += int(not assert_flat(frame, 10.0 * grid.spacing**2))
     elapsed = time.perf_counter() - started
     ok = (

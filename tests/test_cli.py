@@ -516,7 +516,8 @@ CSV_SCHEMA = {
         {**BOX64, "n_per_axis": 16}, {"n_t": 2, "n_perturb": 1},
     ),
     "bounds": (
-        ["trial", "lower", "upper", "mass_lower_bound", "lower_flag", "upper_flag"],
+        ["trial", "projected_wfr", "upper", "mass_lower_bound", "projected_wfr_flag",
+         "upper_flag"],
         TORUS12, {"n_pairs": 1, "n_t": 2},
     ),
 }

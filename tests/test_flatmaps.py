@@ -82,17 +82,17 @@ def gauss_curvature_brioschi(g: MetricField):
 
 
 def test_frame_of_euclidean_metric(box64):
-    frame = frame_and_connection(MetricField.euclidean(box64), collar_width=2)
+    frame = frame_and_connection(MetricField.euclidean(box64))
     assert np.max(np.abs(frame.s.components[0] - 1.0)) == 0.0
     assert np.max(np.abs(frame.s.components[1])) == 0.0
     assert frame.omega_max() == 0.0
-    assert np.max(np.abs(frame.curvature_residual.values)) == 0.0
+    assert frame.max_curvature() == 0.0
     assert assert_flat(frame, 1e-12)
 
 
 def test_frame_sqrt_reproduces_metric(box64):
     g, _ = flat_pullback_instance(box64, legacy_rng(1, FLAT_TAG))
-    frame = frame_and_connection(g, collar_width=2)
+    frame = frame_and_connection(g)
     s = frame.s.components
     g11 = s[0] ** 2 + s[1] ** 2
     g12 = s[1] * (s[0] + s[2])
@@ -105,28 +105,28 @@ def test_frame_rejects_dim_one():
     comps = np.ones((1,) + grid.shape)
     g = MetricField(grid, comps)
     with pytest.raises(ValueError) as err:
-        frame_and_connection(g, collar_width=2)
+        frame_and_connection(g)
     assert "codimension-two" in str(err.value)
 
 
 def test_frame_requires_euclidean_collar(box64):
     g = MetricField.scaled_identity(box64, 2.0)
-    with pytest.raises(ValueError):
-        frame_and_connection(g, collar_width=2)
+    with pytest.raises(ValueError, match="Euclidean metric in the 2-node collar"):
+        factorize_flat_metric(g)
 
 
 def test_constant_conformal_inside_would_fail_collar_but_flat_connection():
     # a constant metric has ds = 0 hence omega = 0; verify via a collar-true
     # constant: the Euclidean one (scaled constants violate the collar)
     grid = Grid(2, "box", 32, extent=2.0)
-    frame = frame_and_connection(MetricField.euclidean(grid), collar_width=2)
+    frame = frame_and_connection(MetricField.euclidean(grid))
     assert frame.omega_max() == 0.0
 
 
 def test_forward_instance_passes_flat_gate(box64):
     for seed in range(3):
-        g, phi0 = flat_pullback_instance(box64, legacy_rng(seed, FLAT_TAG))
-        frame = frame_and_connection(g, collar_width=phi0.collar_width)
+        g, _ = flat_pullback_instance(box64, legacy_rng(seed, FLAT_TAG))
+        frame = frame_and_connection(g)
         assert assert_flat(frame, 10.0 * box64.spacing**2)
         # independent oracle agrees that the metric is flat
         K = gauss_curvature_brioschi(g)
@@ -137,30 +137,30 @@ def test_non_flat_rejected_and_oracle_confirms(box64):
     tol = 10.0 * box64.spacing**2
     for seed in range(3):
         g = non_flat_instance(box64, legacy_rng(seed, NON_FLAT_TAG))
-        frame = frame_and_connection(g, collar_width=2)
+        frame = frame_and_connection(g)
         assert not assert_flat(frame, tol)
         K = gauss_curvature_brioschi(g)
         assert np.max(np.abs(K[3:-3, 3:-3])) > 10.0 * tol
 
 
 def test_cartan_development_zero_connection(box64):
-    frame = frame_and_connection(MetricField.euclidean(box64), collar_width=2)
+    frame = frame_and_connection(MetricField.euclidean(box64))
     theta, _ = cartan_develop(frame)
     assert np.max(np.abs(theta.values)) == 0.0
 
 
 def test_cartan_development_path_independent(box64):
-    g, phi0 = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
-    frame = frame_and_connection(g, collar_width=phi0.collar_width)
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
+    frame = frame_and_connection(g)
     theta, gap = cartan_develop(frame)  # raises on cross-order disagreement
-    assert gap == path_independence_gap(-frame.omega1.values, -frame.omega2.values, box64)[0]
+    assert gap == path_independence_gap(-frame.omega.components, box64)[0]
     # collar normalization: the angle vanishes near the boundary
     assert collar_max(theta.values[None], box64, 2) <= 10.0 * box64.spacing**2
 
 
 def test_development_rejects_curved_connection(box64):
     g = non_flat_instance(box64, legacy_rng(0, NON_FLAT_TAG))
-    frame = frame_and_connection(g, collar_width=2)
+    frame = frame_and_connection(g)
     with pytest.raises(FlatnessInconsistencyError):
         cartan_develop(frame)
 
@@ -173,14 +173,14 @@ def test_factorization_integrates_each_one_form_once(box64, monkeypatch):
         return path_independence_gap(*args)
 
     monkeypatch.setattr(flatmaps, "path_independence_gap", counted)
-    g, phi0 = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
-    factorize_flat_metric(g, collar_width=phi0.collar_width)
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
+    factorize_flat_metric(g)
     # the rotation angle, whose gap the report carries, then the two coordinates of phi
     assert len(calls) == 3
 
 
 def test_reconstruct_identity(box64):
-    frame = frame_and_connection(MetricField.euclidean(box64), collar_width=2)
+    frame = frame_and_connection(MetricField.euclidean(box64))
     theta, _ = cartan_develop(frame)
     phi = reconstruct_diffeo(frame, theta)
     assert np.max(np.abs(phi.displacement.components)) <= 1e-13
@@ -191,7 +191,7 @@ def test_reconstruction_recovers_generating_map():
     for n in (64, 128):
         grid = Grid(2, "box", n, extent=2.0)
         g, phi0 = flat_pullback_instance(grid, legacy_rng(5, FLAT_TAG))
-        phi, frame, theta, report = factorize_flat_metric(g, collar_width=phi0.collar_width)
+        phi, frame, theta, report = factorize_flat_metric(g)
         errs[n] = float(
             np.max(np.abs(phi.displacement.components - phi0.displacement.components))
         )
@@ -204,8 +204,8 @@ def test_reconstruction_error_second_order():
     errs = {}
     for n in (64, 128):
         grid = Grid(2, "box", n, extent=2.0)
-        g, phi0 = flat_pullback_instance(grid, legacy_rng(6, FLAT_TAG))
-        phi, _, _, report = factorize_flat_metric(g, collar_width=phi0.collar_width)
+        g, _ = flat_pullback_instance(grid, legacy_rng(6, FLAT_TAG))
+        phi, _, _, report = factorize_flat_metric(g)
         errs[n] = report.reconstruction_error
     assert 3.0 <= errs[64] / errs[128] <= 5.0
 
@@ -213,29 +213,43 @@ def test_reconstruction_error_second_order():
 def test_round_trip_through_pullback(box64):
     # cross-module check: phi* (Euclidean) computed by the tensor module
     # reproduces g
-    g, phi0 = flat_pullback_instance(box64, legacy_rng(7, FLAT_TAG))
-    phi, _, _, _ = factorize_flat_metric(g, collar_width=phi0.collar_width)
+    g, _ = flat_pullback_instance(box64, legacy_rng(7, FLAT_TAG))
+    phi, _, _, _ = factorize_flat_metric(g)
     pulled = pullback_metric(phi, MetricField.euclidean(box64))
     assert np.max(np.abs(pulled.components - g.components)) <= 10.0 * box64.spacing**2
 
 
 def test_collar_identity_normalization(box64):
     g, phi0 = flat_pullback_instance(box64, legacy_rng(8, FLAT_TAG))
-    phi, _, _, _ = factorize_flat_metric(g, collar_width=phi0.collar_width)
+    phi, _, _, _ = factorize_flat_metric(g)
     resid = collar_max(phi.displacement.components, box64, phi0.collar_width)
     assert resid <= 10.0 * box64.spacing**2
 
 
 def test_constant_conformal_metric_has_zero_connection():
-    # ds = 0 so omega = 0; the collar precondition is waived explicitly since
-    # a scaled constant metric is not Euclidean near the boundary
+    # ds = 0 so omega = 0; the connection is defined for any metric, and only
+    # factorize_flat_metric needs the Euclidean collar a scaled constant lacks
     grid = Grid(2, "box", 32, extent=2.0)
     g = MetricField.scaled_identity(grid, 2.5)
-    frame = frame_and_connection(g, collar_width=2, require_euclidean_collar=False)
+    frame = frame_and_connection(g)
     # exact zero in the interior; the one-sided boundary stencils leave
     # cancellation roundoff of order eps / spacing
     assert frame.omega_max() <= 1e-13
-    assert np.max(np.abs(frame.curvature_residual.values)) <= 1e-11
+    assert frame.max_curvature() <= 1e-11
+
+
+def test_frame_differentiates_stacked_components(box64, monkeypatch):
+    # one stencil call per axis for the coframe's curls, one per axis for omega's
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return diff_array(*args, **kwargs)
+
+    monkeypatch.setattr(flatmaps, "diff_array", counted)
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
+    frame_and_connection(g)
+    assert sorted(calls) == [0, 0, 1, 1]
 
 
 def test_flatness_tolerance_is_10_h2_on_the_default_box(box64):

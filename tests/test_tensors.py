@@ -1,5 +1,8 @@
 """Pointwise SPD algebra, volume maps, Lie derivatives, pullbacks."""
 
+import inspect
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from metricflow import (
     Grid,
     MetricField,
     NonInvertibleMapError,
+    OutOfDomainError,
     PositivityViolation,
     ScalarField,
     SymTensorField,
@@ -23,6 +27,7 @@ from metricflow import (
     volume_map,
     volume_tangent,
 )
+import metricflow
 from metricflow import tensors
 from metricflow.certificates import toy_field
 from metricflow.fields import sample_array
@@ -35,7 +40,6 @@ from metricflow.randomfields import (
     substream,
 )
 from metricflow.tensors import (
-    clamp_to_box,
     inverse_components,
     packed_det,
     product_trace,
@@ -416,12 +420,50 @@ def fixed_point_inverse(phi, tol=1e-12):
     x = grid.coordinates()
     uinv = -u.copy()
     for _ in range(200):
-        new = -sample_array(u, grid, clamp_to_box(x + uinv, phi))
+        new = -phi.sample(u, x + uinv)
         step = float(np.max(np.abs(new - uinv)))
         uinv = new
         if step < tol:
             return uinv
     raise AssertionError("fixed-point oracle stalled")
+
+
+def test_map_sample_clamps_within_the_collar_allowance(box64):
+    # a collar-identity map may leave the box by up to its collar residual
+    phi = DisplacementMap(VectorField.zero(box64), collar_width=2, collar_tol=1e-6)
+    allowed = 10.0 * phi.collar_tol + 1e-12 * box64.extent
+    half = box64.half_extent
+    x = box64.coordinates()
+    values = np.stack([x[0] + 2.0 * x[1] ** 2, np.cos(x[0] * x[1])])
+    inside = x.copy()
+    inside[0, -1] += 0.5 * allowed
+    inside[1, 0] -= 0.5 * allowed
+    expected = sample_array(values, box64, np.clip(inside, -half, half))
+    assert np.array_equal(phi.sample(values, inside), expected)
+    assert np.array_equal(phi.sample(values), sample_array(values, box64, x))
+    for sign, edge in ((1.0, -1), (-1.0, 0)):
+        beyond = x.copy()
+        beyond[1, edge] += sign * 2.0 * allowed
+        with pytest.raises(OutOfDomainError, match=f"collar allowance {allowed:.3e}"):
+            phi.sample(values, beyond)
+
+
+def test_maps_sample_through_one_method():
+    # sample_array is called by its own module, by the interpolation
+    # certificate, and by DisplacementMap.sample for every map
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in pathlib.Path(metricflow.__file__).parent.glob("*.py")
+    }
+    assert {name for name, text in sources.items() if "sample_array(" in text} == {
+        "fields.py",
+        "tensors.py",
+        "certificates.py",
+    }
+    in_method = inspect.getsource(DisplacementMap.sample).count("sample_array(")
+    assert sources["tensors.py"].count("sample_array(") == in_method == 1
+    for gone in ("clamp_to_box", "require_euclidean_collar"):
+        assert not any(gone in text for text in sources.values()), gone
 
 
 def box_toy_map():
