@@ -17,9 +17,11 @@ and library functions take the generators, so two seeds share no draw.
 divergence-sweep draws each kind's pairs in the order a0, b0, a1, b1, ...
 from ``substream(cfg.seed, "div-<kind>")``; its ``pair`` column is the
 0-based index, so a run of n pairs is a prefix of a longer run at the same
-seed.  It evaluates the pairs in blocks of stacked pairs (SWEEP_BLOCK_NODES),
-so its ``runtime_ms`` column is the time of a pair's block divided by the
-number of pairs in that block, not a per-pair time.
+seed.  It evaluates the pairs in blocks of stacked pairs, about
+SWEEP_BLOCK_NODES grid nodes each (16 pairs at n = 16), and its rows do not
+depend on the block size, except its ``runtime_ms`` column: the time of a
+pair's block divided by the number of pairs in that block, not a per-pair
+time.
 """
 
 from __future__ import annotations
@@ -159,9 +161,12 @@ def run_submersion(cfg: ExperimentConfig):
 
 
 # The divergence sweep draws and evaluates its pairs in blocks of about this
-# many grid nodes (4 pairs at torus n = 16): per-call overhead is shared by a
-# block, while its arrays stay small however many pairs are swept.
-SWEEP_BLOCK_NODES = 1024
+# many grid nodes (16 pairs at torus n = 16): per-call overhead is shared by a
+# block, while its arrays stay small however many pairs are swept.  On the
+# benchmark's sweep at n = 16, against 1024 nodes, 2048 cut the wall time by
+# 24 % and 4096 by 33 % for +1.6 MB (+4 %) of peak RSS; 8192 cut 5 % more
+# but added another 1.6 MB, near the benchmark's 10 % bound on peak RSS.
+SWEEP_BLOCK_NODES = 4096
 
 
 def _sweep_block(cfg: ExperimentConfig, kind, rng, pairs):

@@ -26,19 +26,22 @@ by construction.
 The kernels take a sequence of generators and return a stack with a leading
 field (or pair) axis: per generator, ``band_limited_values`` returns
 ``per_generator`` scalar series, ``random_spd_stack`` one metric's packed
-components and ``band_limited_density_stack`` one density.  Each generator
-draws all its coefficients in one ``normal`` call, in the order listed; a
-generator listed k times draws its k entries in order, as k one-entry draws
-from it would.  Every field of the stack is then synthesized in one batched
-product, bit-identical to drawing the fields one at a time.  The typed
-one-field functions (``band_limited_scalar``, ``band_limited_vector``,
-``random_spd_metric``, ...) are one-generator calls of the same kernels.
+components and ``band_limited_density_stack`` one density.  The
+coefficients are drawn in the order listed, with one ``normal`` call per
+run of consecutive entries that are the same generator object; ``normal``
+fills its values in order, so a generator listed k times draws its k
+entries as k one-entry draws from it would.  Every field of the stack is
+then synthesized in one batched product, bit-identical to drawing the
+fields one at a time.  The typed one-field functions
+(``band_limited_scalar``, ``band_limited_vector``, ``random_spd_metric``,
+...) are one-generator calls of the same kernels.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -83,21 +86,34 @@ def _trig_tables(grid, modes):
     return tables
 
 
+def _normal_draws(rngs, size):
+    """``size``-shaped normal draws per listed generator, stacked along axis 0.
+
+    One ``normal`` call per run of consecutive entries that are the same
+    generator object (identity, not equality): ``normal`` fills its values
+    in order, so a run of k entries draws what k calls would.
+    """
+    runs = [list(run) for _, run in itertools.groupby(rngs, key=id)]
+    return np.concatenate(
+        [run[0].normal(size=(len(run) * size[0],) + size[1:]) for run in runs]
+    )
+
+
 def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, per_generator=1):
     """``per_generator`` truncated Fourier series per generator, each at the max amplitude.
 
     Returns shape (len(rngs) * per_generator,) + grid.shape, a generator's
-    fields next to each other.  Each generator draws the coefficients of
-    its fields in one call, in the order given (one call of k fields draws
-    what k calls of one field would), and a generator listed k times draws
-    its k entries in order, as k calls with it would; then every field is
+    fields next to each other.  The coefficients are drawn in the order
+    given, with one ``normal`` call per run of consecutive entries that are
+    the same generator object, so a generator listed k times draws its k
+    entries in order, as k calls with it would; then every field is
     synthesized in one batched product.  A single field is
     ``band_limited_values(grid, [rng], ...)[0]``.
     """
     _check_modes(grid, modes)
     cos, sin = _trig_tables(grid, modes)
     if grid.dim == 1:
-        coeffs = np.concatenate([rng.normal(size=(per_generator, modes, 2)) for rng in rngs])
+        coeffs = _normal_draws(rngs, (per_generator, modes, 2))
         # one (1, m) row per field: a stacked (F, m) @ (m, n) product rounds
         # differently from the one-field vector-matrix product
         out = (
@@ -108,8 +124,7 @@ def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, per_generator=1):
         # drawn in row-major order over the half plane that skips (k0 <= 0, k1 = 0)
         kept = np.ones((2 * modes + 1, modes + 1), dtype=bool)
         kept[: modes + 1, 0] = False
-        size = (per_generator, int(kept.sum()), 2)
-        coeffs = np.concatenate([rng.normal(size=size) for rng in rngs])
+        coeffs = _normal_draws(rngs, (per_generator, int(kept.sum()), 2))
         a = np.zeros((len(coeffs),) + kept.shape)
         b = np.zeros((len(coeffs),) + kept.shape)
         a[:, kept] = coeffs[..., 0]

@@ -411,6 +411,21 @@ def test_sweep_of_n_pairs_is_a_prefix_of_more_pairs(monkeypatch):
     assert [kind[:3] for kind in rows_by_kind(9)] == rows_by_kind(3)
 
 
+@pytest.mark.parametrize("block_nodes", [256, 768, 1024])
+def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, block_nodes):
+    # 1 pair per block, 3 pairs (37 is no multiple of 3), the former 4 pairs
+    monkeypatch.setattr(experiments, "conformal_closed_forms", lambda solver: {})
+    cfg = sweep_config({"dim": 2, "topology": "torus", "n_per_axis": 16}, 37)
+
+    def rows():
+        return [{k: v for k, v in r.items() if k != "runtime_ms"}
+                for r in run_divergence_sweep(cfg)[1]]
+
+    default = rows()
+    monkeypatch.setattr(experiments, "SWEEP_BLOCK_NODES", block_nodes)
+    assert rows() == default
+
+
 def test_runs_at_different_seeds_share_no_draws(monkeypatch):
     monkeypatch.setattr(experiments, "conformal_closed_forms", lambda solver: {})
 

@@ -187,6 +187,35 @@ def test_fields_per_generator_match_repeated_listing(dim, n, modes, per_generato
     assert [rng.normal() for rng in merged] == [rng.normal() for rng in listed]
 
 
+@pytest.mark.parametrize("dim, n, modes", [(1, 16, 3), (2, 16, 3)])
+@pytest.mark.parametrize("per_generator", [1, 4])
+def test_runs_of_one_generator_match_one_field_draws_in_listing_order(dim, n, modes, per_generator):
+    grid = Grid(dim, "torus", n)
+
+    def streams():
+        return [substream(seed, f"runs-{dim}") for seed in range(2)]
+
+    grouped, single = streams(), streams()
+    order = [0, 0, 1, 0, 1, 1]
+    values = band_limited_values(
+        grid, [grouped[i] for i in order], modes, 0.4, per_generator=per_generator
+    )
+    expected = [
+        band_limited_values(grid, [single[i]], modes, 0.4)[0]
+        for i in order
+        for _ in range(per_generator)
+    ]
+    assert values.shape == (len(expected),) + grid.shape
+    assert all(np.array_equal(v, e) for v, e in zip(values, expected))
+    assert [rng.normal() for rng in grouped] == [rng.normal() for rng in single]
+
+    # runs merge by identity only: two equal-seeded generators each draw their first entry
+    twins = [substream(9, f"twin-{dim}"), substream(9, f"twin-{dim}")]
+    first = band_limited_values(grid, [substream(9, f"twin-{dim}")], modes, 0.4)[0]
+    for field in band_limited_values(grid, twins, modes, 0.4):
+        assert np.array_equal(field, first)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_typed_multi_field_draws_match_repeated_listing(dim):
     grid = Grid(dim, "torus", 16)
