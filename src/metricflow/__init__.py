@@ -8,7 +8,6 @@ from .divergences import (
     StaticProblem,
     conformal_lift,
     divergence,
-    kl_density_projection,
     second_variation_probe,
     static_local_search,
     static_objective,
@@ -36,13 +35,9 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
-    integrate,
-    partial_derivative,
-    sample,
 )
 from .flatmaps import (
     FrameData,
-    assert_flat,
     cartan_develop,
     factorize_flat_metric,
     flat_pullback_instance,
@@ -63,7 +58,6 @@ from .tensors import (
     DisplacementMap,
     MetricField,
     invert_displacement,
-    lie_derivative_density,
     lie_derivative_metric,
     pullback_metric,
     pushforward_metric,

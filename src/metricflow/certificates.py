@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cg import solve_spd
-from .divergences import DivergenceKind, divergence, kl_density_projection
+from .divergences import DivergenceKind, divergence
 from .fields import (
     DensityField,
     Grid,
@@ -143,8 +143,10 @@ def conformal_closed_forms(cfg):
             "target": 1.0,
         },
         "density_projection_conformal": {
-            "value": kl_density_projection(
-                DensityField.constant(grid, 1.0), DensityField.constant(grid, np.e)
+            "value": divergence(
+                DivergenceKind.KL_DENSITY_FD,
+                DensityField.constant(grid, 1.0),
+                DensityField.constant(grid, np.e),
             ),
             "target": 1.0,
         },

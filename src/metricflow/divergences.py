@@ -18,8 +18,8 @@ probe below measures by central differences with Richardson extrapolation.
 The kernels evaluate stacks of pairs with a leading pair axis:
 ``divergence_stack`` (every kind), ``eigenvalue_gap_stack`` and
 ``density_ratio_gap_stack`` return one value per pair, with the same
-arithmetic, bit for bit, as a pair on its own.  The typed functions
-``divergence`` and ``min_eigenvalue_gap`` are one-pair calls of them, and the
+arithmetic, bit for bit, as a pair on its own.  The typed function
+``divergence`` is a one-pair call of ``divergence_stack``, and the
 second-variation probe evaluates its four shifted pairs per step as one
 stack.
 """
@@ -35,7 +35,6 @@ import numpy as np
 from .fields import (
     DensityField,
     VectorField,
-    integrate,
     integrate_array,
     require_same_grid,
 )
@@ -48,7 +47,6 @@ from .tensors import (
     packed_volume,
     pushforward_metric,
     relative_trace,
-    volume_map,
 )
 from .transport import ebin_inner
 
@@ -147,18 +145,14 @@ def divergence(kind: DivergenceKind, a, b) -> float:
     return float(divergence_stack(kind, grid, *pair)[0])
 
 
-def kl_density_projection(rho0: DensityField, rho1: DensityField) -> float:
-    """Volume projection of the metric relative entropy: Int f_d(rho0/rho1) rho1.
-
-    The infimum over lifts with prescribed volumes is attained exactly on the
-    conformal pair g0 = (rho0/rho1)^(2/d) g1, which makes this equal to the
-    metric divergence at that pair; d is the grid dimension.
-    """
-    return divergence(DivergenceKind.KL_DENSITY_FD, rho0, rho1)
-
-
 def conformal_lift(rho0: DensityField, g1: MetricField) -> MetricField:
-    """The metric (rho0/vol(g1))^(2/d) g1, the optimal lift of (rho0, vol(g1))."""
+    """The metric (rho0/vol(g1))^(2/d) g1, the optimal lift of (rho0, vol(g1)).
+
+    The infimum of the metric divergence over lifts with prescribed volumes,
+    inf {KL_MET(g0 || g1) : vol(g0) = rho0}, is attained exactly at this
+    conformal pair, where it equals the density projection
+    ``divergence(KL_DENSITY_FD, rho0, vol(g1))``; d is the grid dimension.
+    """
     grid = require_same_grid(rho0, g1)
     factor = (rho0.values / packed_volume(g1.components, grid.dim)) ** (2.0 / grid.dim)
     return MetricField(grid, factor * g1.components)
@@ -181,12 +175,6 @@ def eigenvalue_gap_stack(dim, g0, g1):
     lams = tr[None] if dim == 1 else np.stack(eigenvalues_2x2(tr, det))
     lams = np.maximum(lams, RATIO_FLOOR)
     return _pair_minima(_log_gap(lams).swapaxes(0, 1))
-
-
-def min_eigenvalue_gap(g0: MetricField, g1: MetricField) -> float:
-    """``eigenvalue_gap_stack`` of one pair of metrics."""
-    dim = require_same_grid(g0, g1).dim
-    return float(eigenvalue_gap_stack(dim, g0.components[None], g1.components[None])[0])
 
 
 def density_ratio_gap_stack(rho0, rho1):
@@ -271,10 +259,11 @@ def static_objective(problem: StaticProblem, gbar0: MetricField, phi: Displaceme
     flat small-displacement regime; the orbit distance itself has no closed
     form.
     """
-    require_same_grid(problem.g0, gbar0, phi.displacement)
+    grid = require_same_grid(problem.g0, gbar0, phi.displacement)
     lam = problem.lambda_balance
     term1 = divergence(problem.kind, problem.g0, gbar0)
-    disp_sq = integrate(phi.displacement.euclidean_square(), volume_map(gbar0))
+    shift_sq = np.sum(phi.displacement.components**2, axis=0)
+    disp_sq = float(integrate_array(shift_sq * packed_volume(gbar0.components, grid.dim), grid))
     pushed = pushforward_metric(phi, gbar0)
     term3 = divergence(problem.kind, pushed, problem.g1)
     return lam * term1 + float(np.sqrt(max(disp_sq, 0.0))) + lam * term3

@@ -8,14 +8,16 @@ inputs.  A constrained field subclasses the field it constrains:
 ``DensityField`` is a positive ``ScalarField``, ``tensors.MetricField`` an
 SPD ``SymTensorField``.
 
-Discretization conventions:
-  * derivatives: second-order central stencils; the torus wraps, the box uses
-    second-order one-sided stencils on the boundary; a fourth-order central
-    stencil is available on the torus where a probe needs the extra accuracy,
-  * quadrature: rectangle rule on the torus, trapezoid weights on the box;
-    ``integrate_array`` is the one nodal quadrature, on arrays with leading
-    lane or pair axes, and ``integrate`` its typed one-field form,
-  * interpolation: bilinear (linear in 1D).
+The calculus works on value arrays, not on fields: a caller hands
+``field.values`` or ``field.components`` to the array kernel, and every
+kernel keeps leading lane or pair axes.  Discretization conventions:
+  * derivatives (``diff_array``): second-order central stencils; the torus
+    wraps, the box uses second-order one-sided stencils on the boundary; a
+    fourth-order central stencil is available on the torus where a probe
+    needs the extra accuracy,
+  * quadrature (``integrate_array``): rectangle rule on the torus, trapezoid
+    weights on the box,
+  * interpolation (``sample_array``): bilinear (linear in 1D).
 """
 
 from __future__ import annotations
@@ -163,9 +165,6 @@ class VectorField:
             comps[k] = vec[k]
         return cls(grid, comps)
 
-    def euclidean_square(self):
-        return ScalarField(self.grid, np.sum(self.components**2, axis=0))
-
 
 class SymTensorField:
     """Symmetric 2-tensor per node; packed components (11,) in 1D, (11, 12, 22) in 2D."""
@@ -184,12 +183,6 @@ class SymTensorField:
             return cls(grid, np.asarray(a11, dtype=float)[None])
         broad = [np.broadcast_to(np.asarray(a, dtype=float), grid.shape) for a in (a11, a12, a22)]
         return cls(grid, np.stack(broad))
-
-
-def _values_of(field):
-    if isinstance(field, ScalarField):
-        return field.values
-    return field.components
 
 
 def require_same_grid(*fields):
@@ -252,13 +245,6 @@ def diff_array(values, grid, axis, order=2):
     return out
 
 
-def partial_derivative(field, axis):
-    """Central-difference partial derivative of a scalar or density field."""
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, diff_array(field.values, field.grid, axis))
-    raise TypeError("partial_derivative expects a ScalarField or DensityField")
-
-
 def gradient_array(values, grid, order=2):
     """Stack of all partial derivatives, shape (dim,) + value shape."""
     return np.stack([diff_array(values, grid, k, order) for k in range(grid.dim)])
@@ -295,17 +281,6 @@ def quadrature_weights(grid):
 def integrate_array(values, grid):
     """Nodal quadrature of an array over its trailing grid.dim axes; leading axes are kept."""
     return np.sum(values * quadrature_weights(grid), axis=tuple(range(-grid.dim, 0)))
-
-
-def integrate(f, weight=None):
-    """Integral of a scalar field against a density (defaults to Lebesgue)."""
-    if weight is None:
-        grid = f.grid
-        fw = _values_of(f)
-    else:
-        grid = require_same_grid(f, weight)
-        fw = _values_of(f) * _values_of(weight)
-    return float(integrate_array(fw, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +340,3 @@ def sample_array(values, grid, positions):
             + corner(r1 + i1[1]) * f0 * f1
         )
     return v.reshape(lead + pos.shape[1:])
-
-
-def sample(field, positions):
-    """Interpolate any field at the given positions; returns raw values."""
-    pos = positions.components if isinstance(positions, VectorField) else positions
-    return sample_array(_values_of(field), field.grid, pos)

@@ -102,11 +102,6 @@ def frame_and_connection(g: MetricField) -> FrameData:
     )
 
 
-def assert_flat(frame: FrameData, tol) -> bool:
-    """True iff the connection's curl stays below tol everywhere."""
-    return frame.max_curvature() <= tol
-
-
 def _cumtrap(values, h, axis):
     """Cumulative trapezoid integral from index 0 along one axis."""
     a = np.moveaxis(values, axis, 0)
@@ -231,16 +226,17 @@ def factorize_flat_metric(g: MetricField):
         )
     frame = frame_and_connection(g)
     flat_tol = flatness_tolerance(grid)
-    if not assert_flat(frame, flat_tol):
+    curvature = frame.max_curvature()
+    if not curvature <= flat_tol:
         raise FlatnessInconsistencyError(
-            f"curvature residual {frame.max_curvature():.3e} "
+            f"curvature residual {curvature:.3e} "
             f"exceeds {flat_tol:.3e}: metric is not flat at this resolution"
         )
     theta, gap = cartan_develop(frame)
     phi = reconstruct_diffeo(frame, theta)
     err = reconstruction_error(phi, g)
     report = FactorizationReport(
-        max_curvature=frame.max_curvature(),
+        max_curvature=curvature,
         path_independence_gap=gap,
         reconstruction_error=err,
     )

@@ -24,7 +24,6 @@ from .fields import (
     SymTensorField,
     VectorField,
     diff_array,
-    divergence_array,
     gradient_array,
     node_at,
     require_same_grid,
@@ -348,13 +347,6 @@ def lie_derivative_metric(v: VectorField, g: MetricField) -> SymTensorField:
     """(L_v g)_ij = v^k d_k g_ij + g_kj d_i v^k + g_ik d_j v^k."""
     grid = require_same_grid(v, g)
     return SymTensorField(grid, lie_apply(lie_jet_matrix(g.components, grid), v.components, grid))
-
-
-def lie_derivative_density(v: VectorField, rho: DensityField) -> ScalarField:
-    """L_v rho = div(rho v) for densities stored w.r.t. Lebesgue."""
-    grid = require_same_grid(v, rho)
-    comps = rho.values * v.components
-    return ScalarField(grid, divergence_array(comps, grid))
 
 
 def trace_decompose(g: MetricField, h: SymTensorField):

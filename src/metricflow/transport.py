@@ -75,7 +75,6 @@ from .fields import (
     diff_array,
     divergence_array,
     gradient_array,
-    integrate,
     integrate_array,
     require_same_grid,
 )
@@ -93,7 +92,6 @@ from .tensors import (
     packed_volume,
     product_trace,
     velocity_jet,
-    volume_map,
 )
 
 
@@ -203,7 +201,8 @@ def _solve(what, field, apply_op, rhs, cfg, preconditioner):
 
 def ebin_inner(g: MetricField, h, k) -> float:
     """Int tr(g^-1 h g^-1 k) vol(g)."""
-    return integrate(product_trace(g, h, k), volume_map(g))
+    trace = product_trace(g, h, k).values
+    return float(integrate_array(trace * packed_volume(g.components, g.grid.dim), g.grid))
 
 
 def wasserstein_orbit_norm(g: MetricField, v: VectorField) -> float:
@@ -212,8 +211,9 @@ def wasserstein_orbit_norm(g: MetricField, v: VectorField) -> float:
     Depends on g only through vol(g), which is what makes the volume map a
     submersion onto density space on transport orbits.
     """
-    require_same_grid(g, v)
-    return integrate(v.euclidean_square(), volume_map(g))
+    grid = require_same_grid(g, v)
+    speed_sq = np.sum(v.components**2, axis=0)
+    return float(integrate_array(speed_sq * packed_volume(g.components, grid.dim), grid))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from metricflow.divergences import (
     METRIC_KINDS,
     DivergenceKind,
     divergence,
-    min_eigenvalue_gap,
+    eigenvalue_gap_stack,
 )
 from metricflow.errors import ConfigError
 from metricflow.experiments import EXPERIMENTS, run_divergence_sweep, run_experiment
@@ -362,7 +362,8 @@ def per_pair_sweep_rows(cfg):
             a = make(cfg.grid, rng, p["modes"], p["amplitude"])
             b = make(cfg.grid, rng, p["modes"], p["amplitude"])
             if metric:
-                gap = min_eigenvalue_gap(a, b)
+                stacks = (a.components[None], b.components[None])
+                gap = float(eigenvalue_gap_stack(cfg.grid.dim, *stacks)[0])
             else:
                 ratio = a.values / b.values
                 gap = float(np.min(ratio - np.log(ratio) - 1.0))
@@ -687,6 +688,13 @@ def run_cli_process(tmp_path, cfg):
             2,
             "precondition error: ",
             id="divergence-sweep-ratio-clamp",
+        ),
+        pytest.param(
+            # the Ebin product of a direction this large with itself overflows
+            {"experiment": "second-variation", "params": {"amplitude": 1e200, "n_triples": 1}},
+            2,
+            "precondition error: ",
+            id="second-variation-overflow",
         ),
         pytest.param(
             # the bump radius of a box this large overflows when squared

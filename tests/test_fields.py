@@ -10,23 +10,23 @@ from metricflow import (
     DensityField,
     DisplacementMap,
     Grid,
+    GridMismatchError,
     MetricField,
     OutOfDomainError,
     PositivityViolation,
     ScalarField,
     SymTensorField,
     VectorField,
+    ebin_inner,
     field_from_json,
     field_to_json,
-    integrate,
-    partial_derivative,
-    sample,
 )
 from metricflow.certificates import refinement_ratio
 from metricflow.fields import (
     diff_array,
     divergence_array,
     gradient_array,
+    integrate_array,
     quadrature_weights,
     sample_array,
 )
@@ -108,13 +108,13 @@ def test_constrained_fields_are_the_fields_they_constrain(torus16):
 def test_derivative_of_constant_vanishes(topology, axis):
     grid = Grid(2, topology, 16, extent=1.0 if topology == "torus" else 2.0)
     f = ScalarField.constant(grid, 3.5)
-    assert np.max(np.abs(partial_derivative(f, axis).values)) == 0.0
+    assert np.max(np.abs(diff_array(f.values, grid, axis))) == 0.0
 
 
 def test_derivative_axis_out_of_range(torus16):
     f = ScalarField.constant(torus16, 1.0)
     with pytest.raises(ValueError):
-        partial_derivative(f, 2)
+        diff_array(f.values, torus16, 2)
 
 
 def test_torus_derivative_matches_analytic_oracle():
@@ -124,7 +124,7 @@ def test_torus_derivative_matches_analytic_oracle():
         x = grid.coordinates()
         f = ScalarField(grid, np.sin(2 * np.pi * x[0]))
         exact = 2 * np.pi * np.cos(2 * np.pi * x[0])
-        errs.append(float(np.max(np.abs(partial_derivative(f, 0).values - exact))))
+        errs.append(float(np.max(np.abs(diff_array(f.values, grid, 0) - exact))))
     # leading error term of the central stencil on sin is (2 pi)^3 h^2 / 6
     assert errs[1] <= (2 * np.pi) ** 3 * (1.0 / 64) ** 2 / 6 * 1.05
     assert 3.5 <= errs[0] / errs[1] <= 4.5  # second order
@@ -134,8 +134,8 @@ def test_box_derivative_exact_on_affine():
     grid = Grid(2, "box", 16, extent=2.0)
     x = grid.coordinates()
     f = ScalarField(grid, x[0])
-    df = partial_derivative(f, 0)
-    assert np.max(np.abs(df.values - 1.0)) <= 1e-13  # one-sided stencil exact too
+    df = diff_array(f.values, grid, 0)
+    assert np.max(np.abs(df - 1.0)) <= 1e-13  # one-sided stencil exact too
 
 
 def test_box_derivative_second_order_including_boundary():
@@ -193,10 +193,8 @@ def test_discrete_integration_by_parts_torus():
     grid = Grid(2, "torus", 24)
     f = band_limited_scalar(grid, substream(11, "ibp-f"), modes=4, amplitude=1.0)
     w = band_limited_vector(grid, substream(11, "ibp-w"), modes=4, amplitude=1.0)
-    lhs = integrate(ScalarField(grid, f.values * divergence_array(w.components, grid)))
-    rhs = integrate(
-        ScalarField(grid, np.sum(gradient_array(f.values, grid) * w.components, axis=0))
-    )
+    lhs = integrate_array(f.values * divergence_array(w.components, grid), grid)
+    rhs = integrate_array(np.sum(gradient_array(f.values, grid) * w.components, axis=0), grid)
     assert abs(lhs + rhs) <= 1e-10
 
 
@@ -207,19 +205,19 @@ def test_discrete_integration_by_parts_torus():
 def test_unit_integral_on_torus(torus16):
     one = ScalarField.constant(torus16, 1.0)
     weight = DensityField.constant(torus16, 1.0)
-    assert integrate(one, weight) == pytest.approx(1.0, abs=1e-14)
+    assert integrate_array(one.values * weight.values, torus16) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_trig_square_integral_exact(torus64):
     x = torus64.coordinates()
     f = ScalarField(torus64, np.sin(2 * np.pi * x[0]) ** 2)
-    assert integrate(f) == pytest.approx(0.5, abs=1e-12)
+    assert integrate_array(f.values, torus64) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_constant_weight_scaling(torus16):
     one = ScalarField.constant(torus16, 1.0)
     weight = DensityField.constant(torus16, 4.0)
-    assert integrate(one, weight) == pytest.approx(4.0, abs=1e-13)
+    assert integrate_array(one.values * weight.values, torus16) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_box_trapezoid_weights_sum_to_area():
@@ -233,8 +231,9 @@ def test_box_quadrature_second_order():
 
 def test_grid_mismatch_rejected(torus16):
     other = Grid(2, "torus", 32)
-    with pytest.raises(Exception):
-        integrate(ScalarField.constant(torus16, 1.0), DensityField.constant(other, 1.0))
+    h = SymTensorField.zero(torus16)
+    with pytest.raises(GridMismatchError):
+        ebin_inner(MetricField.euclidean(torus16), h, SymTensorField.zero(other))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def test_grid_mismatch_rejected(torus16):
 def test_sampling_reproduces_nodes(torus16):
     rng = substream(3, "nodes")
     f = band_limited_scalar(torus16, rng, modes=3, amplitude=1.0)
-    got = sample(f, torus16.coordinates())
+    got = sample_array(f.values, torus16, torus16.coordinates())
     assert np.array_equal(got, f.values)
 
 
@@ -253,7 +252,7 @@ def test_bilinear_exact_on_affine_box():
     x = grid.coordinates()
     f = ScalarField(grid, 2.0 * x[0] - 0.7 * x[1] + 0.25)
     mids = (x[:, :-1, :-1] + grid.spacing / 2.0).reshape(2, -1)
-    got = sample(f, mids)
+    got = sample_array(f.values, grid, mids)
     exact = 2.0 * mids[0] - 0.7 * mids[1] + 0.25
     assert np.max(np.abs(got - exact)) <= 1e-13
 
@@ -267,14 +266,14 @@ def test_torus_sampling_wraps():
     f = band_limited_scalar(grid, substream(5, "wrap"), modes=2, amplitude=1.0)
     pos = grid.coordinates()
     shifted = pos + 3.0  # three full periods
-    assert np.allclose(sample(f, shifted), f.values, atol=1e-12)
+    assert np.allclose(sample_array(f.values, grid, shifted), f.values, atol=1e-12)
 
 
 def test_box_sampling_outside_domain_fails():
     grid = Grid(2, "box", 16, extent=2.0)
     f = ScalarField.constant(grid, 1.0)
     with pytest.raises(OutOfDomainError):
-        sample(f, np.array([[1.5], [0.0]]))
+        sample_array(f.values, grid, np.array([[1.5], [0.0]]))
 
 
 def fancy_index_sample_oracle(values, grid, pos):

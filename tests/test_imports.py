@@ -1,5 +1,6 @@
 """Import hygiene: every name a module or test file imports is used in it,
-and importing the command-line front end leaves ``numpy.random`` unloaded.
+every public function or class of the package has a caller, and importing
+the command-line front end leaves ``numpy.random`` unloaded.
 
 The package's ``__init__.py`` is skipped: its imports are the public API.
 """
@@ -49,6 +50,46 @@ def test_detector_flags_only_unused_names():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+# Public names no module of the package reads, kept as reference
+# implementations: each names the test that holds the program to it.
+ORACLES = (
+    ("conformal_lift", "test_acceptance.py::test_criterion_04_divergence_axioms"),
+    ("volume_tangent", "test_tensors.py::test_lie_compatibility_with_volume"),
+    ("field_from_json", "test_fields.py::test_json_round_trip_bitwise"),
+    ("ic_speed_grid_search", "test_seqdemo.py::test_harmonic_mean_vs_grid_search_random"),
+)
+
+
+def names_read(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_public_definition_has_a_caller():
+    defined, read = set(), set()
+    for path in FILES:
+        if path.parent.name != "metricflow":
+            continue
+        tree = ast.parse(path.read_text())
+        read |= names_read(tree)
+        defined |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+    uncalled, oracles = defined - read, {name for name, _ in ORACLES}
+    assert not uncalled - oracles, f"no caller: {sorted(uncalled - oracles)}"
+    assert not oracles - uncalled, f"oracles the package calls: {sorted(oracles - uncalled)}"
+
+
+@pytest.mark.parametrize("name, test", ORACLES, ids=[name for name, _ in ORACLES])
+def test_each_oracle_is_read_by_its_test(name, test):
+    file_name, function = test.split("::")
+    tree = ast.parse((ROOT / "tests" / file_name).read_text())
+    bodies = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    assert len(bodies) == 1, test
+    assert name in names_read(bodies[0]), f"{test} does not call {name}"
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

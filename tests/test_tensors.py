@@ -14,12 +14,9 @@ from metricflow import (
     NonInvertibleMapError,
     OutOfDomainError,
     PositivityViolation,
-    ScalarField,
     SymTensorField,
     VectorField,
-    integrate,
     invert_displacement,
-    lie_derivative_density,
     lie_derivative_metric,
     pullback_metric,
     pushforward_metric,
@@ -30,7 +27,7 @@ from metricflow import (
 import metricflow
 from metricflow import tensors
 from metricflow.certificates import toy_field
-from metricflow.fields import sample_array
+from metricflow.fields import divergence_array, integrate_array, sample_array
 from metricflow.randomfields import (
     band_limited_scalar,
     band_limited_sym_tensor,
@@ -237,15 +234,15 @@ def test_lie_metric_translation_invariance(torus16):
 
 def test_lie_density_zero_velocity(torus16):
     rho = DensityField.constant(torus16, 2.0)
-    out = lie_derivative_density(VectorField.zero(torus16), rho)
-    assert np.max(np.abs(out.values)) == 0.0
+    out = divergence_array(rho.values * VectorField.zero(torus16).components, torus16)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_lie_density_integrates_to_zero_on_torus():
     grid = Grid(2, "torus", 24)
     v = band_limited_vector(grid, substream(12, "ld-v"), modes=4, amplitude=1.0)
     rho = DensityField(grid, np.exp(band_limited_scalar(grid, substream(12, "ld-r"), 4, 0.5).values))
-    total = integrate(lie_derivative_density(v, rho))
+    total = integrate_array(divergence_array(rho.values * v.components, grid), grid)
     assert abs(total) <= 1e-10
 
 
@@ -256,9 +253,9 @@ def test_lie_density_analytic_oracle():
     comps[0] = np.sin(2 * np.pi * x[0])
     v = VectorField(grid, comps)
     rho = DensityField.constant(grid, 1.0)
-    out = lie_derivative_density(v, rho)
+    out = divergence_array(rho.values * v.components, grid)
     exact = 2 * np.pi * np.cos(2 * np.pi * x[0])
-    assert np.max(np.abs(out.values - exact)) <= (2 * np.pi) ** 3 * grid.spacing**2 / 6 * 1.1
+    assert np.max(np.abs(out - exact)) <= (2 * np.pi) ** 3 * grid.spacing**2 / 6 * 1.1
 
 
 def test_lie_compatibility_with_volume(torus64):
@@ -266,14 +263,14 @@ def test_lie_compatibility_with_volume(torus64):
     g = random_spd_metric(torus64, substream(21, "nat-g"), modes=2, amplitude=0.2)
     v = band_limited_vector(torus64, substream(21, "nat-v"), modes=2, amplitude=0.2)
     lhs = volume_tangent(g, SymTensorField(torus64, -lie_derivative_metric(v, g).components))
-    rhs = ScalarField(torus64, -lie_derivative_density(v, volume_map(g)).values)
+    rhs = -divergence_array(volume_map(g).values * v.components, torus64)
     coarse = Grid(2, "torus", 32)
     gc = random_spd_metric(coarse, substream(21, "nat-g"), modes=2, amplitude=0.2)
     vc = band_limited_vector(coarse, substream(21, "nat-v"), modes=2, amplitude=0.2)
     lhs_c = volume_tangent(gc, SymTensorField(coarse, -lie_derivative_metric(vc, gc).components))
-    rhs_c = ScalarField(coarse, -lie_derivative_density(vc, volume_map(gc)).values)
-    err64 = np.max(np.abs(lhs.values - rhs.values))
-    err32 = np.max(np.abs(lhs_c.values - rhs_c.values))
+    rhs_c = -divergence_array(volume_map(gc).values * vc.components, coarse)
+    err64 = np.max(np.abs(lhs.values - rhs))
+    err32 = np.max(np.abs(lhs_c.values - rhs_c))
     assert err64 <= 0.05
     assert 3.0 <= err32 / err64 <= 5.0
 
