@@ -438,7 +438,7 @@ EXPERIMENTS = {
     ),
     "flat-factorize": Experiment(
         run_flat_factorize,
-        {"n_instances": 5, "n_non_flat": 3, "amplitude": 0.008},
+        {"n_instances": 5, "n_non_flat": 3, "amplitude": 0.006},
         minimums={"n_non_flat": 0},
     ),
     "seq-demo": Experiment(

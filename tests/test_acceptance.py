@@ -195,7 +195,7 @@ def test_criterion_05_flat_factorization():
         grid = Grid(2, "box", n, extent=2.0)
         errors[n] = []
         for seed in range(5):
-            g, _ = flat_pullback_instance(grid, legacy_rng(seed, FLAT_TAG))
+            g, _ = flat_pullback_instance(grid, legacy_rng(seed, FLAT_TAG), 0.008)
             _, _, _, rep = factorize_flat_metric(g)
             errors[n].append(rep.reconstruction_error)
     ratios = [a / b for a, b in zip(errors[64], errors[128])]

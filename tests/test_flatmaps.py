@@ -90,7 +90,7 @@ def test_frame_of_euclidean_metric(box64):
 
 
 def test_frame_sqrt_reproduces_metric(box64):
-    g, _ = flat_pullback_instance(box64, legacy_rng(1, FLAT_TAG))
+    g, _ = flat_pullback_instance(box64, legacy_rng(1, FLAT_TAG), 0.008)
     frame = frame_and_connection(g)
     s = frame.s.components
     g11 = s[0] ** 2 + s[1] ** 2
@@ -124,7 +124,7 @@ def test_constant_conformal_inside_would_fail_collar_but_flat_connection():
 
 def test_forward_instance_passes_flat_gate(box64):
     for seed in range(3):
-        g, _ = flat_pullback_instance(box64, legacy_rng(seed, FLAT_TAG))
+        g, _ = flat_pullback_instance(box64, legacy_rng(seed, FLAT_TAG), 0.008)
         frame = frame_and_connection(g)
         assert frame.max_curvature() <= 10.0 * box64.spacing**2
         # independent oracle agrees that the metric is flat
@@ -149,7 +149,7 @@ def test_cartan_development_zero_connection(box64):
 
 
 def test_cartan_development_path_independent(box64):
-    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG), 0.008)
     frame = frame_and_connection(g)
     theta, gap = cartan_develop(frame)  # raises on cross-order disagreement
     assert gap == path_independence_gap(-frame.omega.components, box64)[0]
@@ -172,7 +172,7 @@ def test_factorization_integrates_each_one_form_once(box64, monkeypatch):
         return path_independence_gap(*args)
 
     monkeypatch.setattr(flatmaps, "path_independence_gap", counted)
-    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG), 0.008)
     factorize_flat_metric(g)
     # the rotation angle, whose gap the report carries, then the two coordinates of phi
     assert len(calls) == 3
@@ -189,7 +189,7 @@ def test_reconstruction_recovers_generating_map():
     errs = {}
     for n in (64, 128):
         grid = Grid(2, "box", n, extent=2.0)
-        g, phi0 = flat_pullback_instance(grid, legacy_rng(5, FLAT_TAG))
+        g, phi0 = flat_pullback_instance(grid, legacy_rng(5, FLAT_TAG), 0.008)
         phi, frame, theta, report = factorize_flat_metric(g)
         errs[n] = float(
             np.max(np.abs(phi.displacement.components - phi0.displacement.components))
@@ -203,7 +203,7 @@ def test_reconstruction_error_second_order():
     errs = {}
     for n in (64, 128):
         grid = Grid(2, "box", n, extent=2.0)
-        g, _ = flat_pullback_instance(grid, legacy_rng(6, FLAT_TAG))
+        g, _ = flat_pullback_instance(grid, legacy_rng(6, FLAT_TAG), 0.008)
         phi, _, _, report = factorize_flat_metric(g)
         errs[n] = report.reconstruction_error
     assert 3.0 <= errs[64] / errs[128] <= 5.0
@@ -212,14 +212,14 @@ def test_reconstruction_error_second_order():
 def test_round_trip_through_pullback(box64):
     # cross-module check: phi* (Euclidean) computed by the tensor module
     # reproduces g
-    g, _ = flat_pullback_instance(box64, legacy_rng(7, FLAT_TAG))
+    g, _ = flat_pullback_instance(box64, legacy_rng(7, FLAT_TAG), 0.008)
     phi, _, _, _ = factorize_flat_metric(g)
     pulled = pullback_metric(phi, MetricField.euclidean(box64))
     assert np.max(np.abs(pulled.components - g.components)) <= 10.0 * box64.spacing**2
 
 
 def test_collar_identity_normalization(box64):
-    g, phi0 = flat_pullback_instance(box64, legacy_rng(8, FLAT_TAG))
+    g, phi0 = flat_pullback_instance(box64, legacy_rng(8, FLAT_TAG), 0.008)
     phi, _, _, _ = factorize_flat_metric(g)
     resid = collar_max(phi.displacement.components, box64, phi0.collar_width)
     assert resid <= 10.0 * box64.spacing**2
@@ -246,7 +246,7 @@ def test_frame_differentiates_stacked_components(box64, monkeypatch):
         return diff_array(*args, **kwargs)
 
     monkeypatch.setattr(flatmaps, "diff_array", counted)
-    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG))
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG), 0.008)
     frame_and_connection(g)
     assert sorted(calls) == [0, 0, 1, 1]
 
