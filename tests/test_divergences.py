@@ -127,7 +127,7 @@ def test_metric_divergences_nonnegative_seeded_sweep(kind, torus16):
         assert value >= -1e-12
         # distinct inputs separate: strictly positive once the eigenvalue
         # criterion sees a genuine deviation
-        if eigenvalue_gap_stack(2, a.components[None], b.components[None])[0] > 1e-8:
+        if eigenvalue_gap_stack(torus16.dim, a.components[None], b.components[None])[0] > 1e-8:
             assert value > 0.0
 
 
