@@ -283,7 +283,7 @@ def flat_pullback_instance(grid: Grid, rng, amplitude):
     The displacement and its Jacobian are evaluated analytically, so the
     returned metric is a true flat metric sampled on the nodes, not a
     finite-difference artifact.  Each bump's radius, center and direction
-    are drawn from ``rng`` in turn, and it moves its center by ``amplitude``
+    are drawn from ``rng`` in turn; a bump shifts its center by ``amplitude``
     times its radius.  Returns (g, phi0), phi0 the generating displacement.
     """
     _require_flat_domain(grid)

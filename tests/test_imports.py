@@ -30,8 +30,12 @@ def unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported.append((node.lineno, alias.asname or alias.name))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = names_read(tree)
     return [(line, name) for line, name in imported if name not in used]
+
+
+def names_read(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_detector_flags_only_unused_names():
@@ -60,10 +64,6 @@ ORACLES = (
     ("field_from_json", "test_fields.py::test_json_round_trip_bitwise"),
     ("ic_speed_grid_search", "test_seqdemo.py::test_harmonic_mean_vs_grid_search_random"),
 )
-
-
-def names_read(tree):
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_every_public_definition_has_a_caller():
