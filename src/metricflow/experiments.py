@@ -248,10 +248,13 @@ def run_second_variation(cfg: ExperimentConfig):
 def run_flat_factorize(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
-    artifacts = {}
+    # The peak memory is one instance's fields, so each instance's are
+    # dropped before the next is built; between instances only the rows and
+    # instance 0's map and report, written out at the end, are kept.
     for i in range(p["n_instances"]):
         g, phi0 = flat_pullback_instance(cfg.grid, substream(cfg.seed, f"flat-{i}"), p["amplitude"])
         phi, frame, theta, report = factorize_flat_metric(g)
+        del g, frame, theta
         recovery = float(
             np.max(np.abs(phi.displacement.components - phi0.displacement.components))
         )
@@ -259,19 +262,20 @@ def run_flat_factorize(cfg: ExperimentConfig):
             {"instance": i, "flat": True, **dataclasses.asdict(report), "recovery_error": recovery}
         )
         if i == 0:
-            artifacts["displacement.json"] = field_to_json(phi)
-            artifacts["report.json"] = dumps_result(dataclasses.asdict(report))
+            first = phi, report
+        del phi, phi0
     rejected = 0
     for i in range(p["n_non_flat"]):
         g = non_flat_instance(cfg.grid, substream(cfg.seed, f"non-flat-{i}"))
-        frame = frame_and_connection(g)
-        flat = frame.max_curvature() <= flatness_tolerance(cfg.grid)
+        curvature = frame_and_connection(g).max_curvature()
+        del g
+        flat = curvature <= flatness_tolerance(cfg.grid)
         rejected += int(not flat)
         rows.append(
             {
                 "instance": p["n_instances"] + i,
                 "flat": flat,
-                "max_curvature": frame.max_curvature(),
+                "max_curvature": curvature,
                 "path_independence_gap": float("nan"),
                 "reconstruction_error": float("nan"),
                 "recovery_error": float("nan"),
@@ -283,6 +287,11 @@ def run_flat_factorize(cfg: ExperimentConfig):
         ),
         "non_flat_rejected": rejected,
         "non_flat_total": p["n_non_flat"],
+    }
+    phi, report = first
+    artifacts = {
+        "displacement.json": field_to_json(phi),
+        "report.json": dumps_result(dataclasses.asdict(report)),
     }
     return results, rows, artifacts
 

@@ -289,12 +289,16 @@ def integrate_array(values, grid):
 _DOMAIN_SLACK = 1e-9
 
 
-def sample_array(values, grid, positions):
+def sample_array(values, grid, positions, derivative=False):
     """Bilinear (linear in 1D) interpolation of a nodal array at positions.
 
     ``values`` may carry leading component axes; ``positions`` has shape
     (dim,) + S for any S.  Torus positions wrap; box positions must lie in
-    [-L, L] up to a small roundoff slack.
+    [-L, L] up to a small roundoff slack.  With ``derivative`` the result is
+    ``(samples, gradient)``: gradient[k] is the exact derivative of the
+    interpolant along axis k, shape (dim,) + samples.shape, formed from the
+    same four corners (on a cell face, the cell on the higher side except at
+    the box's upper edge).
     """
     a = np.asarray(values, dtype=float)
     pos = np.asarray(positions, dtype=float)
@@ -329,14 +333,27 @@ def sample_array(values, grid, positions):
         return np.take(flat, index, axis=1)
 
     if grid.dim == 1:
-        v = corner(i0[0]) * (1.0 - frac[0]) + corner(i1[0]) * frac[0]
+        c0, c1 = corner(i0[0]), corner(i1[0])
+        v = c0 * (1.0 - frac[0]) + c1 * frac[0]
+        if derivative:
+            slopes = [c1 - c0]
     else:
         f0, f1 = frac[0], frac[1]
         r0, r1 = i0[0] * n, i1[0] * n
+        c00, c10 = corner(r0 + i0[1]), corner(r1 + i0[1])
+        c01, c11 = corner(r0 + i1[1]), corner(r1 + i1[1])
         v = (
-            corner(r0 + i0[1]) * (1.0 - f0) * (1.0 - f1)
-            + corner(r1 + i0[1]) * f0 * (1.0 - f1)
-            + corner(r0 + i1[1]) * (1.0 - f0) * f1
-            + corner(r1 + i1[1]) * f0 * f1
+            c00 * (1.0 - f0) * (1.0 - f1)
+            + c10 * f0 * (1.0 - f1)
+            + c01 * (1.0 - f0) * f1
+            + c11 * f0 * f1
         )
-    return v.reshape(lead + pos.shape[1:])
+        if derivative:
+            slopes = [
+                (c10 - c00) * (1.0 - f1) + (c11 - c01) * f1,
+                (c01 - c00) * (1.0 - f0) + (c11 - c10) * f0,
+            ]
+    v = v.reshape(lead + pos.shape[1:])
+    if not derivative:
+        return v
+    return v, np.stack(slopes).reshape((grid.dim,) + v.shape) / h

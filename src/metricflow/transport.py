@@ -200,8 +200,10 @@ def _solve(what, field, apply_op, rhs, cfg, preconditioner):
 
 
 def ebin_inner(g: MetricField, h, k) -> float:
-    """Int tr(g^-1 h g^-1 k) vol(g)."""
-    trace = product_trace(g, h, k).values
+    """Int tr(g^-1 h g^-1 k) vol(g); a non-finite integrand raises ValueError."""
+    trace = product_trace(g, h, k)
+    if not np.all(np.isfinite(trace)):
+        raise ValueError("the Ebin integrand tr(g^-1 h g^-1 k) is not finite")
     return float(integrate_array(trace * packed_volume(g.components, g.grid.dim), g.grid))
 
 
@@ -501,26 +503,28 @@ def path_length(path, cfg: SolverConfig = SolverConfig(), which="we") -> float:
 # transport orbit paths on the box (material form)
 
 
-def displacement_path_interval_energies(maps):
+def displacement_path_interval_energies(displacements, grid, n_t):
     """Material-coordinates transport energy of each interval of a map path.
 
-    ``maps`` samples phi(t) = id + u(t) uniformly on [0, 1] (at least two
-    maps).  Each interval gives Int |phi_dot|^2 vol(g0) with phi_dot its
-    difference quotient; the change of variables to material coordinates is
-    exact nodewise, so no inversion or interpolation enters.
+    ``displacements`` yields the n_t + 1 arrays u(t) of phi(t) = id + u(t) at
+    the uniform times t = 0, 1/n_t, ..., 1, and is read one array at a time.
+    Each interval gives Int |phi_dot|^2 vol(g0) with phi_dot its difference
+    quotient; the change of variables to material coordinates is exact
+    nodewise, so no inversion or interpolation enters.
     """
-    grid, n_intervals = maps[0].grid, len(maps) - 1
-    dt = 1.0 / n_intervals
-    out = []
-    for i in range(n_intervals):
-        du = (maps[i + 1].displacement.components - maps[i].displacement.components) / dt
-        out.append(integrate_array(np.sum(du**2, axis=0), grid))
+    dt = 1.0 / n_t
+    out, prev = [], None
+    for u in displacements:
+        if prev is not None:
+            du = (u - prev) / dt
+            out.append(integrate_array(np.sum(du**2, axis=0), grid))
+        prev = u
     return np.array(out)
 
 
-def displacement_path_energy(maps) -> float:
+def displacement_path_energy(displacements, grid, n_t) -> float:
     """Midpoint-rule action of a map path; see displacement_path_interval_energies."""
-    return float(np.sum(displacement_path_interval_energies(maps)) / (len(maps) - 1))
+    return float(np.sum(displacement_path_interval_energies(displacements, grid, n_t)) / n_t)
 
 
 class ToyGeodesic(NamedTuple):
@@ -565,7 +569,9 @@ def toy_geodesic(f: VectorField, n_t=16):
                 f"id + t f is not orientation preserving at t = {t}", time=float(t)
             ) from exc
 
-    material = displacement_path_interval_energies(maps)
+    material = displacement_path_interval_energies(
+        (m.displacement.components for m in maps), grid, n_t
+    )
 
     eulerian = []
     for i in range(n_t):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -526,7 +527,7 @@ CSV_SCHEMA = {
     "flat-factorize": (
         ["instance", "flat", "max_curvature", "path_independence_gap",
          "reconstruction_error", "recovery_error"],
-        BOX64, {"n_instances": 1, "n_non_flat": 1},
+        BOX64, {"n_instances": 2, "n_non_flat": 1},
     ),
     "seq-demo": (
         ["n", "len1", "len2", "len3", "total", "analytic_bound", "d1", "d2_lower"],
@@ -557,21 +558,53 @@ CSV_SCHEMA = {
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_csv_columns_are_pinned(tmp_path, name):
     """Pinned columns, and the determinism contract: a second run writes the same
-    manifest apart from wall_time_s and the same CSV apart from runtime_ms."""
+    manifest apart from wall_time_s, the same CSV apart from runtime_ms, and
+    every other artifact byte for byte."""
     columns, grid, params = CSV_SCHEMA[name]
     cfg = parse_config({"experiment": name, "grid": grid, "seed": 3, "params": params})
     runs = []
     for run in ("a", "b"):
         manifest, paths = run_experiment(cfg, out_dir=str(tmp_path / run))
         manifest.pop("wall_time_s")
-        with open(paths["csv"]) as fh:
+        with open(paths.pop("csv")) as fh:
             header, *rows = csv.reader(fh)
         assert header == columns
         assert rows and all(len(row) == len(columns) for row in rows)
         timing = [i for i, column in enumerate(header) if column == "runtime_ms"]
         rows = [[v for i, v in enumerate(row) if i not in timing] for row in rows]
-        runs.append((json.dumps(manifest, sort_keys=True), rows))
+        paths.pop("manifest")
+        others = {key: pathlib.Path(path).read_bytes() for key, path in paths.items()}
+        runs.append((json.dumps(manifest, sort_keys=True), rows, others))
     assert runs[0] == runs[1]
+
+
+def test_flat_factorize_holds_one_instance_at_a_time():
+    def traced_peak(n_instances):
+        cfg = parse_config({"experiment": "flat-factorize", "grid": BOX64, "seed": 3,
+                            "params": {"n_instances": n_instances, "n_non_flat": 0}})
+        run_flat_factorize(cfg)  # loads numpy.random outside the trace
+        tracemalloc.start()
+        try:
+            run_flat_factorize(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the slack holds instance 0's map (64 KB) and the rows, not a second
+    # instance's fields (about 500 KB at box 64)
+    assert traced_peak(3) <= traced_peak(1) + 96 * 1024
+
+
+def test_flat_factorize_artifacts_are_instance_zeros(tmp_path):
+    # instance 0's map and report are written, however many instances follow
+    texts = []
+    for n in (1, 3):
+        cfg = parse_config({"experiment": "flat-factorize", "grid": BOX64, "seed": 3,
+                            "params": {"n_instances": n, "n_non_flat": 0}})
+        _, paths = run_experiment(cfg, out_dir=str(tmp_path / str(n)))
+        texts.append([pathlib.Path(paths[k]).read_text() for k in ("displacement.json",
+                                                                    "report.json")])
+    assert texts[0] == texts[1]
 
 
 def test_cs_relative_error_holds_where_ebin_half_vanishes(monkeypatch):
@@ -708,7 +741,7 @@ def run_cli_process(tmp_path, cfg):
             # the Ebin product of a direction this large with itself overflows
             {"experiment": "second-variation", "params": {"amplitude": 1e200, "n_triples": 1}},
             2,
-            "precondition error: ",
+            "precondition error: the Ebin integrand tr(g^-1 h g^-1 k) is not finite",
             id="second-variation-overflow",
         ),
         pytest.param(

@@ -337,6 +337,38 @@ def test_flat_index_gather_is_bitwise_fancy_index(topology, dim, lead):
             sample_array(values, grid, np.full((dim, 1), half + 1e-6))
 
 
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_derivative_is_exact_on_bilinear_data(topology, dim):
+    # on a cell whose corners do not wrap, the interpolant of bilinear (in
+    # 1-D linear) nodal data is that function, so its derivative is exact
+    grid = Grid(dim, topology, 17, extent=1.0 if topology == "torus" else 2.0)
+    rng = substream(10, f"slope-{topology}-{dim}")
+    c = rng.normal(size=(4, 2, 1))  # two components, as a displacement has
+
+    def bilinear(x):
+        if dim == 1:
+            return c[0] + c[1] * x[0]
+        return c[0] + c[1] * x[0] + c[2] * x[1] + c[3] * x[0] * x[1]
+
+    def gradient(x):
+        if dim == 1:
+            return (c[1] + 0.0 * x[0])[None]
+        return np.stack([c[1] + c[3] * x[1], c[2] + c[3] * x[0]])
+
+    ax = grid.axis_coordinates()
+    # the torus's last cell wraps to the first node; nodes and box ends included
+    hi = ax[-2] if topology == "torus" else ax[-1]
+    nodes = np.stack(np.meshgrid(*[ax[ax <= hi]] * dim, indexing="ij")).reshape(dim, -1)
+    pos = np.concatenate([nodes, rng.uniform(ax[0], hi, size=(dim, 40))], axis=1)
+    values = bilinear(grid.coordinates().reshape(dim, -1)).reshape((2,) + grid.shape)
+    got, slope = sample_array(values, grid, pos, derivative=True)
+    assert np.array_equal(got, sample_array(values, grid, pos))
+    assert slope.shape == (dim, 2, pos.shape[1])
+    assert np.max(np.abs(got - bilinear(pos))) <= 1e-13
+    assert np.max(np.abs(slope - gradient(pos))) <= 1e-12
+
+
 def test_vector_field_sampling_shape(torus16):
     v = band_limited_vector(torus16, substream(8, "vs"), modes=2, amplitude=1.0)
     pts = np.zeros((2, 5))

@@ -60,6 +60,22 @@ def test_spd_check_rejects_and_names_node(torus16):
     assert err.value.node == (5, 7)
 
 
+def test_metric_with_overflowing_determinant_rejected():
+    # finite entries of 1e160 give det = inf, an infinite volume form
+    grid = Grid(2, "torus", 16)
+    with np.errstate(over="ignore"), pytest.raises(
+        PositivityViolation, match="determinant that overflows to inf"
+    ) as err:
+        MetricField.scaled_identity(grid, 1e160)
+    assert err.value.node == (0, 0)
+    # the check random_spd_stack shares flags the one overflowing node
+    comps = MetricField.euclidean(grid).components.copy()
+    comps[0, 3, 4] = comps[2, 3, 4] = 1e160
+    with np.errstate(over="ignore"):
+        bad = tensors.spd_violations(comps, 2)
+    assert bad[3, 4] and np.count_nonzero(bad) == 1
+
+
 def test_pointwise_inverse_scalar_matrix(torus16):
     g = MetricField.scaled_identity(torus16, 4.0)
     inv = inverse_components(g.components, 2)
@@ -88,7 +104,7 @@ def test_product_trace_identity(torus16):
     g = MetricField.euclidean(torus16)
     eye = SymTensorField.from_matrix_entries(torus16, 1.0, 0.0, 1.0)
     tr = product_trace(g, eye, eye)
-    assert np.allclose(tr.values, 2.0)
+    assert np.allclose(tr, 2.0)
 
 
 def _full_nodes(comps, dim):
@@ -110,7 +126,7 @@ def test_relative_and_product_trace_match_linalg(dim):
     ginv = np.linalg.inv(_full_nodes(g.components, dim))
     fa, fb = _full_nodes(a.components, dim), _full_nodes(b.components, dim)
     rel = tensors.relative_trace(g.components, a.components, dim)
-    prod = product_trace(g, a, b).values
+    prod = product_trace(g, a, b)
     assert rel.shape == prod.shape == grid.shape
     np.testing.assert_allclose(rel.ravel(), np.trace(ginv @ fa, axis1=1, axis2=2), rtol=1e-13)
     np.testing.assert_allclose(
@@ -492,7 +508,9 @@ def test_newton_inverse_matches_fixed_point_oracle(make_phi):
 
 
 def test_newton_inversion_needs_few_interpolations(monkeypatch):
-    # at t = 1 the fixed-point sweeps need 25 interpolations plus the check
+    # at t = 1 exact Newton takes 5 steps (2.8e-5, then 1.8e-10, then below
+    # roundoff) plus the check; the stencil Jacobian of the iterate took 9
+    # steps and the fixed-point sweeps 25
     phi = box_toy_map()
     calls = []
 
@@ -502,7 +520,7 @@ def test_newton_inversion_needs_few_interpolations(monkeypatch):
 
     monkeypatch.setattr(tensors, "sample_array", counted)
     invert_displacement(phi)
-    assert 2 <= len(calls) <= 12
+    assert len(calls) == 6
 
 
 def test_inversion_stall_is_reported(torus16):

@@ -1,5 +1,7 @@
 """Tangent norms, path energies, toy geodesics and distance bounds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from metricflow import (
     Grid,
     GridMismatchError,
     MetricField,
+    NonInvertibleMapError,
     ScalarField,
     SolverConfig,
     SolverFailure,
@@ -26,7 +29,7 @@ from metricflow import (
     we_tangent_norms,
     wfr_tangent_norm,
 )
-from metricflow.certificates import toy_field
+from metricflow.certificates import _perturbed_path, toy_field, toy_geodesic_probe
 from metricflow.fiber import optimal_lift, trace_free_perturbation
 from metricflow.fields import gradient_array, integrate_array
 from metricflow.flatmaps import bump_and_gradient
@@ -41,6 +44,7 @@ from metricflow.randomfields import (
 from metricflow.tensors import (
     DisplacementMap,
     displacement_jacobian,
+    displacement_stencils,
     invert_displacement,
     jacobian_gram,
     packed_to_full,
@@ -76,6 +80,13 @@ def test_ebin_inner_identity(torus16):
     g = MetricField.euclidean(torus16)
     eye = SymTensorField.from_matrix_entries(torus16, 1.0, 0.0, 1.0)
     assert ebin_inner(g, eye, eye) == pytest.approx(2.0, abs=1e-13)
+
+
+def test_ebin_inner_refuses_an_overflowing_integrand(torus16):
+    g = MetricField.euclidean(torus16)
+    h = SymTensorField.from_matrix_entries(torus16, 1e200, 0.0, 1e200)
+    with pytest.raises(ValueError, match=r"Ebin integrand .* is not finite"):
+        ebin_inner(g, h, h)
 
 
 def test_ebin_inner_conformal_scaling(torus16):
@@ -731,8 +742,64 @@ def test_perturbed_paths_cost_more(box64):
                 [direction[0] * wpsi, direction[1] * wpsi]
             )
             maps.append(DisplacementMap(VectorField(box64, u_t), collar_width=1))
-        perturbed = displacement_path_energy(maps)
+        perturbed = displacement_path_energy((m.displacement.components for m in maps), box64, 8)
         assert perturbed > toy.energy
+
+
+def _competitor_map(grid, f, bump, t):
+    """A perturbed path's map at time t, built and checked as a DisplacementMap."""
+    u = t * f.components + np.sin(np.pi * t) * bump
+    return DisplacementMap(VectorField(grid, u), collar_width=1)
+
+
+def test_probe_increases_equal_building_every_map(box64):
+    amplitude, n_t, n_perturb = 0.08, 16, 3
+    toy, _, increases = toy_geodesic_probe(
+        box64, amplitude, n_t, substream(5, "probe"), n_perturb
+    )
+    # oracle: the same draws, every map of every perturbed path built
+    f = toy_field(box64, amplitude)
+    rng = substream(5, "probe")
+    coords, he = box64.coordinates(), box64.half_extent
+    ts, dt = np.linspace(0.0, 1.0, n_t + 1), 1.0 / n_t
+    expected = []
+    for _ in range(n_perturb):
+        center = rng.uniform(-0.2 * he, 0.2 * he, size=2)
+        radius = he * rng.uniform(0.35, 0.5)
+        wpsi, _ = bump_and_gradient(coords, center, radius)
+        direction = rng.normal(size=2)
+        direction *= 0.2 * amplitude / np.linalg.norm(direction)
+        bump = np.stack([direction[0] * wpsi, direction[1] * wpsi])
+        maps = [_competitor_map(box64, f, bump, t) for t in ts]
+        energies = [
+            integrate_array(np.sum(((b.displacement.components - a.displacement.components)
+                                    / dt) ** 2, axis=0), box64)
+            for a, b in zip(maps, maps[1:])
+        ]
+        expected.append(float(np.sum(np.array(energies)) / n_t) - toy.energy)
+    assert increases == expected
+
+
+def test_probe_refuses_a_folding_competitor_and_names_its_time(box64):
+    f = toy_field(box64, 0.08)
+    wpsi, _ = bump_and_gradient(box64.coordinates(), (0.0, 0.0), 0.4)
+    bump = np.stack([-0.5 * wpsi, 0.2 * wpsi])
+    ts = np.linspace(0.0, 1.0, 17)
+    refused = []
+    for t in ts:
+        try:
+            _competitor_map(box64, f, bump, t)
+        except NonInvertibleMapError:
+            refused.append(t)
+    assert 0.0 < refused[0] < 0.5
+    path = _perturbed_path(
+        box64, ts, (f.components, displacement_stencils(f.components, box64)),
+        (bump, displacement_stencils(bump, box64)), 4,
+    )
+    match = re.escape(f"perturbed path 4 is not orientation preserving at t = {refused[0]}")
+    with pytest.raises(DegeneratePathError, match=match) as err:
+        list(path)
+    assert err.value.time == refused[0]
 
 
 # ---------------------------------------------------------------------------
