@@ -13,7 +13,6 @@ import numpy as np
 
 from .cg import solve_spd
 from .divergences import DivergenceKind, divergence
-from .errors import DegeneratePathError, NonInvertibleMapError
 from .fields import (
     DensityField,
     Grid,
@@ -27,8 +26,8 @@ from .fields import (
     sample_array,
 )
 from .flatmaps import bump_and_gradient
-from .tensors import MetricField, check_displacement, displacement_stencils
-from .transport import displacement_path_energy, toy_geodesic, we_tangent_norm
+from .tensors import MetricField
+from .transport import displacement_path_energy, map_path, toy_geodesic, we_tangent_norm
 
 # ---------------------------------------------------------------------------
 # criterion 10: the discrete calculus
@@ -171,27 +170,6 @@ def toy_field(grid: Grid, amplitude):
     return VectorField(grid, comps)
 
 
-def _perturbed_path(grid, ts, field, bump, index):
-    """Displacements t f + sin(pi t) b of perturbed path ``index`` at the times ``ts``.
-
-    ``field`` and ``bump`` are (components, stencil outputs) of f and b.  Each
-    displacement is checked as ``DisplacementMap`` checks a map of collar
-    width 1, with the stencil outputs t Df + sin(pi t) Db.
-    """
-    (f, df), (b, db) = field, bump
-    for t in ts:
-        s = np.sin(np.pi * t)
-        u = VectorField(grid, t * f + s * b).components
-        try:
-            check_displacement(u, [t * p + s * q for p, q in zip(df, db)], grid, 1, 1e-12)
-        except NonInvertibleMapError as exc:
-            raise DegeneratePathError(
-                f"perturbed path {index} is not orientation preserving at t = {t}: {exc}",
-                time=float(t),
-            ) from exc
-        yield u
-
-
 def toy_geodesic_probe(grid: Grid, amplitude, n_t, rng, n_perturb):
     """Constant speed and local minimality of the straight toy geodesic.
 
@@ -203,11 +181,12 @@ def toy_geodesic_probe(grid: Grid, amplitude, n_t, rng, n_perturb):
     pointing in a random direction of length ``0.2 * amplitude``; it vanishes
     at both ends of the path.
 
-    Every map id + t f + sin(pi t) b of a perturbed path is held to the
-    conditions of ``DisplacementMap`` (collar width 1).  The stencil Jacobian
-    is linear, D(t f + s b) = t Df + s Db, so Df and each Db are taken once;
-    a map that is not orientation preserving raises DegeneratePathError
-    naming its time.
+    Every map id + t f + sin(pi t) b of a perturbed path comes from
+    ``transport.map_path`` with the two terms (t, f, Df) and
+    (sin(pi t), b, Db), so it is held to the conditions of
+    ``DisplacementMap`` (collar width 1) with Df and each Db taken once; a
+    map that is not orientation preserving raises DegeneratePathError naming
+    the perturbed path and its time.
     """
     f = toy_field(grid, amplitude)
     toy = toy_geodesic(f, n_t=n_t)
@@ -218,7 +197,7 @@ def toy_geodesic_probe(grid: Grid, amplitude, n_t, rng, n_perturb):
     coords = grid.coordinates()
     he = grid.half_extent
     ts = np.linspace(0.0, 1.0, n_t + 1)
-    df = displacement_stencils(f.components, grid)
+    along_f = (lambda t: t, f.components, gradient_array(f.components, grid))
     increases = []
     for j in range(n_perturb):
         center = rng.uniform(-0.2 * he, 0.2 * he, size=2)
@@ -227,7 +206,8 @@ def toy_geodesic_probe(grid: Grid, amplitude, n_t, rng, n_perturb):
         direction = rng.normal(size=2)
         direction *= 0.2 * amplitude / np.linalg.norm(direction)
         bump = np.stack([direction[0] * wpsi, direction[1] * wpsi])
-        db = displacement_stencils(bump, grid)
-        path = _perturbed_path(grid, ts, (f.components, df), (bump, db), j)
-        increases.append(displacement_path_energy(path, grid, n_t) - toy.energy)
+        terms = [along_f, (lambda t: np.sin(np.pi * t), bump, gradient_array(bump, grid))]
+        path = map_path(grid, ts, terms, f"perturbed path {j}")
+        energy = displacement_path_energy((m.displacement.components for m in path), grid, n_t)
+        increases.append(energy - toy.energy)
     return toy, relative_spread, increases

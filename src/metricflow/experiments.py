@@ -250,20 +250,20 @@ def run_flat_factorize(cfg: ExperimentConfig):
     rows = []
     # The peak memory is one instance's fields, so each instance's are
     # dropped before the next is built; between instances only the rows and
-    # instance 0's map and report, written out at the end, are kept.
+    # instance 0's displacement and report, written out at the end, are kept.
     for i in range(p["n_instances"]):
         g, phi0 = flat_pullback_instance(cfg.grid, substream(cfg.seed, f"flat-{i}"), p["amplitude"])
+        u0 = phi0.displacement.components
+        del phi0
         phi, frame, theta, report = factorize_flat_metric(g)
         del g, frame, theta
-        recovery = float(
-            np.max(np.abs(phi.displacement.components - phi0.displacement.components))
-        )
+        recovery = float(np.max(np.abs(phi.displacement.components - u0)))
         rows.append(
             {"instance": i, "flat": True, **dataclasses.asdict(report), "recovery_error": recovery}
         )
         if i == 0:
-            first = phi, report
-        del phi, phi0
+            first = phi.displacement, phi.collar_width, report
+        del phi, u0
     rejected = 0
     for i in range(p["n_non_flat"]):
         g = non_flat_instance(cfg.grid, substream(cfg.seed, f"non-flat-{i}"))
@@ -288,9 +288,9 @@ def run_flat_factorize(cfg: ExperimentConfig):
         "non_flat_rejected": rejected,
         "non_flat_total": p["n_non_flat"],
     }
-    phi, report = first
+    u, collar_width, report = first
     artifacts = {
-        "displacement.json": field_to_json(phi),
+        "displacement.json": field_to_json(u, collar_width),
         "report.json": dumps_result(dataclasses.asdict(report)),
     }
     return results, rows, artifacts

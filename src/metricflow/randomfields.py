@@ -203,7 +203,8 @@ def random_spd_stack(grid, rngs, modes=4, amplitude=0.3):
         sigma_max = np.sqrt(np.maximum(eigenvalues_2x2(tr, det)[1], 0.0))
         peak = np.max(sigma_max, axis=(1, 2), keepdims=True)
         entries *= np.divide(cap, peak, out=np.ones_like(peak), where=peak > 0.0)
-        comps = jacobian_gram(entries).swapaxes(0, 1)
+        # jacobian_gram takes [k, i] = d_k u^i, so (I + eps) enters as its transpose
+        comps = jacobian_gram(entries.swapaxes(0, 1)).swapaxes(0, 1)
     valid = np.all(np.isfinite(comps)) and not np.any(
         spd_violations(comps.swapaxes(0, 1), grid.dim)
     )

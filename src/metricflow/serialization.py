@@ -49,13 +49,13 @@ def _grid_json(grid: Grid) -> str:
     )
 
 
-def field_to_json(phi: DisplacementMap) -> str:
-    """Serialize a displacement map to the wire format (17-significant-digit reals)."""
+def field_to_json(u: VectorField, collar_width) -> str:
+    """Serialize a map's displacement u and collar width (17-significant-digit reals)."""
     return "{" + ", ".join([
-        '"grid": ' + _grid_json(phi.grid),
+        '"grid": ' + _grid_json(u.grid),
         '"kind": "displacement"',
-        '"collar_width": %d' % phi.collar_width,
-        '"data": ' + _data_json(phi.displacement.components),
+        '"collar_width": %d' % collar_width,
+        '"data": ' + _data_json(u.components),
     ]) + "}"
 
 

@@ -10,6 +10,8 @@ by ``lie_apply``) and ``collar_rings`` (box rings).
 
 ``MetricField(grid, components)`` is a ``SymTensorField`` that is SPD at every
 node, so a metric is accepted wherever a symmetric tensor is.
+A map's stencil Jacobian is taken once, by ``DisplacementMap``, and kept as
+``phi.jacobian`` in the one layout J[k][i] = d_k u^i that every kernel reads.
 """
 
 from __future__ import annotations
@@ -114,18 +116,23 @@ class DisplacementMap:
     The Jacobian I + du must have positive determinant at every node
     (orientation preserving); on box grids u must vanish in a boundary
     collar of ``collar_width`` node rings (within ``collar_tol``).
+    ``jacobian``, read by the check and by every consumer of the map, holds
+    the read-only outputs ``diff_array(u, grid, k)``: jacobian[k][i] = d_k u^i.
+    ``transport.map_path`` passes it in, formed by linearity.
     """
 
-    def __init__(self, displacement: VectorField, collar_width=0, collar_tol=1e-12):
+    def __init__(self, displacement: VectorField, collar_width=0, collar_tol=1e-12, jacobian=None):
         self.grid = displacement.grid
         self.displacement = displacement
         self.collar_width = int(collar_width)
         self.collar_tol = float(collar_tol)
         comps = displacement.components
-        check_displacement(
-            comps, displacement_stencils(comps, self.grid), self.grid,
-            self.collar_width, self.collar_tol,
-        )
+        if jacobian is None:
+            jacobian = [diff_array(comps, self.grid, k) for k in range(self.grid.dim)]
+        for d in jacobian:
+            d.setflags(write=False)
+        self.jacobian = tuple(jacobian)
+        check_displacement(comps, self.jacobian, self.grid, self.collar_width, self.collar_tol)
 
     @classmethod
     def identity(cls, grid, collar_width=1):
@@ -178,28 +185,14 @@ def collar_max(comps, grid, width):
     return float(np.max(region, initial=0.0))
 
 
-def displacement_jacobian(u: VectorField):
-    """du entries, shape (dim, dim) + grid.shape; du[i, j] = d_j u^i."""
-    return np.swapaxes(gradient_array(u.components, u.grid), 0, 1)
-
-
-def displacement_stencils(comps, grid):
-    """The stencil outputs [d_0 u, ..., d_{dim-1} u] of displacement components.
-
-    Entry i of output k is d_k u^i: the transposed layout of
-    ``displacement_jacobian``, which ``jacobian_det`` takes as well.
-    """
-    return [diff_array(comps, grid, k) for k in range(grid.dim)]
-
-
-def check_displacement(comps, stencils, grid, collar_width, collar_tol):
-    """The conditions of ``DisplacementMap`` on components u with stencil outputs.
+def check_displacement(comps, jacobian, grid, collar_width, collar_tol):
+    """The conditions of ``DisplacementMap`` on u with jacobian[k][i] = d_k u^i.
 
     det(I + du) > 0 at every node (NonInvertibleMapError otherwise); on a box
     grid, collar_width >= 1 and max |u| <= collar_tol on the collar
     (ValueError otherwise).
     """
-    det = jacobian_det(stencils)
+    det = jacobian_det(jacobian)
     if np.any(det <= 0.0):
         node = node_at(np.argmin(det), det.shape)
         raise NonInvertibleMapError(
@@ -216,21 +209,25 @@ def check_displacement(comps, stencils, grid, collar_width, collar_tol):
             )
 
 
-def jacobian_gram(du):
-    """Packed (I + du)^T (I + du), the flat metric pulled back by id + u."""
-    dim = du.shape[0]
-    jac = du.copy()
-    for i in range(dim):
+def _plus_identity(jacobian):
+    """The stacked (I + du) of a map, entry [k, i] = delta_ki + d_k u^i."""
+    jac = np.array(jacobian)
+    for i in range(len(jac)):
         jac[i, i] += 1.0
-    return full_to_packed(np.einsum("ki...,kj...->ij...", jac, jac), dim)
+    return jac
 
 
-def jacobian_det(du):
-    """det(I + du) for du from displacement_jacobian, or its transpose, such
-    as the list from displacement_stencils."""
-    if len(du) == 1:
-        return 1.0 + du[0][0]
-    return (1.0 + du[0][0]) * (1.0 + du[1][1]) - du[0][1] * du[1][0]
+def jacobian_gram(jacobian):
+    """Packed (I + du)^T (I + du), the flat metric pulled back by id + u."""
+    jac = _plus_identity(jacobian)
+    return full_to_packed(np.einsum("ik...,jk...->ij...", jac, jac), len(jac))
+
+
+def jacobian_det(jacobian):
+    """det(I + du) of a stencil Jacobian jacobian[k][i] = d_k u^i."""
+    if len(jacobian) == 1:
+        return 1.0 + jacobian[0][0]
+    return (1.0 + jacobian[0][0]) * (1.0 + jacobian[1][1]) - jacobian[0][1] * jacobian[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +392,17 @@ def trace_decompose(g: MetricField, h: SymTensorField):
 
 
 def pullback_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
-    """phi* g = dphi^T (g o phi) dphi with the finite-difference Jacobian."""
+    """phi* g = dphi^T (g o phi) dphi with the map's stencil Jacobian."""
     grid = require_same_grid(phi.displacement, g)
     dim = grid.dim
-    du = displacement_jacobian(phi.displacement)
-    jac = du.copy()
-    for i in range(dim):
-        jac[i, i] += 1.0
+    jac = _plus_identity(phi.jacobian)
     gfull = packed_to_full(phi.sample(g.components), dim)
-    pulled = np.einsum("ki...,kl...,lj...->ij...", jac, gfull, jac)
+    pulled = np.einsum("ik...,kl...,jl...->ij...", jac, gfull, jac)
     return MetricField(grid, full_to_packed(pulled, dim))
 
 
 def _newton_step(ds, residual):
-    """Solve (I + J) s = residual per node in closed form, J[i, k] = ds[k][i]."""
+    """Solve (I + J) s = residual per node in closed form, J[i, k] = ds[k][i] = d_k S^i."""
     det = jacobian_det(ds)
     if len(ds) == 1:
         return residual / det
@@ -432,14 +426,16 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
     cells the steps shrink quadratically: the toy map of criterion 9 at box
     n = 128 converges in 5 steps, where the stencil Jacobian of the iterate
     took 9.  The iteration starts from w = -u, requires the contraction
-    condition ||du||_inf < 1 (max row sum of the finite-difference
-    Jacobian), stops once max |step| < tol and gives up after 200 steps.
+    condition ||du||_inf < 1 (max row sum of ``phi.jacobian``, which the map
+    already holds, so the inversion takes no stencil of phi), stops once
+    max |step| < tol and gives up after 200 steps.  Only the returned map
+    takes a stencil: its own Jacobian, one call per axis.
     The composite phi o phi^{-1} deviates from the identity by <= 10 * tol
     in the interpolated sense, checked by one more interpolation.
     """
     grid = phi.grid
     u = phi.displacement.components
-    row_sum = sum(np.abs(d) for d in displacement_stencils(u, grid)).max()
+    row_sum = sum(np.abs(d) for d in phi.jacobian).max()
     if row_sum >= 1.0:
         raise NonInvertibleMapError(
             f"contraction condition violated: ||du||_inf = {row_sum:.3f} >= 1"

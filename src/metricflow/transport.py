@@ -21,8 +21,8 @@ Metric tangent norm (transport velocity v, source h):
 
 Both norms return one record, ``NormResult(value, v, source, ...)``: the
 minimizing velocity and the source term, f for densities and H for metrics.
-A metric path is the list of its samples, uniform in time on [0, 1], as a
-map path is the list of its maps.
+A metric path is the list of its samples, uniform in time on [0, 1]; a map
+path is generated one checked map at a time by ``map_path``.
 
 Both normal operators are assembled by composing the central-difference
 operators with their discrete adjoints, which on the torus are exact
@@ -82,7 +82,6 @@ from .tensors import (
     DisplacementMap,
     MetricField,
     collar_rings,
-    displacement_jacobian,
     ebin_weight,
     invert_displacement,
     jacobian_gram,
@@ -539,6 +538,29 @@ class ToyGeodesic(NamedTuple):
     energy: float
 
 
+def map_path(grid, ts, terms, name, collar_width=1):
+    """The maps id + sum_j c_j(t) u_j at the times ``ts``, one checked map at a time.
+
+    Each term is (c, u, Du): a coefficient function of t, displacement
+    components u and their stencil Jacobian Du[k][i] = d_k u^i.  Since
+    D(sum_j c_j u_j) = sum_j c_j Du_j, each ``DisplacementMap`` (collar width
+    ``collar_width``) is checked with no stencil of its own.  A map that is
+    not orientation preserving raises DegeneratePathError naming ``name`` and t.
+    """
+    for t in ts:
+        (c, u, du), *rest = [(coeff(t), v, dv) for coeff, v, dv in terms]
+        u, jacobian = c * u, [c * d for d in du]
+        for c, v, dv in rest:
+            u = u + c * v
+            jacobian = [d + c * e for d, e in zip(jacobian, dv)]
+        try:
+            yield DisplacementMap(VectorField(grid, u), collar_width, jacobian=jacobian)
+        except NonInvertibleMapError as exc:
+            raise DegeneratePathError(
+                f"{name} is not orientation preserving at t = {t}: {exc}", time=float(t)
+            ) from exc
+
+
 def toy_geodesic(f: VectorField, n_t=16):
     """Straight transport path phi(t) = id + t f pushing the flat metric g0 = I.
 
@@ -548,39 +570,31 @@ def toy_geodesic(f: VectorField, n_t=16):
     Eulerian evaluation is reported alongside: at each interval midpoint,
     Int |f o phi^{-1}|^2 vol(phi_* g0) with the inverse map and the
     interpolation; it agrees to O(spacing^2).  The maps' collar is the widest
-    boundary ring on which f vanishes.
+    boundary ring on which f vanishes.  Path and midpoint maps come from
+    ``map_path`` on one Df; a fold or a failed inversion names its time.
     """
     grid = f.grid
     if grid.topology != "box":
         raise ValueError("toy geodesics are defined on box grids")
     collar_width = _detect_collar(f)
     ts = np.linspace(0.0, 1.0, n_t + 1)
+    t_mids = (ts[:-1] + ts[1:]) / 2.0
+    straight = [(lambda t: t, f.components, gradient_array(f.components, grid))]
 
-    maps = []
-    for t in ts:
-        try:
-            maps.append(
-                DisplacementMap(
-                    VectorField(grid, t * f.components), collar_width=collar_width
-                )
-            )
-        except NonInvertibleMapError as exc:
-            raise DegeneratePathError(
-                f"id + t f is not orientation preserving at t = {t}", time=float(t)
-            ) from exc
-
+    path = map_path(grid, ts, straight, "id + t f", collar_width)
     material = displacement_path_interval_energies(
-        (m.displacement.components for m in maps), grid, n_t
+        (m.displacement.components for m in path), grid, n_t
     )
 
     eulerian = []
-    for i in range(n_t):
-        t_mid = (ts[i] + ts[i + 1]) / 2.0
-        phi_mid = DisplacementMap(
-            VectorField(grid, t_mid * f.components), collar_width=collar_width
-        )
-        inv_mid = invert_displacement(phi_mid)
-        g_mid = MetricField(grid, jacobian_gram(displacement_jacobian(inv_mid.displacement)))
+    for t_mid, phi_mid in zip(t_mids, map_path(grid, t_mids, straight, "id + t f", collar_width)):
+        try:
+            inv_mid = invert_displacement(phi_mid)
+        except NonInvertibleMapError as exc:
+            raise DegeneratePathError(
+                f"id + t f has no inverse at t = {t_mid}: {exc}", time=float(t_mid)
+            ) from exc
+        g_mid = MetricField(grid, jacobian_gram(inv_mid.jacobian))
         v_mid = VectorField(grid, inv_mid.sample(f.components))
         eulerian.append(wasserstein_orbit_norm(g_mid, v_mid))
     eulerian = np.array(eulerian)

@@ -753,6 +753,15 @@ def run_cli_process(tmp_path, cfg):
             id="toy-geodesic-huge-box",
         ),
         pytest.param(
+            # every path map is orientation preserving, but a midpoint map
+            # breaks the inversion's contraction condition
+            {"experiment": "toy-geodesic", "grid": BOX64, "params": {"amplitude": 0.2}},
+            2,
+            "precondition error: id + t f has no inverse at t = 0.90625: "
+            "contraction condition violated",
+            id="toy-geodesic-midpoint-inversion",
+        ),
+        pytest.param(
             {"experiment": "flat-factorize",
              "grid": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 1e200}},
             2,

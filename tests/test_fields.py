@@ -400,12 +400,12 @@ def test_json_round_trip_bitwise(kind, torus16):
         full = packed_to_full(SymTensorField(torus16, comps).components, torus16.dim)
         u = 1e-3 * np.stack([divergence_array(row, torus16) for row in full])
     phi = DisplacementMap(VectorField(torus16, u))
-    text = field_to_json(phi)
+    text = field_to_json(phi.displacement, phi.collar_width)
     back = field_from_json(text)
     assert isinstance(back, DisplacementMap)
     assert np.array_equal(back.displacement.components, u)
     assert back.grid == phi.grid and back.collar_width == 0
-    assert field_to_json(back) == text
+    assert field_to_json(back.displacement, back.collar_width) == text
 
 
 def test_data_json_matches_per_element_format_oracle():
@@ -425,7 +425,7 @@ def test_data_json_matches_per_element_format_oracle():
 
 def test_json_format_shape(torus16):
     phi = DisplacementMap(VectorField.constant(torus16, (np.pi, 0.0)))
-    obj = json.loads(field_to_json(phi))
+    obj = json.loads(field_to_json(phi.displacement, phi.collar_width))
     assert list(obj) == ["grid", "kind", "collar_width", "data"]
     assert obj["kind"] == "displacement"
     assert obj["grid"]["topology"] == "torus"
@@ -440,7 +440,7 @@ def test_json_format_shape(torus16):
 def test_json_displacement_collar():
     grid = Grid(2, "box", 16, extent=2.0)
     phi = DisplacementMap.identity(grid, collar_width=3)
-    back = field_from_json(field_to_json(phi))
+    back = field_from_json(field_to_json(phi.displacement, phi.collar_width))
     assert isinstance(back, DisplacementMap)
     assert back.collar_width == 3
 

@@ -27,7 +27,13 @@ from metricflow import (
 import metricflow
 from metricflow import tensors
 from metricflow.certificates import toy_field
-from metricflow.fields import divergence_array, integrate_array, sample_array
+from metricflow.fields import (
+    diff_array,
+    divergence_array,
+    gradient_array,
+    integrate_array,
+    sample_array,
+)
 from metricflow.randomfields import (
     band_limited_scalar,
     band_limited_sym_tensor,
@@ -37,8 +43,12 @@ from metricflow.randomfields import (
     substream,
 )
 from metricflow.tensors import (
+    full_to_packed,
     inverse_components,
+    jacobian_det,
+    jacobian_gram,
     packed_det,
+    packed_to_full,
     product_trace,
     spd_check,
     sqrt_components,
@@ -375,16 +385,38 @@ def test_pullback_translation_equals_lattice_resample(torus16):
     assert np.max(np.abs(out.components - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_map_jacobian_is_the_stencil_layout_and_the_old_formulas_hold(dim):
+    grid = Grid(dim, "torus", 32)
+    u = band_limited_vector(grid, substream(46, f"jac-{dim}"), modes=3, amplitude=0.01)
+    phi = DisplacementMap(u)
+    for k in range(dim):
+        assert np.array_equal(phi.jacobian[k], diff_array(u.components, grid, k))
+        assert not phi.jacobian[k].flags.writeable
+    # oracle: the formulas on the transposed layout du[i, j] = d_j u^i
+    du = np.swapaxes(gradient_array(u.components, grid), 0, 1)
+    jac = du.copy()
+    for i in range(dim):
+        jac[i, i] += 1.0
+    gram = full_to_packed(np.einsum("ki...,kj...->ij...", jac, jac), dim)
+    assert np.array_equal(jacobian_gram(phi.jacobian), gram)
+    det = 1.0 + du[0, 0] if dim == 1 else (1.0 + du[0, 0]) * (1.0 + du[1, 1]) - du[0, 1] * du[1, 0]
+    assert np.array_equal(jacobian_det(phi.jacobian), det)
+    g = random_spd_metric(grid, substream(47, f"jac-{dim}"), modes=2, amplitude=0.3)
+    gfull = packed_to_full(phi.sample(g.components), dim)
+    pulled = full_to_packed(np.einsum("ki...,kl...,lj...->ij...", jac, gfull, jac), dim)
+    assert np.array_equal(pullback_metric(phi, g).components, pulled)
+
+
 def test_pullback_volume_naturality():
     # vol(phi* g) = det(I + du) vol(g) o phi, both sides computed separately
     grid = Grid(2, "torus", 64)
-    from metricflow.tensors import displacement_jacobian, jacobian_det
 
     g = random_spd_metric(grid, substream(44, "nat"), modes=2, amplitude=0.2)
     u, _ = smooth_displacement(grid)
     phi = DisplacementMap(u)
     lhs = volume_map(pullback_metric(phi, g)).values
-    det = jacobian_det(displacement_jacobian(phi.displacement))
+    det = jacobian_det(phi.jacobian)
     vol_at_phi = sample_array(volume_map(g).values, grid, phi.positions())
     assert np.max(np.abs(lhs - det * vol_at_phi)) <= 30 * grid.spacing**2
 
@@ -521,6 +553,15 @@ def test_newton_inversion_needs_few_interpolations(monkeypatch):
     monkeypatch.setattr(tensors, "sample_array", counted)
     invert_displacement(phi)
     assert len(calls) == 6
+
+
+def test_inversion_takes_no_stencil_of_its_input(stencil_calls):
+    # the contraction pre-check reads phi.jacobian; the two calls are the
+    # inverse map's own Jacobian, one per axis
+    phi = box_toy_map()
+    stencil_calls.clear()
+    invert_displacement(phi)
+    assert len(stencil_calls) == 2
 
 
 def test_inversion_stall_is_reported(torus16):

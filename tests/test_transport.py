@@ -29,7 +29,7 @@ from metricflow import (
     we_tangent_norms,
     wfr_tangent_norm,
 )
-from metricflow.certificates import _perturbed_path, toy_field, toy_geodesic_probe
+from metricflow.certificates import toy_field, toy_geodesic_probe
 from metricflow.fiber import optimal_lift, trace_free_perturbation
 from metricflow.fields import gradient_array, integrate_array
 from metricflow.flatmaps import bump_and_gradient
@@ -43,8 +43,6 @@ from metricflow.randomfields import (
 )
 from metricflow.tensors import (
     DisplacementMap,
-    displacement_jacobian,
-    displacement_stencils,
     invert_displacement,
     jacobian_gram,
     packed_to_full,
@@ -54,6 +52,7 @@ from metricflow.transport import (
     _detect_collar,
     density_norm_preconditioner,
     displacement_path_energy,
+    map_path,
     path_interval_norms,
     fourier_inverse,
     metric_norm_preconditioner,
@@ -671,7 +670,7 @@ def test_toy_geodesic_zero_field(box64):
     assert np.all(toy.interval_energies_eulerian == 0.0)
     # every metric on the path is the flat metric pushed forward by the identity
     inv = invert_displacement(DisplacementMap.identity(box64))
-    flat = jacobian_gram(displacement_jacobian(inv.displacement))
+    flat = jacobian_gram(inv.jacobian)
     assert np.max(np.abs(flat - MetricField.euclidean(box64).components)) <= 1e-12
 
 
@@ -709,6 +708,24 @@ def test_toy_geodesic_orientation_failure(box64):
     with pytest.raises(DegeneratePathError) as err:
         toy_geodesic(toy_field(box64, 3.0), n_t=4)
     assert err.value.time is not None
+
+
+def test_toy_geodesic_names_the_time_of_a_failed_midpoint_inversion(box64):
+    # every path map is orientation preserving, but from t = 0.90625 on the
+    # midpoint maps break the inversion's contraction condition
+    with pytest.raises(DegeneratePathError, match="contraction condition") as err:
+        toy_geodesic(toy_field(box64, 0.2), n_t=16)
+    assert err.value.time == 0.90625
+    assert "id + t f has no inverse at t = 0.90625" in str(err.value)
+
+
+def test_toy_geodesic_takes_one_jacobian_of_f(stencil_calls):
+    # Df (2 calls) serves the 17 path maps and the 16 midpoint maps; each
+    # midpoint's inverse takes its own Jacobian (2 calls), which its Gram reads
+    f = toy_field(Grid(2, "box", 128, extent=2.0), 0.08)
+    stencil_calls.clear()
+    toy_geodesic(f, n_t=16)
+    assert len(stencil_calls) == 2 + 16 * 2
 
 
 def test_toy_geodesic_passes_other_failures_through(monkeypatch):
@@ -792,10 +809,9 @@ def test_probe_refuses_a_folding_competitor_and_names_its_time(box64):
         except NonInvertibleMapError:
             refused.append(t)
     assert 0.0 < refused[0] < 0.5
-    path = _perturbed_path(
-        box64, ts, (f.components, displacement_stencils(f.components, box64)),
-        (bump, displacement_stencils(bump, box64)), 4,
-    )
+    terms = [(lambda t: t, f.components, gradient_array(f.components, box64)),
+             (lambda t: np.sin(np.pi * t), bump, gradient_array(bump, box64))]
+    path = map_path(box64, ts, terms, "perturbed path 4")
     match = re.escape(f"perturbed path 4 is not orientation preserving at t = {refused[0]}")
     with pytest.raises(DegeneratePathError, match=match) as err:
         list(path)
