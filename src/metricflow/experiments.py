@@ -46,7 +46,6 @@ from .divergences import (
     eigenvalue_gap_stack,
     second_variation_probe,
     static_local_search,
-    static_objective,
 )
 from .fiber import euler_alpha_lagrangian, verify_pi1_submersion
 from .fields import Grid, VectorField
@@ -68,7 +67,6 @@ from .randomfields import (
 )
 from .seqdemo import SeqSpace, vanishing_sweep
 from .serialization import dumps_result, field_to_json
-from .tensors import DisplacementMap
 from .transport import (
     ebin_inner,
     linear_metric_path,
@@ -177,7 +175,7 @@ def _sweep_block(cfg: ExperimentConfig, kind, rng, pairs):
     metric = kind in METRIC_KINDS
     draw = random_spd_stack if metric else band_limited_density_stack
     t0 = time.perf_counter()
-    fields = draw(grid, [rng] * (2 * len(pairs)), p["modes"], p["amplitude"])
+    fields = draw(grid, [rng], p["modes"], p["amplitude"], count=2 * len(pairs))
     a, b = fields[0::2], fields[1::2]
     values = divergence_stack(kind, grid, a, b)
     gaps = eigenvalue_gap_stack(grid.dim, a, b) if metric else density_ratio_gap_stack(a, b)
@@ -313,10 +311,16 @@ def run_seq_demo(cfg: ExperimentConfig):
 
 
 def run_euler_alpha(cfg: ExperimentConfig):
+    """The 2-D shear v = (sin 2 pi y, 0), whose trace form is pi^2 (criterion 7).
+
+    Any other dimension is refused: in 1-D, v = sin 2 pi x gives 2 pi^2.
+    """
     p = cfg.params
+    if cfg.grid.dim != 2:
+        raise ValueError(f"{cfg.experiment} requires a 2-D grid")
     x = cfg.grid.coordinates()
-    comps = np.zeros((cfg.grid.dim,) + cfg.grid.shape)
-    comps[0] = np.sin(2.0 * np.pi * x[cfg.grid.dim - 1])
+    comps = np.zeros((2,) + cfg.grid.shape)
+    comps[0] = np.sin(2.0 * np.pi * x[1])
     v = VectorField(cfg.grid, comps)
     trace_form, def_form, kinetic = euler_alpha_lagrangian(v, stencil_order=p["stencil_order"])
     rows = [
@@ -362,13 +366,12 @@ def run_static_eval(cfg: ExperimentConfig):
     problem = StaticProblem(
         g0, g1, lambda_balance=p["lambda_balance"], kind=DivergenceKind(p["kind"])
     )
-    start = static_objective(problem, g0, DisplacementMap.identity(cfg.grid))
     gbar, phi, value, trace = static_local_search(
         problem, substream(cfg.seed, "static-search"), iters=p["iters"], modes=p["modes"]
     )
     rows = [{"step": i, "value": v} for i, v in enumerate(trace.values)]
     results = {
-        "start_value": start,
+        "start_value": trace.values[0],
         "final_value": value,
         "accepted_moves": trace.accepted,
         "monotone": bool(all(a >= b - 1e-12 for a, b in zip(trace.values, trace.values[1:]))),

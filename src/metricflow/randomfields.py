@@ -23,25 +23,24 @@ SPD fields are built as (I + eps)^T (I + eps) with the perturbation eps
 capped strictly below 1/2 in operator norm, so positive definiteness holds
 by construction.
 
-The kernels take a sequence of generators and return a stack with a leading
-field (or pair) axis: per generator, ``band_limited_values`` returns
-``per_generator`` scalar series, ``random_spd_stack`` one metric's packed
-components and ``band_limited_density_stack`` one density.  The
-coefficients are drawn in the order listed, with one ``normal`` call per
-run of consecutive entries that are the same generator object; ``normal``
-fills its values in order, so a generator listed k times draws its k
-entries as k one-entry draws from it would.  Every field of the stack is
-then synthesized in one batched product, bit-identical to drawing the
-fields one at a time.  The typed one-field functions
-(``band_limited_scalar``, ``band_limited_vector``, ``random_spd_metric``,
-...) are one-generator calls of the same kernels.
+The kernels take a sequence of generators and a field ``count`` and return
+a stack with a leading field (or pair) axis: per generator,
+``band_limited_values`` returns ``count`` scalar series,
+``random_spd_stack`` ``count`` metrics' packed components and
+``band_limited_density_stack`` ``count`` densities.  Each generator, in the
+order listed, draws the coefficients of its ``count`` fields in one
+``normal`` call; ``normal`` fills its values in order, so that call draws
+what ``count`` one-field calls would.  Every field of the stack is then
+synthesized in one batched product, bit-identical to drawing the fields one
+at a time.  The typed one-field functions (``band_limited_scalar``,
+``band_limited_vector``, ``random_spd_metric``, ...) are one-generator
+calls of the same kernels.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 
 import numpy as np
 
@@ -86,34 +85,21 @@ def _trig_tables(grid, modes):
     return tables
 
 
-def _normal_draws(rngs, size):
-    """``size``-shaped normal draws per listed generator, stacked along axis 0.
+def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, count=1):
+    """``count`` truncated Fourier series per generator, each at the max amplitude.
 
-    One ``normal`` call per run of consecutive entries that are the same
-    generator object (identity, not equality): ``normal`` fills its values
-    in order, so a run of k entries draws what k calls would.
-    """
-    runs = [list(run) for _, run in itertools.groupby(rngs, key=id)]
-    return np.concatenate(
-        [run[0].normal(size=(len(run) * size[0],) + size[1:]) for run in runs]
-    )
-
-
-def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, per_generator=1):
-    """``per_generator`` truncated Fourier series per generator, each at the max amplitude.
-
-    Returns shape (len(rngs) * per_generator,) + grid.shape, a generator's
-    fields next to each other.  The coefficients are drawn in the order
-    given, with one ``normal`` call per run of consecutive entries that are
-    the same generator object, so a generator listed k times draws its k
-    entries in order, as k calls with it would; then every field is
-    synthesized in one batched product.  A single field is
-    ``band_limited_values(grid, [rng], ...)[0]``.
+    Returns shape (len(rngs) * count,) + grid.shape, a generator's fields
+    next to each other, each generator's drawn in one ``normal`` call.  A
+    single field is ``band_limited_values(grid, [rng], ...)[0]``.
     """
     _check_modes(grid, modes)
     cos, sin = _trig_tables(grid, modes)
+
+    def draw(per_field):
+        return np.concatenate([rng.normal(size=(count, per_field, 2)) for rng in rngs])
+
     if grid.dim == 1:
-        coeffs = _normal_draws(rngs, (per_generator, modes, 2))
+        coeffs = draw(modes)
         # one (1, m) row per field: a stacked (F, m) @ (m, n) product rounds
         # differently from the one-field vector-matrix product
         out = (
@@ -124,7 +110,7 @@ def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, per_generator=1):
         # drawn in row-major order over the half plane that skips (k0 <= 0, k1 = 0)
         kept = np.ones((2 * modes + 1, modes + 1), dtype=bool)
         kept[: modes + 1, 0] = False
-        coeffs = _normal_draws(rngs, (per_generator, int(kept.sum()), 2))
+        coeffs = draw(int(kept.sum()))
         a = np.zeros((len(coeffs),) + kept.shape)
         b = np.zeros((len(coeffs),) + kept.shape)
         a[:, kept] = coeffs[..., 0]
@@ -147,13 +133,13 @@ def band_limited_scalar(grid, rng, modes=4, amplitude=1.0) -> ScalarField:
 
 
 def band_limited_vector(grid, rng, modes=4, amplitude=1.0) -> VectorField:
-    values = band_limited_values(grid, [rng], modes, amplitude, per_generator=grid.dim)
+    values = band_limited_values(grid, [rng], modes, amplitude, count=grid.dim)
     return VectorField(grid, values)
 
 
 def band_limited_sym_tensor(grid, rng, modes=4, amplitude=1.0) -> SymTensorField:
     count = sym_component_count(grid.dim)
-    values = band_limited_values(grid, [rng], modes, amplitude, per_generator=count)
+    values = band_limited_values(grid, [rng], modes, amplitude, count=count)
     return SymTensorField(grid, values)
 
 
@@ -169,9 +155,9 @@ def _checked(stack, valid, field):
     return stack
 
 
-def band_limited_density_stack(grid, rngs, modes=4, amplitude=0.5):
-    """exp of ``band_limited_values``: values (len(rngs),) + grid.shape, checked as densities."""
-    values = np.exp(band_limited_values(grid, rngs, modes, amplitude))
+def band_limited_density_stack(grid, rngs, modes=4, amplitude=0.5, *, count=1):
+    """exp of ``band_limited_values``, checked as densities: (len(rngs) * count,) + grid.shape."""
+    values = np.exp(band_limited_values(grid, rngs, modes, amplitude, count=count))
     valid = np.all(values > 0.0) and np.all(np.isfinite(values))
     return _checked(values, valid, lambda v: DensityField(grid, v))
 
@@ -181,21 +167,21 @@ def band_limited_density(grid, rng, modes=4, amplitude=0.5) -> DensityField:
     return DensityField(grid, band_limited_density_stack(grid, [rng], modes, amplitude)[0])
 
 
-def random_spd_stack(grid, rngs, modes=4, amplitude=0.3):
-    """Packed components of one metric per generator, shape (len(rngs), C) + grid.shape.
+def random_spd_stack(grid, rngs, modes=4, amplitude=0.3, *, count=1):
+    """Packed components of ``count`` metrics per generator: (len(rngs) * count, C) + grid.shape.
 
     Each metric is (I + eps)^T (I + eps) with ||eps||_op <= min(amplitude,
-    0.499) nodewise, its entries drawn from its own generator, and is
-    checked as MetricField checks it.
+    0.499) nodewise, its entries drawn from its generator, and is checked as
+    MetricField checks it.
     """
     cap = min(float(amplitude), 0.499)
     if grid.dim == 1:
-        eps = band_limited_values(grid, rngs, modes, cap)
+        eps = band_limited_values(grid, rngs, modes, cap, count=count)
         comps = ((1.0 + eps) ** 2)[:, None]
     else:
         # four entries per metric; the matrix axes go first, as the tensor kernels take them
-        entries = band_limited_values(grid, rngs, modes, 1.0, per_generator=4)
-        entries = entries.reshape(len(rngs), 2, 2, *grid.shape).transpose(1, 2, 0, 3, 4)
+        entries = band_limited_values(grid, rngs, modes, 1.0, count=4 * count)
+        entries = entries.reshape(-1, 2, 2, *grid.shape).transpose(1, 2, 0, 3, 4)
         # exact nodewise spectral norm of a 2x2 matrix via its singular values
         sq = np.einsum("ki...,kj...->ij...", entries, entries)
         tr = sq[0, 0] + sq[1, 1]

@@ -11,10 +11,13 @@ by ``lie_apply``) and ``collar_rings`` (box rings).
 ``MetricField(grid, components)`` is a ``SymTensorField`` that is SPD at every
 node, so a metric is accepted wherever a symmetric tensor is.
 A map's stencil Jacobian is taken once, by ``DisplacementMap``, and kept as
-``phi.jacobian`` in the one layout J[k][i] = d_k u^i that every kernel reads.
+``phi.jacobian`` in the one layout J[k][i] = d_k u^i that every kernel reads;
+its Newton inverse is taken on the first read of ``phi.inverse`` and kept.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -133,6 +136,11 @@ class DisplacementMap:
             d.setflags(write=False)
         self.jacobian = tuple(jacobian)
         check_displacement(comps, self.jacobian, self.grid, self.collar_width, self.collar_tol)
+
+    @functools.cached_property
+    def inverse(self) -> DisplacementMap:
+        """``invert_displacement(self)``, taken on first read and kept."""
+        return invert_displacement(self)
 
     @classmethod
     def identity(cls, grid, collar_width=1):
@@ -470,9 +478,9 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
 
 
 def pushforward_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
-    """phi_* g = (phi^{-1})^* g: the pullback along the Newton inverse of phi.
+    """phi_* g = (phi^{-1})^* g: the pullback along the Newton inverse ``phi.inverse``.
 
     The pullback's Jacobian is the finite-difference D(phi^{-1}) of the
     inverse map on the grid.
     """
-    return pullback_metric(invert_displacement(phi), g)
+    return pullback_metric(phi.inverse, g)

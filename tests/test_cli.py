@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import metricflow
-from metricflow import cli, experiments
+from metricflow import cli, experiments, tensors
 from metricflow.cli import main
 from metricflow.config import load_config, parse_config
 from metricflow.divergences import (
@@ -171,6 +171,11 @@ def test_non_finite_param_rejected(tmp_path, capsys, experiment, key, value):
                 "params": {"n_t": 2, "n_perturb": 1},
             },
             id="toy-geodesic-dim1",
+        ),
+        pytest.param(
+            # the 1-D field sin 2 pi x has trace form 2 pi^2, not criterion 7's pi^2
+            {"experiment": "euler-alpha", "grid": {"dim": 1, "n_per_axis": 64}},
+            id="euler-alpha-dim1",
         ),
         pytest.param(
             {"experiment": "seq-demo", "params": {"n_max": 1075}},
@@ -829,3 +834,16 @@ def test_only_main_sets_the_allocator_policy(tmp_path, monkeypatch, library):
     # glibc's M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3 (malloc.h)
     expected = [(-1, 64 * 2**20), (-3, 32 * 2**20)] if library == "recording" else []
     assert libc.calls == expected
+
+
+def test_static_eval_inverts_no_map_twice(monkeypatch):
+    inverted = []
+    invert = tensors.invert_displacement
+
+    def recording(phi, *args, **kwargs):
+        inverted.append(phi)  # kept alive, so no two entries share an id
+        return invert(phi, *args, **kwargs)
+
+    monkeypatch.setattr(tensors, "invert_displacement", recording)
+    experiments.run_static_eval(parse_config({"experiment": "static-eval", "seed": 7}))
+    assert len({id(phi) for phi in inverted}) == len(inverted) == 97

@@ -169,8 +169,8 @@ def test_stacked_draws_match_per_generator_calls(dim, n, modes, amplitude):
 
 
 @pytest.mark.parametrize("dim, n, modes", [(1, 16, 2), (1, 32, 8), (2, 12, 3), (2, 16, 4)])
-@pytest.mark.parametrize("per_generator", [1, 2, 3, 4])
-def test_fields_per_generator_match_repeated_listing(dim, n, modes, per_generator):
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_fields_per_generator_match_repeated_listing(dim, n, modes, count):
     grid = Grid(dim, "torus", n)
 
     def streams():
@@ -178,18 +178,28 @@ def test_fields_per_generator_match_repeated_listing(dim, n, modes, per_generato
 
     # k fields per generator in one draw equal the generator listed k times in a row
     merged, listed = streams(), streams()
-    values = band_limited_values(grid, merged, modes, 0.4, per_generator=per_generator)
-    expected = band_limited_values(
-        grid, [rng for rng in listed for _ in range(per_generator)], modes, 0.4
-    )
-    assert values.shape == (3 * per_generator,) + grid.shape
+    values = band_limited_values(grid, merged, modes, 0.4, count=count)
+    expected = band_limited_values(grid, [rng for rng in listed for _ in range(count)], modes, 0.4)
+    assert values.shape == (3 * count,) + grid.shape
     assert np.array_equal(values, expected)
     assert [rng.normal() for rng in merged] == [rng.normal() for rng in listed]
 
+    # k metrics or densities from one generator equal k one-field draws from its twin
+    rng, twin = streams()[0], streams()[0]
+    metrics = random_spd_stack(grid, [rng], modes, 0.4, count=count)
+    assert metrics.shape == (count, 1 if dim == 1 else 3) + grid.shape
+    for comps in metrics:
+        assert np.array_equal(comps, random_spd_metric(grid, twin, modes, 0.4).components)
+    densities = band_limited_density_stack(grid, [rng], modes, 0.4, count=count)
+    assert densities.shape == (count,) + grid.shape
+    for rho in densities:
+        assert np.array_equal(rho, band_limited_density(grid, twin, modes, 0.4).values)
+    assert rng.normal() == twin.normal()
+
 
 @pytest.mark.parametrize("dim, n, modes", [(1, 16, 3), (2, 16, 3)])
-@pytest.mark.parametrize("per_generator", [1, 4])
-def test_runs_of_one_generator_match_one_field_draws_in_listing_order(dim, n, modes, per_generator):
+@pytest.mark.parametrize("count", [1, 4])
+def test_runs_of_one_generator_match_one_field_draws_in_listing_order(dim, n, modes, count):
     grid = Grid(dim, "torus", n)
 
     def streams():
@@ -197,19 +207,17 @@ def test_runs_of_one_generator_match_one_field_draws_in_listing_order(dim, n, mo
 
     grouped, single = streams(), streams()
     order = [0, 0, 1, 0, 1, 1]
-    values = band_limited_values(
-        grid, [grouped[i] for i in order], modes, 0.4, per_generator=per_generator
-    )
+    values = band_limited_values(grid, [grouped[i] for i in order], modes, 0.4, count=count)
     expected = [
         band_limited_values(grid, [single[i]], modes, 0.4)[0]
         for i in order
-        for _ in range(per_generator)
+        for _ in range(count)
     ]
     assert values.shape == (len(expected),) + grid.shape
     assert all(np.array_equal(v, e) for v, e in zip(values, expected))
     assert [rng.normal() for rng in grouped] == [rng.normal() for rng in single]
 
-    # runs merge by identity only: two equal-seeded generators each draw their first entry
+    # two equal-seeded generators each draw their own first entry
     twins = [substream(9, f"twin-{dim}"), substream(9, f"twin-{dim}")]
     first = band_limited_values(grid, [substream(9, f"twin-{dim}")], modes, 0.4)[0]
     for field in band_limited_values(grid, twins, modes, 0.4):

@@ -10,8 +10,10 @@ imported from there, so two trees compare with one ``diff``:
 
 The runs are the 12 experiments at seeds 7 and 11, at registry defaults on
 the torus n = 16, except euler-alpha (torus 64) and flat-factorize and
-toy-geodesic (box 64, extent 2); then the steps of the benchmark's declared
-workloads (``BENCHMARK.json``, configs from ``perfbench/run.py``) at seed 7.
+toy-geodesic (box 64, extent 2); then, at seed 7, the experiments of
+``DIM1`` on the 1-D torus n = 32, which take the 1-D branches of the field
+synthesis, and the steps of the benchmark's declared workloads
+(``BENCHMARK.json``, configs from ``perfbench/run.py``).
 The digests skip what a run does not compute: manifests drop ``wall_time_s``
 and ``output_path``, and the divergence-sweep CSV drops its ``runtime_ms``
 column.  Each line reads ``<run>/<artifact> <sha256>``.
@@ -35,6 +37,10 @@ GRIDS = {
     "flat-factorize": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0},
     "toy-geodesic": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0},
 }
+TORUS1D = {"dim": 1, "topology": "torus", "n_per_axis": 32}
+DIM1 = (
+    "we-norm", "wfr-norm", "divergence-sweep", "second-variation", "path-energy", "static-eval"
+)
 TIMING_COLUMNS = ("runtime_ms",)
 
 
@@ -53,6 +59,8 @@ def runs(experiments):
     for seed in SEEDS:
         for name in experiments:
             yield f"seed{seed}/{name}", name, GRIDS.get(name, TORUS16), {}, seed
+    for name in DIM1:
+        yield f"dim1/{name}", name, TORUS1D, {}, 7
     for label, name, grid, params in benchmark_steps():
         yield label, name, grid, params, 7
 
