@@ -36,6 +36,7 @@ from .fields import (
     DensityField,
     VectorField,
     integrate_array,
+    require_finite,
     require_same_grid,
 )
 from .randomfields import band_limited_scalar, band_limited_vector
@@ -48,7 +49,7 @@ from .tensors import (
     pushforward_metric,
     relative_trace,
 )
-from .transport import ebin_inner
+from .transport import ebin_inner, wasserstein_orbit_norm
 
 RATIO_FLOOR = 1e-300
 
@@ -82,13 +83,6 @@ def _safe_ratio(num, den):
     return ratio
 
 
-def _finite(values):
-    """values, refused as a field would refuse them if any entry is not finite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field values must be finite")
-    return values
-
-
 def _log_gap(r):
     """r - log r - 1 nodewise: nonnegative, and zero exactly at r = 1."""
     return r - np.log(r) - 1.0
@@ -112,25 +106,26 @@ def divergence_stack(kind: DivergenceKind, grid, a, b):
     if kind in METRIC_KINDS:
         # component axis first, as the tensor kernels take it
         c0, c1 = a.swapaxes(0, 1), b.swapaxes(0, 1)
-        vol0 = _finite(packed_volume(c0, d))
-        vol1 = _finite(packed_volume(c1, d))
+        vol0 = require_finite(packed_volume(c0, d))
+        vol1 = require_finite(packed_volume(c1, d))
         r = _safe_ratio(vol0, vol1)
         tr = relative_trace(c1, c0, d)
         if kind is DivergenceKind.KL_MET:
-            return integrate_array(_finite(0.5 * (tr - 2.0 * np.log(r) - d)) * vol1, grid)
-        shape = integrate_array(_finite(0.5 * (tr - d * r ** (2.0 / d))) * vol1, grid)
+            return integrate_array(require_finite(0.5 * (tr - 2.0 * np.log(r) - d)) * vol1, grid)
+        shape = integrate_array(require_finite(0.5 * (tr - d * r ** (2.0 / d))) * vol1, grid)
         if kind is DivergenceKind.SHAPE:
             return shape
         # TILDE_KL_MET: (2/d) KL(vol g0 || vol g1) + shape
-        return (2.0 / d) * integrate_array(_finite(np.log(r) * vol0 + vol1 - vol0), grid) + shape
+        kl = integrate_array(require_finite(np.log(r) * vol0 + vol1 - vol0), grid)
+        return (2.0 / d) * kl + shape
 
     r = _safe_ratio(a, b)
     if kind is DivergenceKind.KL_DENSITY_FD:
-        return integrate_array(_finite(burg_generator(r, d)) * b, grid)
+        return integrate_array(require_finite(burg_generator(r, d)) * b, grid)
     if kind is DivergenceKind.CLASSICAL_KL:
-        return integrate_array(_finite(np.log(r) * a + b - a), grid)
+        return integrate_array(require_finite(np.log(r) * a + b - a), grid)
     # ITAKURA_SAITO
-    return integrate_array(_finite(_log_gap(r)) * b, grid)
+    return integrate_array(require_finite(_log_gap(r)) * b, grid)
 
 
 def divergence(kind: DivergenceKind, a, b) -> float:
@@ -254,16 +249,14 @@ class StaticProblem:
 def static_objective(problem: StaticProblem, gbar0: MetricField, phi: DisplacementMap) -> float:
     """lambda D(g0, gbar0) + straight-line transport cost + lambda D(phi_* gbar0, g1).
 
-    The middle term is sqrt(Int |phi - id|^2 vol(gbar0)), the displacement
-    energy of the straight path, exact for straight-line transport in the
-    flat small-displacement regime; the orbit distance itself has no closed
-    form.
+    The middle term is sqrt(Int |phi - id|^2 vol(gbar0)), the orbit energy
+    (``wasserstein_orbit_norm``) of the displacement phi - id, exact for
+    straight-line transport in the flat small-displacement regime; the orbit
+    distance itself has no closed form.
     """
-    grid = require_same_grid(problem.g0, gbar0, phi.displacement)
     lam = problem.lambda_balance
     term1 = divergence(problem.kind, problem.g0, gbar0)
-    shift_sq = np.sum(phi.displacement.components**2, axis=0)
-    disp_sq = float(integrate_array(shift_sq * packed_volume(gbar0.components, grid.dim), grid))
+    disp_sq = wasserstein_orbit_norm(gbar0, phi.displacement)
     pushed = pushforward_metric(phi, gbar0)
     term3 = divergence(problem.kind, pushed, problem.g1)
     return lam * term1 + float(np.sqrt(max(disp_sq, 0.0))) + lam * term3

@@ -101,12 +101,18 @@ class Grid:
         return np.stack([x0, x1])
 
 
+def require_finite(values):
+    """values, unchanged; ValueError if any entry is not finite, as a field refuses it."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    return values
+
+
 def _frozen(values, shape):
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"expected value array of shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
+    require_finite(arr)
     arr.setflags(write=False)
     return arr
 

@@ -6,13 +6,16 @@ involved.  Each pointwise concept is one kernel on packed components:
 ``packed_volume`` (the volume form sqrt(det g)), ``relative_trace``
 (tr g^-1 h), ``eigenvalues_2x2``, ``ebin_weight`` (the Ebin integrand
 tr(g^-1 a g^-1 b)), ``lie_jet_matrix`` (L_v g on the velocity jet, applied
-by ``lie_apply``) and ``collar_rings`` (box rings).
+by ``lie_apply``) and ``collar_rings`` (box rings).  The velocity jet
+u = (v, D v) and its adjoint live here too, as ``velocity_jet`` and
+``jet_adjoint``, so the jet's layout is written in one module.
 
 ``MetricField(grid, components)`` is a ``SymTensorField`` that is SPD at every
 node, so a metric is accepted wherever a symmetric tensor is.
 A map's stencil Jacobian is taken once, by ``DisplacementMap``, and kept as
 ``phi.jacobian`` in the one layout J[k][i] = d_k u^i that every kernel reads;
-its Newton inverse is taken on the first read of ``phi.inverse`` and kept.
+its Newton inverse is taken on the first read of ``phi.inverse``, the
+package's one way to invert a map, and kept.
 """
 
 from __future__ import annotations
@@ -117,8 +120,9 @@ class DisplacementMap:
     """Grid diffeomorphism phi(x) = x + u(x).
 
     The Jacobian I + du must have positive determinant at every node
-    (orientation preserving); on box grids u must vanish in a boundary
-    collar of ``collar_width`` node rings (within ``collar_tol``).
+    (orientation preserving; NonInvertibleMapError otherwise); on box grids
+    collar_width must be >= 1 and u must vanish in the boundary collar of
+    ``collar_width`` node rings, within ``collar_tol`` (ValueError otherwise).
     ``jacobian``, read by the check and by every consumer of the map, holds
     the read-only outputs ``diff_array(u, grid, k)``: jacobian[k][i] = d_k u^i.
     ``transport.map_path`` passes it in, formed by linearity.
@@ -135,7 +139,21 @@ class DisplacementMap:
         for d in jacobian:
             d.setflags(write=False)
         self.jacobian = tuple(jacobian)
-        check_displacement(comps, self.jacobian, self.grid, self.collar_width, self.collar_tol)
+        det = jacobian_det(self.jacobian)
+        if np.any(det <= 0.0):
+            node = node_at(np.argmin(det), det.shape)
+            raise NonInvertibleMapError(
+                f"displacement is orientation reversing: det(I+du) = {det[node]} at node {node}"
+            )
+        if self.grid.topology == BOX:
+            if self.collar_width < 1:
+                raise ValueError("box displacements must declare a collar_width >= 1")
+            resid = collar_max(comps, self.grid, self.collar_width)
+            if resid > self.collar_tol:
+                raise ValueError(
+                    f"displacement does not vanish in the {self.collar_width}-node collar "
+                    f"(max |u| = {resid:.3e} > {self.collar_tol:.3e})"
+                )
 
     @functools.cached_property
     def inverse(self) -> DisplacementMap:
@@ -191,30 +209,6 @@ def collar_max(comps, grid, width):
     """Max |value| over the nodes within `width` rings of the box boundary."""
     region = np.abs(np.asarray(comps)).max(axis=0)[collar_mask(grid, width)]
     return float(np.max(region, initial=0.0))
-
-
-def check_displacement(comps, jacobian, grid, collar_width, collar_tol):
-    """The conditions of ``DisplacementMap`` on u with jacobian[k][i] = d_k u^i.
-
-    det(I + du) > 0 at every node (NonInvertibleMapError otherwise); on a box
-    grid, collar_width >= 1 and max |u| <= collar_tol on the collar
-    (ValueError otherwise).
-    """
-    det = jacobian_det(jacobian)
-    if np.any(det <= 0.0):
-        node = node_at(np.argmin(det), det.shape)
-        raise NonInvertibleMapError(
-            f"displacement is orientation reversing: det(I+du) = {det[node]} at node {node}"
-        )
-    if grid.topology == BOX:
-        if collar_width < 1:
-            raise ValueError("box displacements must declare a collar_width >= 1")
-        resid = collar_max(comps, grid, collar_width)
-        if resid > collar_tol:
-            raise ValueError(
-                f"displacement does not vanish in the {collar_width}-node collar "
-                f"(max |u| = {resid:.3e} > {collar_tol:.3e})"
-            )
 
 
 def _plus_identity(jacobian):
@@ -352,6 +346,21 @@ def velocity_jet(vc, grid):
     for a in range(dim):
         jet[:, dim + dim * a : dim + dim * (a + 1)] = diff_array(v, grid, a)
     return jet.reshape(vc.shape[: -(dim + 1)] + jet.shape[1:])
+
+
+def jet_adjoint(y, grid):
+    """J^T y for jet-shaped y, lanes + (dim + dim^2,) + grid.shape.
+
+    (J^T y)_k = y_k - sum_a D_a y_{dim + dim a + k}: the adjoint of
+    ``velocity_jet`` under plain nodewise sums on the torus, where the
+    central stencils are skew-adjoint; one stencil call per axis.
+    """
+    d, shape = grid.dim, grid.shape
+    y2 = y.reshape((-1, d + d * d) + shape)
+    out = y2[:, :d]
+    for a in range(d):
+        out = out - diff_array(y2[:, d + d * a : d + d * (a + 1)], grid, a)
+    return out.reshape(y.shape[: -(d + 1)] + (d,) + shape)
 
 
 def lie_jet_matrix(comps, grid):

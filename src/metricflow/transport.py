@@ -48,7 +48,9 @@ Every solve is lane-stacked (``cg.solve_spd``): velocities have shape
 take that leading lane axis (and work without it too).  Metric tangents stay
 packed symmetric tensors, (L, packed) + grid.shape, throughout.  The metric
 normal operator is a per-node matrix acting on the velocity's 1-jet (v, D v),
-followed by the adjoint of the jet (``MetricNormOperator``).
+followed by the adjoint of the jet (``MetricNormOperator``).  The jet, its
+adjoint and the Lie map K live in ``tensors`` (``velocity_jet``,
+``jet_adjoint``, ``lie_jet_matrix``); the jet's size n_jet is read from K.
 ``we_tangent_norms`` solves several tangents at one metric as the lanes of
 one solve: the operator and the preconditioner are built once, and each lane
 keeps its own step lengths, stop rule and iteration count.
@@ -72,7 +74,6 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
-    diff_array,
     divergence_array,
     gradient_array,
     integrate_array,
@@ -83,8 +84,8 @@ from .tensors import (
     MetricField,
     collar_rings,
     ebin_weight,
-    invert_displacement,
     jacobian_gram,
+    jet_adjoint,
     lie_apply,
     lie_jet_matrix,
     nodewise_einsum,
@@ -293,7 +294,7 @@ def _metric_norm_coefficients(comps, grid, lam):
     jet_map = lie_jet_matrix(comps, grid)
     source_weight = ebin_weight(comps, d) * vol
     weighted_lie = np.einsum("pr...,rs...->ps...", source_weight, jet_map)
-    weight, n_jet = d * lam / 4.0, d + d * d
+    weight, n_jet = d * lam / 4.0, jet_map.shape[1]
     normal = np.empty((n_jet, n_jet) + vol.shape)
     for q in range(n_jet):
         for s in range(q, n_jet):
@@ -304,24 +305,10 @@ def _metric_norm_coefficients(comps, grid, lam):
     return jet_map, source_weight, normal, vol
 
 
-def _jet_adjoint(y, grid):
-    """J^T y for jet-shaped y, lanes + (dim + dim^2,) + grid.shape.
-
-    (J^T y)_k = y_k - sum_a D_a y_{dim + dim a + k}: the adjoint of
-    ``velocity_jet``, one stencil call per axis.
-    """
-    d, shape = grid.dim, grid.shape
-    y2 = y.reshape((-1, d + d * d) + shape)
-    out = y2[:, :d]
-    for a in range(d):
-        out = out - diff_array(y2[:, d + d * a : d + d * (a + 1)], grid, a)
-    return out.reshape(y.shape[: -(d + 1)] + (d,) + shape)
-
-
 def _apply_normal(normal, vc, grid):
     """A v = J^T (Q u) with u the velocity jet of vc (lanes kept)."""
     y = nodewise_einsum("qr,...r->...q", grid.dim, normal, velocity_jet(vc, grid))
-    return _jet_adjoint(y, grid)
+    return jet_adjoint(y, grid)
 
 
 class MetricNormOperator:
@@ -334,16 +321,15 @@ class MetricNormOperator:
 
         A v = J^T (Q u),   Q = vol (identity on the v block) + w K^T C K,
 
-    with w = dim lam / 4 and J^T the adjoint of v -> u,
-    (J^T y)_k = y_k - sum_a D_a y_{dim + dim a + k}, exact because the
-    central stencils are skew-adjoint on the torus.  Q is one symmetric
-    (dim + dim^2)-square matrix per node, so an apply is one stencil call
-    per axis for u, one per axis for J^T and one einsum, for any lane count.
+    with w = dim lam / 4 and J^T the adjoint of v -> u (``tensors.jet_adjoint``).
+    Q is one symmetric n_jet-square matrix per node, n_jet = dim + dim^2, so
+    an apply is one stencil call per axis for u, one per axis for J^T and one
+    einsum, for any lane count.
 
     Velocities have shape (dim,) + grid.shape and metric tangents are packed
     symmetric tensors, (packed,) + grid.shape, each with an optional leading
-    lane axis that every method keeps (``objective`` then returns one value
-    per lane).
+    lane axis that every method keeps (``objective`` and ``energy`` then
+    return one value per lane).
     """
 
     def __init__(self, g: MetricField, cfg: SolverConfig):
@@ -367,12 +353,15 @@ class MetricNormOperator:
         """-w J^T K^T (C dg) for packed tangents dg."""
         weighted = nodewise_einsum("pq,...q->...p", self.dim, self.source_weight, dg)
         lie_adjoint = nodewise_einsum("pq,...p->...q", self.dim, self.jet_map, weighted)
-        return -self.weight * _jet_adjoint(lie_adjoint, self.grid)
+        return -self.weight * jet_adjoint(lie_adjoint, self.grid)
 
     def objective(self, vc, dg):
         """The discrete energy of velocity vc for packed tangent dg; one value per lane."""
+        return self.energy(vc, dg + self.lie(vc))
+
+    def energy(self, vc, h):
+        """``objective`` with its source h = dg + L_v g already formed."""
         d = self.dim
-        h = dg + self.lie(vc)
         weighted = nodewise_einsum("pq,...q->...p", d, self.source_weight, h)
         quad = np.sum(weighted * h, axis=-(d + 1))
         kinetic = self.vol * np.sum(np.asarray(vc) ** 2, axis=-(d + 1))
@@ -415,7 +404,7 @@ def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
     dg = np.stack([t.components for t in dgs])
     sol = _solve("we_tangent_norm", g, op.apply, op.rhs(dg), cfg, metric_norm_preconditioner)
     h = dg + op.lie(sol.x)
-    values = op.objective(sol.x, dg)
+    values = op.energy(sol.x, h)
     return [
         NormResult(
             float(values[lane]),
@@ -589,7 +578,7 @@ def toy_geodesic(f: VectorField, n_t=16):
     eulerian = []
     for t_mid, phi_mid in zip(t_mids, map_path(grid, t_mids, straight, "id + t f", collar_width)):
         try:
-            inv_mid = invert_displacement(phi_mid)
+            inv_mid = phi_mid.inverse
         except NonInvertibleMapError as exc:
             raise DegeneratePathError(
                 f"id + t f has no inverse at t = {t_mid}: {exc}", time=float(t_mid)

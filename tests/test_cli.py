@@ -837,6 +837,8 @@ def test_only_main_sets_the_allocator_policy(tmp_path, monkeypatch, library):
 
 
 def test_static_eval_inverts_no_map_twice(monkeypatch):
+    # every inversion goes through phi.inverse, so the patched module-level
+    # function sees them all: static-eval's and the toy-geodesic midpoints'
     inverted = []
     invert = tensors.invert_displacement
 
@@ -845,5 +847,12 @@ def test_static_eval_inverts_no_map_twice(monkeypatch):
         return invert(phi, *args, **kwargs)
 
     monkeypatch.setattr(tensors, "invert_displacement", recording)
-    experiments.run_static_eval(parse_config({"experiment": "static-eval", "seed": 7}))
-    assert len({id(phi) for phi in inverted}) == len(inverted) == 97
+    box64 = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0}
+    cases = (
+        (experiments.run_static_eval, {"experiment": "static-eval"}, 97),
+        (experiments.run_toy_geodesic, {"experiment": "toy-geodesic", "grid": box64}, 16),
+    )
+    for run, config, count in cases:
+        inverted.clear()
+        run(parse_config({**config, "seed": 7}))
+        assert len({id(phi) for phi in inverted}) == len(inverted) == count, config

@@ -301,6 +301,21 @@ def test_lie_compatibility_with_volume(torus64):
     assert 3.0 <= err32 / err64 <= 5.0
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jet_adjoint_is_the_adjoint_of_velocity_jet(dim, n):
+    # sum J(v) . y = sum v . J^T(y) under plain nodewise sums on the torus,
+    # for lane-stacked v and jet-shaped y: the pair A = J^T Q J is built from
+    grid = Grid(dim, "torus", n)
+    rng = np.random.default_rng(10 * dim + n)
+    v = rng.standard_normal((3, dim) + grid.shape)
+    y = rng.standard_normal((3, dim + dim * dim) + grid.shape)
+    adjoint = tensors.jet_adjoint(y, grid)
+    assert adjoint.shape == v.shape
+    lhs = float(np.sum(tensors.velocity_jet(v, grid) * y))
+    assert float(np.sum(v * adjoint)) == pytest.approx(lhs, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # trace decomposition
 

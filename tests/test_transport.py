@@ -232,6 +232,25 @@ def test_we_normal_operator_symmetric_positive(torus16):
     assert float(np.vdot(op.apply(v), v)) > 0.0
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("n", [16, 32])
+def test_recursive_cg_residual_matches_the_true_residual(n, tol):
+    # the stop rule reads the recursively updated residual; for both norms
+    # it agrees with the recomputed ||b - A x|| to 1 % (cg module docstring)
+    grid, cfg = Grid(2, "torus", n), SolverConfig(tol=tol)
+    g, dg = _random_problem(19, grid)
+    op = MetricNormOperator(g, cfg)
+    we = we_tangent_norm(g, dg, cfg)
+    we_true = np.linalg.norm(op.rhs(dg.components) - op.apply(we.v.components))
+    rho = band_limited_density(grid, substream(19, "res-rho"), modes=3, amplitude=0.4)
+    drho = band_limited_scalar(grid, substream(19, "res-dr"), modes=3, amplitude=0.4)
+    wfr = wfr_tangent_norm(rho, drho, cfg)
+    rhs = cfg.lam * rho.values * gradient_array(drho.values / rho.values, grid)
+    wfr_true = np.linalg.norm(rhs - wfr_normal_operator(rho, cfg)(wfr.v.components))
+    assert 0.99 <= we.residual / we_true <= 1.01
+    assert 0.99 <= wfr.residual / wfr_true <= 1.01
+
+
 def test_we_apply_differentiates_stacked_components(torus16, monkeypatch):
     # one stencil call per axis for the Lie derivative and one for its adjoint
     from metricflow import fields, tensors, transport
