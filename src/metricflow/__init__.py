@@ -60,7 +60,6 @@ from .tensors import (
     invert_displacement,
     lie_derivative_metric,
     pullback_metric,
-    pushforward_metric,
     trace_decompose,
     volume_map,
     volume_tangent,

@@ -21,7 +21,7 @@ The kernels evaluate stacks of pairs with a leading pair axis:
 arithmetic, bit for bit, as a pair on its own.  The typed function
 ``divergence`` is a one-pair call of ``divergence_stack``, and the
 second-variation probe evaluates its four shifted pairs per step as one
-stack.
+stack.  The static objective pulls its target back along the map, inverting none.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .tensors import (
     eigenvalues_2x2,
     packed_det,
     packed_volume,
-    pushforward_metric,
+    pullback_metric,
     relative_trace,
 )
 from .transport import ebin_inner, wasserstein_orbit_norm
@@ -237,8 +237,10 @@ class StaticProblem:
 
     def __post_init__(self):
         require_same_grid(self.g0, self.g1)
-        if self.lambda_balance <= 0.0:
-            raise ValueError("lambda_balance must be positive")
+        if not (np.isfinite(self.lambda_balance) and self.lambda_balance > 0.0):
+            raise ValueError(
+                f"lambda_balance must be finite and strictly positive, got {self.lambda_balance}"
+            )
         if DivergenceKind(self.kind) not in (
             DivergenceKind.KL_MET,
             DivergenceKind.TILDE_KL_MET,
@@ -247,18 +249,21 @@ class StaticProblem:
 
 
 def static_objective(problem: StaticProblem, gbar0: MetricField, phi: DisplacementMap) -> float:
-    """lambda D(g0, gbar0) + straight-line transport cost + lambda D(phi_* gbar0, g1).
+    """lambda D(g0, gbar0) + straight-line transport cost + lambda D(gbar0, phi^* g1).
 
-    The middle term is sqrt(Int |phi - id|^2 vol(gbar0)), the orbit energy
-    (``wasserstein_orbit_norm``) of the displacement phi - id, exact for
-    straight-line transport in the flat small-displacement regime; the orbit
-    distance itself has no closed form.
+    The third term is the continuum lambda D(phi_* gbar0, g1) with no inversion
+    of phi: both metric divergences are invariant under diffeomorphisms,
+    D(phi_* a || b) = D(a || phi^* b) by the change of variables y = phi(x)
+    in the integrand and in vol.  For a fixed phi the objective is pointwise
+    in gbar0.  The middle term is sqrt(Int |phi - id|^2 vol(gbar0)), the
+    orbit energy (``wasserstein_orbit_norm``) of the displacement phi - id,
+    exact for straight-line transport in the flat small-displacement regime;
+    the orbit distance itself has no closed form.
     """
     lam = problem.lambda_balance
     term1 = divergence(problem.kind, problem.g0, gbar0)
     disp_sq = wasserstein_orbit_norm(gbar0, phi.displacement)
-    pushed = pushforward_metric(phi, gbar0)
-    term3 = divergence(problem.kind, pushed, problem.g1)
+    term3 = divergence(problem.kind, gbar0, pullback_metric(phi, problem.g1))
     return lam * term1 + float(np.sqrt(max(disp_sq, 0.0))) + lam * term3
 
 

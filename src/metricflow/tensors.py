@@ -15,7 +15,8 @@ node, so a metric is accepted wherever a symmetric tensor is.
 A map's stencil Jacobian is taken once, by ``DisplacementMap``, and kept as
 ``phi.jacobian`` in the one layout J[k][i] = d_k u^i that every kernel reads;
 its Newton inverse is taken on the first read of ``phi.inverse``, the
-package's one way to invert a map, and kept.
+package's one way to invert a map, and kept.  A metric moves along a map by
+``pullback_metric`` alone; a pushforward phi_* g is ``pullback_metric(phi.inverse, g)``.
 """
 
 from __future__ import annotations
@@ -405,7 +406,7 @@ def trace_decompose(g: MetricField, h: SymTensorField):
 
 
 # ---------------------------------------------------------------------------
-# pullback / pushforward
+# pullback and inversion
 
 
 def pullback_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
@@ -485,11 +486,3 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
         collar_tol=max(10.0 * tol, phi.collar_tol, 1e-12),
     )
 
-
-def pushforward_metric(phi: DisplacementMap, g: MetricField) -> MetricField:
-    """phi_* g = (phi^{-1})^* g: the pullback along the Newton inverse ``phi.inverse``.
-
-    The pullback's Jacobian is the finite-difference D(phi^{-1}) of the
-    inverse map on the grid.
-    """
-    return pullback_metric(phi.inverse, g)

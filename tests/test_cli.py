@@ -838,7 +838,8 @@ def test_only_main_sets_the_allocator_policy(tmp_path, monkeypatch, library):
 
 def test_static_eval_inverts_no_map_twice(monkeypatch):
     # every inversion goes through phi.inverse, so the patched module-level
-    # function sees them all: static-eval's and the toy-geodesic midpoints'
+    # function sees them all: static-eval pulls its target back and inverts
+    # none; the toy-geodesic midpoints are inverted once each
     inverted = []
     invert = tensors.invert_displacement
 
@@ -847,12 +848,17 @@ def test_static_eval_inverts_no_map_twice(monkeypatch):
         return invert(phi, *args, **kwargs)
 
     monkeypatch.setattr(tensors, "invert_displacement", recording)
+    static = {"experiment": "static-eval"}
+    line32 = {"dim": 1, "topology": "torus", "n_per_axis": 32}
     box64 = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0}
+    toy = {"experiment": "toy-geodesic", "grid": box64}
     cases = (
-        (experiments.run_static_eval, {"experiment": "static-eval"}, 97),
-        (experiments.run_toy_geodesic, {"experiment": "toy-geodesic", "grid": box64}, 16),
+        (experiments.run_static_eval, {**static, "seed": 7}, 0),
+        (experiments.run_static_eval, {**static, "seed": 11}, 0),
+        (experiments.run_static_eval, {**static, "seed": 7, "grid": line32}, 0),
+        (experiments.run_toy_geodesic, {**toy, "seed": 7}, 16),
     )
     for run, config, count in cases:
         inverted.clear()
-        run(parse_config({**config, "seed": 7}))
+        run(parse_config(config))
         assert len({id(phi) for phi in inverted}) == len(inverted) == count, config

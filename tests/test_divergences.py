@@ -32,7 +32,7 @@ from metricflow.randomfields import (
     random_spd_stack,
     substream,
 )
-from metricflow.tensors import DisplacementMap, packed_to_full
+from metricflow.tensors import DisplacementMap, packed_to_full, pullback_metric
 
 K = DivergenceKind
 
@@ -216,6 +216,12 @@ def test_probe_rejects_non_spd_shift(torus16):
 # static objective
 
 
+def transport_cost(phi, g):
+    """sqrt(Int |phi - id|^2 vol(g)), the objective's middle term."""
+    shift_sq = np.sum(phi.displacement.components**2, axis=0)
+    return np.sqrt(integrate_array(shift_sq * volume_map(g).values, g.grid))
+
+
 def test_static_objective_exact_match_is_zero(torus16):
     g = random_spd_metric(torus16, substream(11, "st"), 3, 0.2)
     problem = StaticProblem(g, g, lambda_balance=1.0, kind=K.KL_MET)
@@ -228,31 +234,58 @@ def test_static_objective_pure_divergence_term(torus16):
     g1 = MetricField.scaled_identity(torus16, np.e)
     problem = StaticProblem(g0, g1, lambda_balance=2.0, kind=K.KL_MET)
     value = static_objective(problem, g0, DisplacementMap.identity(torus16))
-    # identity transport: objective = lambda D(phi_* g0 || g1) = 2 * 1
+    # identity transport: objective = lambda D(g0 || phi^* g1) = 2 * 1
     assert value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_static_objective_transport_instance(torus16):
-    # if g1 is exactly the pushforward, matching (gbar0 = g0, phi) leaves
-    # only the transport cost
-    from metricflow.tensors import pushforward_metric
+def test_static_objective_transport_instance():
+    # the objective pulls g1 back along phi, so gbar0 = g0 = phi^* g1 matches
+    # both divergences exactly and leaves only the transport cost; with
+    # g1 = phi_* g0 instead, built through the Newton inverse, the excess over
+    # the transport cost is the discretization gap between the two forms and
+    # falls by at least 4x each time h halves
     from tests.test_tensors import smooth_displacement
 
-    g0 = MetricField.euclidean(torus16)
-    u, _ = smooth_displacement(torus16, amplitude=0.02)
-    phi = DisplacementMap(u)
-    g1 = pushforward_metric(phi, g0)
-    problem = StaticProblem(g0, g1, lambda_balance=1.0, kind=K.KL_MET)
-    value = static_objective(problem, g0, phi)
-    shift_sq = np.sum(phi.displacement.components**2, axis=0)
-    transport = np.sqrt(integrate_array(shift_sq * volume_map(g0).values, torus16))
-    assert value == pytest.approx(transport, abs=1e-9)
+    gaps = {K.KL_MET: [], K.TILDE_KL_MET: []}
+    for n in (16, 32, 64):
+        grid = Grid(2, "torus", n)
+        u, _ = smooth_displacement(grid, amplitude=0.02)
+        phi = DisplacementMap(u)
+        flat = MetricField.euclidean(grid)
+        pulled, pushed = pullback_metric(phi, flat), pullback_metric(phi.inverse, flat)
+        for kind, gap in gaps.items():
+            exact = static_objective(StaticProblem(pulled, flat, kind=kind), pulled, phi)
+            assert exact == pytest.approx(transport_cost(phi, pulled), abs=1e-12), (n, kind)
+            value = static_objective(StaticProblem(flat, pushed, kind=kind), flat, phi)
+            gap.append(value - transport_cost(phi, flat))
+    for gap in gaps.values():
+        assert 0.0 < gap[0] < 1e-4
+        assert all(fine <= coarse / 4.0 for coarse, fine in zip(gap, gap[1:])), gap
+
+
+@pytest.mark.parametrize("kind", [K.KL_MET, K.TILDE_KL_MET])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_static_objective_identity_start_is_two_divergences(kind, dim):
+    # at phi = id the pullback is exact on a power-of-two torus and the
+    # transport cost is zero, so the start value is the two divergences
+    grid = Grid(dim, "torus", 16)
+    g0, gbar, g1 = (
+        random_spd_metric(grid, substream(17, f"start-{name}"), 3, 0.3)
+        for name in ("g0", "gbar", "g1")
+    )
+    lam = 0.7
+    problem = StaticProblem(g0, g1, lambda_balance=lam, kind=kind)
+    value = static_objective(problem, gbar, DisplacementMap.identity(grid))
+    assert value == lam * divergence(kind, g0, gbar) + lam * divergence(kind, gbar, g1)
 
 
 def test_static_problem_validation(torus16):
     g = MetricField.euclidean(torus16)
     with pytest.raises(ValueError):
         StaticProblem(g, g, lambda_balance=-1.0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            StaticProblem(g, g, lambda_balance=lam)
     with pytest.raises(ValueError):
         StaticProblem(g, g, kind=K.CLASSICAL_KL)
 

@@ -12,7 +12,9 @@ The runs are the 12 experiments at seeds 7 and 11, at registry defaults on
 the torus n = 16, except euler-alpha (torus 64) and flat-factorize and
 toy-geodesic (box 64, extent 2); then, at seed 7, the experiments of
 ``DIM1`` on the 1-D torus n = 32, which take the 1-D branches of the field
-synthesis, and the steps of the benchmark's declared workloads
+synthesis; static-eval at lambda_balance 10 (torus n = 16, seed 7), where
+the search accepts displacement steps, so the objective's map term moves the
+digests; and the steps of the benchmark's declared workloads
 (``BENCHMARK.json``, configs from ``perfbench/run.py``).
 The digests skip what a run does not compute: manifests drop ``wall_time_s``
 and ``output_path``, and the divergence-sweep CSV drops its ``runtime_ms``
@@ -61,6 +63,7 @@ def runs(experiments):
             yield f"seed{seed}/{name}", name, GRIDS.get(name, TORUS16), {}, seed
     for name in DIM1:
         yield f"dim1/{name}", name, TORUS1D, {}, 7
+    yield "lambda10/static-eval", "static-eval", TORUS16, {"lambda_balance": 10.0}, 7
     for label, name, grid, params in benchmark_steps():
         yield label, name, grid, params, 7
 
