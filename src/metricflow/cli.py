@@ -4,8 +4,8 @@
     metricflow validate --config cfg.json
 
 Exit codes: 0 success, 2 invalid configuration, violated precondition, a
-result that cannot be written (non-finite) or a run that memory cannot hold,
-3 solver failure.
+result that cannot be written (non-finite), an output path that cannot be
+written (``output error:``) or a run that memory cannot hold, 3 solver failure.
 
 Memory policy: ``main`` owns its process, so it first tells glibc's malloc to
 keep freed heap pages (trim threshold 64 MiB, mmap threshold 32 MiB).  By
@@ -117,6 +117,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -253,8 +253,8 @@ def run_flat_factorize(cfg: ExperimentConfig):
         g, phi0 = flat_pullback_instance(cfg.grid, substream(cfg.seed, f"flat-{i}"), p["amplitude"])
         u0 = phi0.displacement.components
         del phi0
-        phi, frame, theta, report = factorize_flat_metric(g)
-        del g, frame, theta
+        phi, report = factorize_flat_metric(g)
+        del g
         recovery = float(np.max(np.abs(phi.displacement.components - u0)))
         rows.append(
             {"instance": i, "flat": True, **dataclasses.asdict(report), "recovery_error": recovery}

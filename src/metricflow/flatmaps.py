@@ -16,8 +16,11 @@ Everything is one derivative and two cumulative trapezoid integrations, so
 the reconstruction error is O(spacing^2); cross-order path disagreement is a
 sharp computational flatness test and is checked at every stage.
 
-Only d = 2 is handled: in one dimension the pullback orbit has codimension
-two in the positive functions and no such factorization exists.
+The stages hand one another plain arrays, a FrameData record and the angle
+theta; only the reconstructed map is a field, and factorize_flat_metric
+returns (map, report).  Only d = 2 is handled: in one dimension the pullback
+orbit has codimension two in the positive functions and no such
+factorization exists.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     FlatnessInconsistencyError,
     FrameDegeneracyError,
 )
-from .fields import BOX, Grid, ScalarField, SymTensorField, VectorField, diff_array, node_at
+from .fields import BOX, Grid, VectorField, diff_array, node_at, require_finite
 from .tensors import (
     DisplacementMap,
     MetricField,
@@ -48,21 +51,15 @@ FLAT_COLLAR = 2  # boundary node rings where the flat pipeline's metrics are Euc
 
 @dataclass(frozen=True)
 class FrameData:
-    """Pointwise metric square root, connection 1-form omega and its curl."""
+    """Packed sqrt(g) s, connection 1-form omega and its curl: finite arrays on grid."""
 
-    s: SymTensorField
-    omega: VectorField
-    curvature_residual: ScalarField
-
-    @property
-    def grid(self):
-        return self.s.grid
-
-    def omega_max(self):
-        return float(np.max(np.abs(self.omega.components)))
+    grid: Grid
+    s: np.ndarray
+    omega: np.ndarray
+    curvature_residual: np.ndarray
 
     def max_curvature(self):
-        return float(np.max(np.abs(self.curvature_residual.values)))
+        return float(np.max(np.abs(self.curvature_residual)))
 
 
 def _require_flat_domain(grid: Grid):
@@ -79,7 +76,8 @@ def _require_flat_domain(grid: Grid):
 def frame_and_connection(g: MetricField) -> FrameData:
     """Orthonormal coframe s = sqrt(g) and connection 1-form omega of a metric.
 
-    Each derivative is one stencil call per axis on stacked components.
+    Each derivative is one stencil call per axis on stacked components; a
+    non-finite s, omega or curl is refused (ValueError), as a field refuses it.
     """
     grid = g.grid
     _require_flat_domain(grid)
@@ -94,11 +92,7 @@ def frame_and_connection(g: MetricField) -> FrameData:
         raise FrameDegeneracyError(f"coframe is singular at node {node}")
     om = np.stack([-s[0] * c1 - s[1] * c2, -s[1] * c1 - s[2] * c2]) / det
     curl = diff_array(om[1], grid, 0) - diff_array(om[0], grid, 1)
-    return FrameData(
-        s=SymTensorField(grid, s),
-        omega=VectorField(grid, om),
-        curvature_residual=ScalarField(grid, curl),
-    )
+    return FrameData(grid, require_finite(s), require_finite(om), require_finite(curl))
 
 
 def _cumtrap(values, h, axis):
@@ -134,9 +128,10 @@ def _integration_tolerance(grid, scale):
     return 10.0 * grid.spacing**2 * scale * grid.extent / grid.half_extent**2 + 1e-13
 
 
-def cartan_develop(frame: FrameData) -> tuple[ScalarField, float]:
+def cartan_develop(frame: FrameData) -> tuple[np.ndarray, float]:
     """(theta, gap): the rotation angle with d theta = -omega, integrated from
-    the corner, and the largest disagreement of its two axis orders.
+    the corner, and the largest disagreement of its two axis orders; theta is
+    a finite array of the grid's shape.
 
     The two orders must agree within
     10 spacing^2 ||omega||_inf extent / L^2 (L the half extent), the
@@ -144,17 +139,17 @@ def cartan_develop(frame: FrameData) -> tuple[ScalarField, float]:
     a flatness inconsistency.
     """
     grid = frame.grid
-    gap, theta = path_independence_gap(-frame.omega.components, grid)
-    tol = _integration_tolerance(grid, frame.omega_max())
+    gap, theta = path_independence_gap(-frame.omega, grid)
+    tol = _integration_tolerance(grid, float(np.max(np.abs(frame.omega))))
     if gap > tol:
         raise FlatnessInconsistencyError(
             f"rotation integrals disagree across path orders by {gap:.3e} "
             f"(tolerance {tol:.3e}); the connection is not flat at this resolution"
         )
-    return ScalarField(grid, theta), gap
+    return require_finite(theta), gap
 
 
-def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
+def reconstruct_diffeo(frame: FrameData, theta: np.ndarray) -> DisplacementMap:
     """Map with dphi = u(theta) sigma, collar-normalized; dphi^T dphi = g.
 
     Each coordinate of phi is a line integral of one row of u(theta) s; the
@@ -162,8 +157,8 @@ def reconstruct_diffeo(frame: FrameData, theta: ScalarField) -> DisplacementMap:
     the developed coframe failed to be closed.
     """
     grid = frame.grid
-    s = frame.s.components
-    cos_t, sin_t = np.cos(theta.values), np.sin(theta.values)
+    s = frame.s
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     # rows of u(theta) . s
     alpha = np.empty((2, 2) + grid.shape)
     alpha[0, 0] = cos_t * s[0] - sin_t * s[1]
@@ -212,7 +207,7 @@ def factorize_flat_metric(g: MetricField):
     ``flatness_tolerance(grid)`` = 10 (spacing / L)^2 / L^2, L the half
     extent (10 spacing^2 on the default box of extent 2); a metric failing
     it raises FlatnessInconsistencyError.
-    Returns (displacement, frame, theta, report).
+    Returns (displacement, report).
     """
     grid = g.grid
     _require_flat_domain(grid)
@@ -233,13 +228,7 @@ def factorize_flat_metric(g: MetricField):
         )
     theta, gap = cartan_develop(frame)
     phi = reconstruct_diffeo(frame, theta)
-    err = reconstruction_error(phi, g)
-    report = FactorizationReport(
-        max_curvature=curvature,
-        path_independence_gap=gap,
-        reconstruction_error=err,
-    )
-    return phi, frame, theta, report
+    return phi, FactorizationReport(curvature, gap, reconstruction_error(phi, g))
 
 
 def reconstruction_error(phi: DisplacementMap, g: MetricField) -> float:

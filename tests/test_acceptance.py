@@ -196,7 +196,7 @@ def test_criterion_05_flat_factorization():
         errors[n] = []
         for seed in range(5):
             g, _ = flat_pullback_instance(grid, legacy_rng(seed, FLAT_TAG), 0.008)
-            _, _, _, rep = factorize_flat_metric(g)
+            _, rep = factorize_flat_metric(g)
             errors[n].append(rep.reconstruction_error)
     ratios = [a / b for a, b in zip(errors[64], errors[128])]
     grid = Grid(2, "box", 64, extent=2.0)

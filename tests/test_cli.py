@@ -321,6 +321,30 @@ def test_flat_factorize_artifacts(tmp_path):
     assert disp["collar_width"] == 2
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "seq-demo"},
+        {
+            "experiment": "flat-factorize",
+            "grid": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0},
+            "params": {"n_instances": 1, "n_non_flat": 1},
+        },
+    ],
+    ids=["seq-demo", "flat-factorize"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, cfg, below):
+    path = write_config(tmp_path, {**cfg, "seed": 1})
+    blocker = tmp_path / "afile"
+    blocker.write_bytes(b"kept\n")
+    out = blocker / "sub" if below else blocker
+    assert main([cfg["experiment"], "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert blocker.read_bytes() == b"kept\n"
+
+
 def test_toy_geodesic_run(tmp_path):
     path = write_config(
         tmp_path,

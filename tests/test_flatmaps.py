@@ -23,8 +23,10 @@ from metricflow import (
 )
 from metricflow.config import parse_config
 from metricflow.experiments import run_flat_factorize
+from metricflow import fields
 from metricflow.fields import diff_array
 from metricflow.flatmaps import flatness_tolerance, path_independence_gap
+from metricflow.randomfields import substream
 from metricflow.tensors import collar_max
 
 FLAT_TAG, NON_FLAT_TAG = 0x666C6174, 0x63757276
@@ -82,9 +84,9 @@ def gauss_curvature_brioschi(g: MetricField):
 
 def test_frame_of_euclidean_metric(box64):
     frame = frame_and_connection(MetricField.euclidean(box64))
-    assert np.max(np.abs(frame.s.components[0] - 1.0)) == 0.0
-    assert np.max(np.abs(frame.s.components[1])) == 0.0
-    assert frame.omega_max() == 0.0
+    assert np.max(np.abs(frame.s[0] - 1.0)) == 0.0
+    assert np.max(np.abs(frame.s[1])) == 0.0
+    assert np.max(np.abs(frame.omega)) == 0.0
     assert frame.max_curvature() == 0.0
     assert frame.max_curvature() <= 1e-12
 
@@ -92,7 +94,7 @@ def test_frame_of_euclidean_metric(box64):
 def test_frame_sqrt_reproduces_metric(box64):
     g, _ = flat_pullback_instance(box64, legacy_rng(1, FLAT_TAG), 0.008)
     frame = frame_and_connection(g)
-    s = frame.s.components
+    s = frame.s
     g11 = s[0] ** 2 + s[1] ** 2
     g12 = s[1] * (s[0] + s[2])
     g22 = s[1] ** 2 + s[2] ** 2
@@ -119,7 +121,7 @@ def test_constant_conformal_inside_would_fail_collar_but_flat_connection():
     # constant: the Euclidean one (scaled constants violate the collar)
     grid = Grid(2, "box", 32, extent=2.0)
     frame = frame_and_connection(MetricField.euclidean(grid))
-    assert frame.omega_max() == 0.0
+    assert np.max(np.abs(frame.omega)) == 0.0
 
 
 def test_forward_instance_passes_flat_gate(box64):
@@ -145,16 +147,16 @@ def test_non_flat_rejected_and_oracle_confirms(box64):
 def test_cartan_development_zero_connection(box64):
     frame = frame_and_connection(MetricField.euclidean(box64))
     theta, _ = cartan_develop(frame)
-    assert np.max(np.abs(theta.values)) == 0.0
+    assert np.max(np.abs(theta)) == 0.0
 
 
 def test_cartan_development_path_independent(box64):
     g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG), 0.008)
     frame = frame_and_connection(g)
     theta, gap = cartan_develop(frame)  # raises on cross-order disagreement
-    assert gap == path_independence_gap(-frame.omega.components, box64)[0]
+    assert gap == path_independence_gap(-frame.omega, box64)[0]
     # collar normalization: the angle vanishes near the boundary
-    assert collar_max(theta.values[None], box64, 2) <= 10.0 * box64.spacing**2
+    assert collar_max(theta[None], box64, 2) <= 10.0 * box64.spacing**2
 
 
 def test_development_rejects_curved_connection(box64):
@@ -178,6 +180,28 @@ def test_factorization_integrates_each_one_form_once(box64, monkeypatch):
     assert len(calls) == 3
 
 
+def test_factorization_freezes_only_the_reconstructed_map(box64, monkeypatch):
+    # the stages hand arrays to one another; the map's displacement is the one field built
+    g, _ = flat_pullback_instance(box64, legacy_rng(2, FLAT_TAG), 0.008)
+    frozen, calls = fields._frozen, []
+
+    def counted(values, shape):
+        calls.append(shape)
+        return frozen(values, shape)
+
+    monkeypatch.setattr(fields, "_frozen", counted)
+    factorize_flat_metric(g)
+    assert calls == [(2,) + box64.shape]
+
+
+def test_frame_refuses_non_finite_curvature():
+    # on a box of extent 1e-160 the connection's curl overflows to inf
+    with np.errstate(all="ignore"):
+        g = non_flat_instance(Grid(2, "box", 64, extent=1e-160), substream(1, "x"))
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            frame_and_connection(g)
+
+
 def test_reconstruct_identity(box64):
     frame = frame_and_connection(MetricField.euclidean(box64))
     theta, _ = cartan_develop(frame)
@@ -190,7 +214,7 @@ def test_reconstruction_recovers_generating_map():
     for n in (64, 128):
         grid = Grid(2, "box", n, extent=2.0)
         g, phi0 = flat_pullback_instance(grid, legacy_rng(5, FLAT_TAG), 0.008)
-        phi, frame, theta, report = factorize_flat_metric(g)
+        phi, report = factorize_flat_metric(g)
         errs[n] = float(
             np.max(np.abs(phi.displacement.components - phi0.displacement.components))
         )
@@ -204,7 +228,7 @@ def test_reconstruction_error_second_order():
     for n in (64, 128):
         grid = Grid(2, "box", n, extent=2.0)
         g, _ = flat_pullback_instance(grid, legacy_rng(6, FLAT_TAG), 0.008)
-        phi, _, _, report = factorize_flat_metric(g)
+        phi, report = factorize_flat_metric(g)
         errs[n] = report.reconstruction_error
     assert 3.0 <= errs[64] / errs[128] <= 5.0
 
@@ -213,14 +237,14 @@ def test_round_trip_through_pullback(box64):
     # cross-module check: phi* (Euclidean) computed by the tensor module
     # reproduces g
     g, _ = flat_pullback_instance(box64, legacy_rng(7, FLAT_TAG), 0.008)
-    phi, _, _, _ = factorize_flat_metric(g)
+    phi, _ = factorize_flat_metric(g)
     pulled = pullback_metric(phi, MetricField.euclidean(box64))
     assert np.max(np.abs(pulled.components - g.components)) <= 10.0 * box64.spacing**2
 
 
 def test_collar_identity_normalization(box64):
     g, phi0 = flat_pullback_instance(box64, legacy_rng(8, FLAT_TAG), 0.008)
-    phi, _, _, _ = factorize_flat_metric(g)
+    phi, _ = factorize_flat_metric(g)
     resid = collar_max(phi.displacement.components, box64, phi0.collar_width)
     assert resid <= 10.0 * box64.spacing**2
 
@@ -233,7 +257,7 @@ def test_constant_conformal_metric_has_zero_connection():
     frame = frame_and_connection(g)
     # exact zero in the interior; the one-sided boundary stencils leave
     # cancellation roundoff of order eps / spacing
-    assert frame.omega_max() <= 1e-13
+    assert np.max(np.abs(frame.omega)) <= 1e-13
     assert frame.max_curvature() <= 1e-11
 
 

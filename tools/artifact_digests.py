@@ -14,7 +14,9 @@ toy-geodesic (box 64, extent 2); then, at seed 7, the experiments of
 ``DIM1`` on the 1-D torus n = 32, which take the 1-D branches of the field
 synthesis; static-eval at lambda_balance 10 (torus n = 16, seed 7), where
 the search accepts displacement steps, so the objective's map term moves the
-digests; and the steps of the benchmark's declared workloads
+digests; flat-factorize on the box 64 of extent 0.02 (seed 7), where its
+flatness and integration budgets differ from those at extent 2; and the
+steps of the benchmark's declared workloads
 (``BENCHMARK.json``, configs from ``perfbench/run.py``).
 The digests skip what a run does not compute: manifests drop ``wall_time_s``
 and ``output_path``, and the divergence-sweep CSV drops its ``runtime_ms``
@@ -39,6 +41,7 @@ GRIDS = {
     "flat-factorize": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0},
     "toy-geodesic": {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 2.0},
 }
+SMALL_BOX64 = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 0.02}
 TORUS1D = {"dim": 1, "topology": "torus", "n_per_axis": 32}
 DIM1 = (
     "we-norm", "wfr-norm", "divergence-sweep", "second-variation", "path-energy", "static-eval"
@@ -64,6 +67,7 @@ def runs(experiments):
     for name in DIM1:
         yield f"dim1/{name}", name, TORUS1D, {}, 7
     yield "lambda10/static-eval", "static-eval", TORUS16, {"lambda_balance": 10.0}, 7
+    yield "extent0.02/flat-factorize", "flat-factorize", SMALL_BOX64, {}, 7
     for label, name, grid, params in benchmark_steps():
         yield label, name, grid, params, 7
 
