@@ -246,9 +246,12 @@ def run_second_variation(cfg: ExperimentConfig):
 def run_flat_factorize(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
-    # The peak memory is one instance's fields, so each instance's are
-    # dropped before the next is built; between instances only the rows and
-    # instance 0's displacement and report, written out at the end, are kept.
+    # Each instance's arrays are dropped before the next is built; between
+    # instances only the rows and instance 0's displacement and report,
+    # written out at the end, are kept.  The peak is the Gram of the
+    # reconstruction error (8 grid planes) on top of g, the generating
+    # displacement, the reconstructed map with its Jacobian and instance 0's
+    # displacement (13 planes).
     for i in range(p["n_instances"]):
         g, phi0 = flat_pullback_instance(cfg.grid, substream(cfg.seed, f"flat-{i}"), p["amplitude"])
         u0 = phi0.displacement.components

@@ -245,7 +245,9 @@ def diff_array(values, grid, axis, order=2):
         ix[ax] = idx
         return tuple(ix)
 
-    out[sl(slice(1, -1))] = (a[sl(slice(2, None))] - a[sl(slice(0, -2))]) / (2.0 * h)
+    inner = out[sl(slice(1, -1))]
+    np.subtract(a[sl(slice(2, None))], a[sl(slice(0, -2))], out=inner)
+    inner /= 2.0 * h
     out[sl(0)] = (-3.0 * a[sl(0)] + 4.0 * a[sl(1)] - a[sl(2)]) / (2.0 * h)
     out[sl(-1)] = (3.0 * a[sl(-1)] - 4.0 * a[sl(-2)] + a[sl(-3)]) / (2.0 * h)
     return out

@@ -83,15 +83,23 @@ def frame_and_connection(g: MetricField) -> FrameData:
     _require_flat_domain(grid)
     s = sqrt_components(g.components, 2)
     # c_i = (d sigma_i)(e1, e2) with sigma_i = s_i1 dx1 + s_i2 dx2; s21 = s12
-    c1, c2 = diff_array(s[1:], grid, 0) - diff_array(s[:2], grid, 1)
+    c = diff_array(s[1:], grid, 0)
+    c -= diff_array(s[:2], grid, 1)
     # [-s22  s21; s12  -s11] [om1, om2]^T = [c1, c2]^T
     det = packed_det(s, 2)
     degenerate = np.abs(det) <= 1e-14 * (1.0 + np.abs(s[0]) + np.abs(s[2]))
     if np.any(degenerate):
         node = node_at(np.argmax(degenerate), grid.shape)
         raise FrameDegeneracyError(f"coframe is singular at node {node}")
-    om = np.stack([-s[0] * c1 - s[1] * c2, -s[1] * c1 - s[2] * c2]) / det
-    curl = diff_array(om[1], grid, 0) - diff_array(om[0], grid, 1)
+    om = np.empty_like(c)
+    for i in range(2):  # om_i = -s_i c1 - s_(i+1) c2 over packed s = (s11, s12, s22)
+        np.multiply(-s[i], c[0], out=om[i])
+        om[i] -= s[i + 1] * c[1]
+    del c
+    om /= det
+    del det
+    curl = diff_array(om[1], grid, 0)
+    curl -= diff_array(om[0], grid, 1)
     return FrameData(grid, require_finite(s), require_finite(om), require_finite(curl))
 
 
@@ -99,7 +107,11 @@ def _cumtrap(values, h, axis):
     """Cumulative trapezoid integral from index 0 along one axis."""
     a = np.moveaxis(values, axis, 0)
     out = np.zeros_like(a)
-    out[1:] = np.cumsum(0.5 * (a[1:] + a[:-1]), axis=0) * h
+    mid = a[1:] + a[:-1]
+    mid *= 0.5
+    np.cumsum(mid, axis=0, out=out[1:])
+    del mid
+    out[1:] *= h
     return np.moveaxis(out, 0, axis)
 
 
@@ -108,11 +120,20 @@ def path_independence_gap(form, grid):
     h = grid.spacing
     f1 = _cumtrap(form[0], h, 0)  # along x1 at each x2
     f2 = _cumtrap(form[1], h, 1)  # along x2 at each x1
-    # corner -> (x1, corner) -> (x1, x2)
-    pot_a = f1[:, 0][:, None] + f2
-    # corner -> (corner, x2) -> (x1, x2)
-    pot_b = f2[0, :][None, :] + f1
-    return float(np.max(np.abs(pot_a - pot_b))), 0.5 * (pot_a + pot_b)
+    edge1, edge2 = f1[:, 0].copy(), f2[0, :].copy()
+    # corner -> (x1, corner) -> (x1, x2), summed in f2's storage
+    pot_a = f2
+    pot_a += edge1[:, None]
+    # corner -> (corner, x2) -> (x1, x2), summed in f1's storage
+    pot_b = f1
+    pot_b += edge2[None, :]
+    diff = pot_a - pot_b
+    gap = float(np.max(np.abs(diff, out=diff)))
+    del diff
+    # the mean goes to f1's storage, which is in row-major order
+    pot_b += pot_a
+    pot_b *= 0.5
+    return gap, pot_b
 
 
 def flatness_tolerance(grid):
@@ -149,43 +170,45 @@ def cartan_develop(frame: FrameData) -> tuple[np.ndarray, float]:
     return require_finite(theta), gap
 
 
-def reconstruct_diffeo(frame: FrameData, theta: np.ndarray) -> DisplacementMap:
+def reconstruct_diffeo(grid: Grid, s: np.ndarray, theta: np.ndarray) -> DisplacementMap:
     """Map with dphi = u(theta) sigma, collar-normalized; dphi^T dphi = g.
 
-    Each coordinate of phi is a line integral of one row of u(theta) s; the
-    two axis orders must agree within the same trapezoid budget, otherwise
-    the developed coframe failed to be closed.
+    s is the packed coframe sqrt(g) (``FrameData.s``) and theta the angle of
+    ``cartan_develop``, both arrays on grid.  Each coordinate of phi is a
+    line integral of one row of u(theta) s; the two axis orders must agree
+    within the same trapezoid budget, otherwise the developed coframe failed
+    to be closed.
     """
-    grid = frame.grid
-    s = frame.s
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # rows of u(theta) . s
-    alpha = np.empty((2, 2) + grid.shape)
-    alpha[0, 0] = cos_t * s[0] - sin_t * s[1]
-    alpha[0, 1] = cos_t * s[1] - sin_t * s[2]
-    alpha[1, 0] = sin_t * s[0] + cos_t * s[1]
-    alpha[1, 1] = sin_t * s[1] + cos_t * s[2]
+    # rows of u(theta) . s, each dropped once integrated
+    alpha = [
+        np.stack([cos_t * s[0] - sin_t * s[1], cos_t * s[1] - sin_t * s[2]]),
+        np.stack([sin_t * s[0] + cos_t * s[1], sin_t * s[1] + cos_t * s[2]]),
+    ]
+    del cos_t, sin_t
 
-    coords = grid.coordinates()
-    corner = np.array([coords[0].flat[0], coords[1].flat[0]])
-    phi = np.empty((2,) + grid.shape)
-    scale = max(1.0, float(np.max(np.abs(alpha))))
+    scale = max(1.0, *(float(np.max(np.abs(row))) for row in alpha))
     tol = _integration_tolerance(grid, scale)
+    corner = grid.axis_coordinates()[0]  # both coordinates of node (0, 0)
+    u = np.empty((2,) + grid.shape)
     for i in range(2):
         gap, pot = path_independence_gap(alpha[i], grid)
+        alpha[i] = None
         if gap > tol:
             raise ClosednessViolationError(
                 f"coordinate {i + 1} integrals disagree across path orders by "
                 f"{gap:.3e} (tolerance {tol:.3e}); developed coframe not closed"
             )
-        phi[i] = pot + corner[i]
-
-    u = phi - coords
+        np.add(pot, corner, out=u[i])  # phi^i
+        del pot
+    u -= grid.coordinates()
     # remove the constant so the collar sits at the identity
     u -= np.mean(u[:, collar_mask(grid, FLAT_COLLAR)], axis=1)[:, None, None]
     collar_resid = collar_max(u, grid, FLAT_COLLAR)
+    displacement = VectorField(grid, u)
+    del u
     return DisplacementMap(
-        VectorField(grid, u),
+        displacement,
         collar_width=FLAT_COLLAR,
         collar_tol=max(1e-12, 1.05 * collar_resid),
     )
@@ -227,13 +250,18 @@ def factorize_flat_metric(g: MetricField):
             f"exceeds {flat_tol:.3e}: metric is not flat at this resolution"
         )
     theta, gap = cartan_develop(frame)
-    phi = reconstruct_diffeo(frame, theta)
+    # the connection and its curl are done with; the map needs only s and theta
+    s = frame.s
+    del frame
+    phi = reconstruct_diffeo(grid, s, theta)
+    del s, theta
     return phi, FactorizationReport(curvature, gap, reconstruction_error(phi, g))
 
 
 def reconstruction_error(phi: DisplacementMap, g: MetricField) -> float:
-    """max norm of dphi^T dphi - g with the map's stencil Jacobian."""
-    return float(np.max(np.abs(jacobian_gram(phi.jacobian) - g.components)))
+    """max norm of dphi^T dphi - g with the map's stencil Jacobian, one packed component at a time."""
+    gram = jacobian_gram(phi.jacobian)
+    return max(float(np.max(np.abs(gram[p] - g.components[p]))) for p in range(len(gram)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +284,17 @@ def bump_and_gradient(coords, center, radius):
             f"box extent too large: the bump radius {radius:.3g} overflows when squared"
         ) from None
     dx = [coords[i] - center[i] for i in range(2)]
-    q = (dx[0] ** 2 + dx[1] ** 2) / r2
-    w = np.maximum(1.0 - q, 0.0)
+    q = dx[0] ** 2 + dx[1] ** 2
+    q /= r2
+    w = np.maximum(np.subtract(1.0, q, out=q), 0.0, out=q)
     psi = w**6
-    factor = -12.0 * w**5 / r2
-    dpsi = np.stack([factor * dx[0], factor * dx[1]])
+    factor = w**5
+    del w, q
+    factor *= -12.0
+    factor /= r2
+    dpsi = np.empty((2,) + factor.shape)
+    for i in range(2):
+        np.multiply(factor, dx[i], out=dpsi[i])
     return psi, dpsi
 
 
@@ -297,9 +331,16 @@ def flat_pullback_instance(grid: Grid, rng, amplitude):
             u[i] += direction[i] * psi
             for k in range(2):
                 du[k, i] += direction[i] * dpsi[k]
-    g = MetricField(grid, jacobian_gram(du))
-    phi0 = DisplacementMap(VectorField(grid, u), collar_width=FLAT_COLLAR)
-    return g, phi0
+        del psi, dpsi
+    del coords
+    # each array goes as soon as the next stage has taken what it needs
+    gram = jacobian_gram(du)
+    del du
+    g = MetricField(grid, gram)
+    del gram
+    displacement = VectorField(grid, u)
+    del u
+    return g, DisplacementMap(displacement, collar_width=FLAT_COLLAR)
 
 
 def non_flat_instance(grid: Grid, rng):
@@ -312,7 +353,7 @@ def non_flat_instance(grid: Grid, rng):
     coords = grid.coordinates()
     radius = half * rng.uniform(0.5, 0.6)
     center = rng.uniform(-0.25 * half, 0.25 * half, size=2)
-    psi, _ = bump_and_gradient(coords, center, radius)
+    psi = bump_and_gradient(coords, center, radius)[0]
     wobble = np.sin(2.0 * np.pi * coords[0] / grid.extent + rng.uniform(0.0, np.pi))
     comps = np.stack(
         [np.ones(grid.shape), np.zeros(grid.shape), 1.0 + 0.4 * psi * wobble]

@@ -208,8 +208,8 @@ def collar_mask(grid, width):
 
 def collar_max(comps, grid, width):
     """Max |value| over the nodes within `width` rings of the box boundary."""
-    region = np.abs(np.asarray(comps)).max(axis=0)[collar_mask(grid, width)]
-    return float(np.max(region, initial=0.0))
+    region = np.asarray(comps)[:, collar_mask(grid, width)]
+    return float(np.max(np.abs(region), initial=0.0))
 
 
 def _plus_identity(jacobian):
@@ -223,14 +223,18 @@ def _plus_identity(jacobian):
 def jacobian_gram(jacobian):
     """Packed (I + du)^T (I + du), the flat metric pulled back by id + u."""
     jac = _plus_identity(jacobian)
-    return full_to_packed(np.einsum("ik...,jk...->ij...", jac, jac), len(jac))
+    full = np.einsum("ik...,jk...->ij...", jac, jac)
+    del jac
+    return full_to_packed(full, len(full))
 
 
 def jacobian_det(jacobian):
     """det(I + du) of a stencil Jacobian jacobian[k][i] = d_k u^i."""
-    if len(jacobian) == 1:
-        return 1.0 + jacobian[0][0]
-    return (1.0 + jacobian[0][0]) * (1.0 + jacobian[1][1]) - jacobian[0][1] * jacobian[1][0]
+    det = 1.0 + jacobian[0][0]
+    if len(jacobian) == 2:
+        det *= 1.0 + jacobian[1][1]
+        det -= jacobian[0][1] * jacobian[1][0]
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +452,18 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
     already holds, so the inversion takes no stencil of phi), stops once
     max |step| < tol and gives up after 200 steps.  Only the returned map
     takes a stencil: its own Jacobian, one call per axis.
+
+    The first step covers every node; later steps cover only the nodes
+    whose last step was nonzero.  Each node's problem F_x(w) depends on that
+    node's w alone, so a node whose step is exactly zero keeps its w, its
+    next residual and step are zero again, and it is a fixed point of every
+    later step.  Leaving it out changes no value (up to the sign of a zero)
+    and no step count: the frozen nodes' steps are zero, so max |step| over
+    the moving nodes is max |step| over the grid.  On the toy map at box
+    n = 128, t = 0.53, the steps cover 16,384, 3,848, 3,765 and 2,645 nodes.
     The composite phi o phi^{-1} deviates from the identity by <= 10 * tol
-    in the interpolated sense, checked by one more interpolation.
+    in the interpolated sense, checked on every node by one more
+    interpolation.
     """
     grid = phi.grid
     u = phi.displacement.components
@@ -459,23 +473,28 @@ def invert_displacement(phi: DisplacementMap, tol=1e-12) -> DisplacementMap:
             f"contraction condition violated: ||du||_inf = {row_sum:.3f} >= 1"
         )
     x = grid.coordinates()
-
-    def residual_of(w):
-        return w + phi.sample(u, x + w)
-
-    uinv = -u.copy()
+    uinv = np.empty_like(u)  # each node's w, written after each of its steps
+    # the moving nodes' flat indices, positions x and iterates w, one column each
+    nodes = np.arange(grid.node_count)
+    xm, wm = x.reshape(grid.dim, -1), -u.reshape(grid.dim, -1)
     for _ in range(200):
-        sampled, ds = phi.sample(u, x + uinv, derivative=True)
-        step = _newton_step(ds, uinv + sampled)
-        uinv = uinv - step
-        size = float(np.max(np.abs(step)))
+        if nodes.size:  # else every step from here on is zero, as the last one was
+            sampled, ds = phi.sample(u, xm + wm, derivative=True)
+            step = _newton_step(ds, wm + sampled)
+            wm -= step
+            size = float(np.max(np.abs(step)))
+            for w_all, w in zip(uinv.reshape(grid.dim, -1), wm):
+                w_all[nodes] = w
+            moving = np.any(step != 0.0, axis=0)
+            nodes = nodes[moving]
+            xm, wm = np.compress(moving, xm, axis=1), np.compress(moving, wm, axis=1)
         if size < tol:
             break
     else:
         raise NonInvertibleMapError(
             f"Newton inversion stalled (last step {size:.3e} > tol {tol:.3e})"
         )
-    dev = float(np.max(np.abs(residual_of(uinv))))
+    dev = float(np.max(np.abs(uinv + phi.sample(u, x + uinv))))
     if dev > 10.0 * tol:
         raise NonInvertibleMapError(
             f"phi o phi^(-1) deviates from identity by {dev:.3e} > 10 tol"

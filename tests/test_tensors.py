@@ -553,6 +553,67 @@ def test_newton_inverse_matches_fixed_point_oracle(make_phi):
     assert np.max(np.abs(inv.displacement.components - fixed_point_inverse(phi))) <= 1e-12
 
 
+def full_grid_newton_inverse(phi, tol=1e-12):
+    """(w, steps) of the Newton loop that steps every node at every step.
+
+    The loop of ``invert_displacement`` before it stepped only the nodes
+    still moving, copied verbatim; the final identity check is left out.
+    """
+    grid = phi.grid
+    u = phi.displacement.components
+    x = grid.coordinates()
+    uinv = -u.copy()
+    steps = 0
+    for _ in range(200):
+        sampled, ds = phi.sample(u, x + uinv, derivative=True)
+        step = tensors._newton_step(ds, uinv + sampled)
+        uinv = uinv - step
+        steps += 1
+        size = float(np.max(np.abs(step)))
+        if size < tol:
+            break
+    else:
+        raise AssertionError("full-grid Newton loop stalled")
+    return uinv, steps
+
+
+def box_toy_midpoint_map(n, amplitude, t):
+    grid = Grid(2, "box", n, extent=2.0)
+    f = toy_field(grid, amplitude)
+    return DisplacementMap(VectorField(grid, t * f.components), collar_width=_detect_collar(f))
+
+
+@pytest.mark.parametrize(
+    "make_phi",
+    [
+        pytest.param(box_toy_map, id="box128-toy-t1"),
+        pytest.param(lambda: DisplacementMap(smooth_displacement(Grid(2, "torus", 64))[0]),
+                     id="torus64-smooth"),
+        pytest.param(torus_1d_bump_map, id="torus1d-bump"),
+        pytest.param(lambda: box_toy_midpoint_map(128, 0.08, 17 / 32), id="box128-toy-t0.53"),
+        pytest.param(lambda: box_toy_midpoint_map(64, 0.18, 31 / 32), id="box64-amp0.18-t0.97"),
+    ],
+)
+def test_moving_node_inverse_equals_full_grid_loop(make_phi, monkeypatch):
+    # a node whose step is exactly zero is a fixed point, so stepping only the
+    # moving nodes gives the full-grid loop's values (np.array_equal takes
+    # -0.0 == 0.0) after as many steps; the first step covers every node
+    phi = make_phi()
+    expected, steps = full_grid_newton_inverse(phi)
+    newton_step, covered = tensors._newton_step, []
+
+    def counted(ds, residual):
+        covered.append(residual[0].size)
+        return newton_step(ds, residual)
+
+    monkeypatch.setattr(tensors, "_newton_step", counted)
+    inv = invert_displacement(phi)
+    assert np.array_equal(inv.displacement.components, expected)
+    assert len(covered) == steps
+    assert covered[0] == phi.grid.node_count
+    assert covered == sorted(covered, reverse=True)
+
+
 def test_newton_inversion_needs_few_interpolations(monkeypatch):
     # at t = 1 exact Newton takes 5 steps (2.8e-5, then 1.8e-10, then below
     # roundoff) plus the check; the stencil Jacobian of the iterate took 9

@@ -15,8 +15,10 @@ toy-geodesic (box 64, extent 2); then, at seed 7, the experiments of
 synthesis; static-eval at lambda_balance 10 (torus n = 16, seed 7), where
 the search accepts displacement steps, so the objective's map term moves the
 digests; flat-factorize on the box 64 of extent 0.02 (seed 7), where its
-flatness and integration budgets differ from those at extent 2; and the
-steps of the benchmark's declared workloads
+flatness and integration budgets differ from those at extent 2;
+toy-geodesic at amplitude 0.18 (box 64, seed 7), whose late midpoint maps
+take the most Newton steps to invert, so the set of nodes still moving
+shrinks over six steps; and the steps of the benchmark's declared workloads
 (``BENCHMARK.json``, configs from ``perfbench/run.py``).
 The digests skip what a run does not compute: manifests drop ``wall_time_s``
 and ``output_path``, and the divergence-sweep CSV drops its ``runtime_ms``
@@ -68,6 +70,7 @@ def runs(experiments):
         yield f"dim1/{name}", name, TORUS1D, {}, 7
     yield "lambda10/static-eval", "static-eval", TORUS16, {"lambda_balance": 10.0}, 7
     yield "extent0.02/flat-factorize", "flat-factorize", SMALL_BOX64, {}, 7
+    yield "amp0.18/toy-geodesic", "toy-geodesic", GRIDS["toy-geodesic"], {"amplitude": 0.18}, 7
     for label, name, grid, params in benchmark_steps():
         yield label, name, grid, params, 7
 
