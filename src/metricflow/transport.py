@@ -13,6 +13,9 @@ Density tangent norm (transport velocity v, relative growth f):
     N(rho, drho) = inf_{v} Int |v|^2 rho + Lam Int f^2 rho,
     f = (drho + div(rho v)) / rho.
 
+The minimizer is v = Lam grad f, so f alone is solved for:
+S f = rho f - Lam div(rho grad f) = drho.
+
 Metric tangent norm (transport velocity v, source h):
 
     N(g, dg) = inf_{v} Int |v|^2 vol(g)
@@ -29,27 +32,23 @@ operators with their discrete adjoints, which on the torus are exact
 (skew-adjointness under the rectangle rule); the solvers therefore require
 torus grids.
 
-Both solves are preconditioned (``cg.solve_spd``) by the inverse of a
-constant-coefficient operator, applied by FFT (``fourier_inverse``): on the
-torus the central stencils are circulant, so such an operator is one
-Hermitian dim x dim matrix per Fourier mode.  Its inverse is SPD whenever
-the operator is, and the iteration counts no longer grow with the grid:
+Both solves are preconditioned (``cg.solve_spd``) by the FFT inverse of the
+normal operator at constant coefficients, which on the torus is circulant;
+its inverse is SPD whenever the operator is, and the iteration counts no
+longer grow with the grid:
 
-  * metric norm: the normal operator at the grid-mean metric;
-  * density norm: the normal operator factors as A = R B R with R = diag(rho)
-    and B = 1/rho - lam grad (1/rho) div, so M = R Bbar R with Bbar the
-    density normal operator at the constant mean(1/rho); B and Bbar are
-    spectrally equivalent with ratio at most max rho / min rho, whatever
-    the spacing.  (Preconditioning A itself at the mean density barely helps
-    on rough densities.)
+  * metric norm: at the grid-mean metric, one Hermitian dim x dim matrix per
+    Fourier mode (``fourier_inverse``);
+  * density norm: S at the constant mean(rho), one positive real per mode;
+    the two are spectrally equivalent with ratio at most max rho / min rho.
 
 Every solve is lane-stacked (``cg.solve_spd``): velocities have shape
-(L, dim) + grid.shape, and both normal operators and both preconditioners
-take that leading lane axis (and work without it too).  Metric tangents stay
-packed symmetric tensors, (L, packed) + grid.shape, throughout.  The metric
-normal operator is a per-node matrix acting on the velocity's 1-jet (v, D v),
-followed by the adjoint of the jet (``MetricNormOperator``).  The jet, its
-adjoint and the Lie map K live in ``tensors`` (``velocity_jet``,
+(L, dim) + grid.shape, growth rates (L,) + grid.shape, and both normal
+operators and both preconditioners take that leading lane axis (and work
+without it too).  Metric tangents stay packed, (L, packed) + grid.shape.
+The metric normal operator is a per-node matrix acting on the velocity's
+1-jet (v, D v), followed by the adjoint of the jet (``MetricNormOperator``).
+The jet, its adjoint and the Lie map K live in ``tensors`` (``velocity_jet``,
 ``jet_adjoint``, ``lie_jet_matrix``); the jet's size n_jet is read from K.
 ``we_tangent_norms`` solves several tangents at one metric as the lanes of
 one solve: the operator and the preconditioner are built once, and each lane
@@ -74,7 +73,7 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
-    divergence_array,
+    diff_array,
     gradient_array,
     integrate_array,
     require_same_grid,
@@ -99,9 +98,10 @@ from .tensors import (
 class SolverConfig:
     """Tolerance, iteration cap and source-penalty weight for the solvers.
 
-    ``max_iter`` None is ``solve_spd``'s default of 10 per unknown.  ``lam``
-    must be strictly positive: with lam = 0 the source penalty vanishes and
-    the infimum over decompositions is degenerate off the transport orbit.
+    ``max_iter`` None is ``solve_spd``'s default of 10 per unknown: 10 n^d
+    for the density norm, 10 d n^d for the metric norm.  ``lam`` must be
+    strictly positive: with lam = 0 the source penalty vanishes and the
+    infimum over decompositions is degenerate off the transport orbit.
     """
 
     tol: float = 1e-10
@@ -223,59 +223,55 @@ def wasserstein_orbit_norm(g: MetricField, v: VectorField) -> float:
 
 
 def wfr_normal_operator(rho: DensityField, cfg: SolverConfig):
-    """Normal operator of the density tangent norm after eliminating f.
+    """Normal operator of the density tangent norm for the growth rate f.
 
-    A v = rho v - lam rho grad(div(rho v)/rho); symmetric positive definite
-    w.r.t. plain nodewise sums because the central stencils are mutually
-    skew-adjoint under the rectangle rule.  v has shape (dim,) + grid.shape
-    with an optional leading lane axis.
+    S f = rho f - lam div(rho grad f); symmetric positive definite w.r.t.
+    plain nodewise sums because the central stencils are mutually
+    skew-adjoint under the rectangle rule.  f has shape grid.shape with an
+    optional leading lane axis.
     """
     grid = rho.grid
     _require_torus(grid, "wfr_tangent_norm")
     lam, r = cfg.lam, rho.values
-    component = -(grid.dim + 1)
 
-    def apply_op(vc):
-        q = divergence_array(r * vc, grid) / r
-        return r * vc - lam * r * np.moveaxis(gradient_array(q, grid), 0, component)
+    def apply_op(f):
+        flux = sum(diff_array(r * diff_array(f, grid, k), grid, k) for k in range(grid.dim))
+        return r * f - lam * flux
 
     return apply_op
 
 
 def density_norm_preconditioner(rho: DensityField, cfg: SolverConfig):
-    """r -> M^-1 r with M = R Bbar R, R = diag(rho).
+    """r -> Sbar^-1 r with Sbar the normal operator at the constant mean(rho).
 
-    Bbar is the normal operator at the constant density mean(1/rho), inverted
-    by FFT (the A = R B R factorization is in the module docstring).  Lanes
-    are kept, as in ``fourier_inverse``.
+    Sbar is a circulant, so its symbol is one positive real per Fourier mode,
+    read off its response to a unit impulse.  Lanes are kept.
     """
-    r = rho.values
-    mean_inverse = DensityField.constant(rho.grid, np.mean(1.0 / r))
-    bbar_inverse = fourier_inverse(wfr_normal_operator(mean_inverse, cfg), rho.grid)
-    return lambda res: bbar_inverse(res / r) / r
+    grid = rho.grid
+    axes = tuple(range(-grid.dim, 0))
+    impulse = np.zeros(grid.shape)
+    impulse[(0,) * grid.dim] = 1.0
+    mean = DensityField.constant(grid, np.mean(rho.values))
+    symbol = np.fft.rfftn(wfr_normal_operator(mean, cfg)(impulse)).real
+    return lambda r: np.fft.irfftn(np.fft.rfftn(r, axes=axes) / symbol, s=grid.shape, axes=axes)
 
 
 def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = SolverConfig()):
     """Minimize Int |v|^2 rho + lam Int f^2 rho over the continuity equation.
 
-    The growth rate is eliminated, f = (drho + div(rho v)) / rho, and the
-    remaining convex quadratic in v is solved exactly, as a one-lane solve;
-    right-hand side lam rho grad(drho/rho).
+    Its minimizer is a gradient, v = lam grad f, with the growth rate f the
+    solution of S f = drho (``wfr_normal_operator``), solved as a one-lane
+    solve; the value is Int |v|^2 rho + lam Int f^2 rho, which equals
+    lam Int f drho at the exact minimizer.
     """
     grid = require_same_grid(rho, drho)
-    lam = cfg.lam
-    r = rho.values
-    dr = drho.values
-    apply_op = wfr_normal_operator(rho, cfg)
-    rhs = lam * r * gradient_array(dr / r, grid)
-    sol = _solve("wfr_tangent_norm", rho, apply_op, rhs[None], cfg, density_norm_preconditioner)
-    x = sol.x[0]
-    v = VectorField(grid, x)
-    f = ScalarField(grid, (dr + divergence_array(r * x, grid)) / r)
-    value = integrate_array(np.sum(x**2, axis=0) * r, grid) + lam * integrate_array(
-        f.values**2 * r, grid
-    )
-    return NormResult(float(value), v, f, sol.iterations, sol.residual)
+    sol = _solve("wfr_tangent_norm", rho, wfr_normal_operator(rho, cfg), drho.values[None], cfg,
+                 density_norm_preconditioner)
+    f = sol.x[0]
+    v = cfg.lam * gradient_array(f, grid)
+    value = integrate_array(rho.values * (np.sum(v**2, axis=0) + cfg.lam * f**2), grid)
+    return NormResult(float(value), VectorField(grid, v), ScalarField(grid, f),
+                      sol.iterations, sol.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,8 @@ def test_wfr_pure_transport_competitor_bound(torus16):
 def test_wfr_normal_operator_symmetric(torus16):
     rho = band_limited_density(torus16, substream(6, "sym-rho"), modes=3, amplitude=0.4)
     apply_op = wfr_normal_operator(rho, CFG)
-    v = band_limited_vector(torus16, substream(6, "sym-v"), modes=3, amplitude=1.0).components
-    w = band_limited_vector(torus16, substream(6, "sym-w"), modes=3, amplitude=1.0).components
+    v = band_limited_scalar(torus16, substream(6, "sym-v"), modes=3, amplitude=1.0).values
+    w = band_limited_scalar(torus16, substream(6, "sym-w"), modes=3, amplitude=1.0).values
     lhs = float(np.vdot(apply_op(v), w))
     rhs = float(np.vdot(v, apply_op(w)))
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
@@ -168,6 +168,43 @@ def test_wfr_monotone_in_lambda(torus16):
         wfr_tangent_norm(rho, drho, SolverConfig(lam=lam)).value for lam in (0.5, 1.0, 2.0)
     ]
     assert values[0] <= values[1] + 1e-10 <= values[2] + 2e-10
+
+
+def _velocity_form_reference(rho, drho, lam):
+    """The density norm solved for the velocity, as a d-component system.
+
+    Eliminating f = (drho + div(rho v)) / rho instead of v gives the normal
+    equations A v = lam rho grad(drho / rho) with
+    A v = rho v - lam rho grad(div(rho v) / rho): the same discrete problem
+    as S f = drho.  Solved by plain CG to 1e-13; returns (v, value).
+    """
+    from metricflow.fields import divergence_array
+
+    grid, r = rho.grid, rho.values
+
+    def apply_op(vc):
+        q = divergence_array(r * vc, grid) / r
+        return r * vc - lam * r * np.moveaxis(gradient_array(q, grid), 0, -(grid.dim + 1))
+
+    rhs = lam * r * gradient_array(drho.values / r, grid)
+    v = solve_spd(apply_op, rhs[None], tol=1e-13).x[0]
+    f = (drho.values + divergence_array(r * v, grid)) / r
+    kinetic = integrate_array(np.sum(v**2, axis=0) * r, grid)
+    return v, kinetic + lam * integrate_array(f**2 * r, grid)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wfr_growth_form_matches_the_velocity_form(dim, n):
+    grid = Grid(dim, "torus", n)
+    rho = band_limited_density(grid, substream(n, "vf-rho"), 3, 0.4)
+    drho = band_limited_scalar(grid, substream(n, "vf-drho"), 3, 0.4)
+    res = wfr_tangent_norm(rho, drho, CFG)
+    v_ref, value_ref = _velocity_form_reference(rho, drho, CFG.lam)
+    assert np.max(np.abs(res.v.components - v_ref)) <= 1e-9 * np.max(np.abs(v_ref))
+    assert abs(res.value - value_ref) <= 1e-12 * value_ref
+    dual = CFG.lam * integrate_array(res.source.values * drho.values, grid)
+    assert abs(res.value - dual) <= 1e-12 * res.value
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +282,7 @@ def test_recursive_cg_residual_matches_the_true_residual(n, tol):
     rho = band_limited_density(grid, substream(19, "res-rho"), modes=3, amplitude=0.4)
     drho = band_limited_scalar(grid, substream(19, "res-dr"), modes=3, amplitude=0.4)
     wfr = wfr_tangent_norm(rho, drho, cfg)
-    rhs = cfg.lam * rho.values * gradient_array(drho.values / rho.values, grid)
-    wfr_true = np.linalg.norm(rhs - wfr_normal_operator(rho, cfg)(wfr.v.components))
+    wfr_true = np.linalg.norm(drho.values - wfr_normal_operator(rho, cfg)(wfr.source.values))
     assert 0.99 <= we.residual / we_true <= 1.01
     assert 0.99 <= wfr.residual / wfr_true <= 1.01
 
@@ -392,12 +428,14 @@ def _constant_metric(grid):
 def test_fourier_inverse_exact_at_constant_coefficients(dim):
     grid = Grid(dim, "torus", 16)
     v = band_limited_vector(grid, substream(dim, "fi-v"), 3, 1.0).components
-    for apply_op in (
-        MetricNormOperator(_constant_metric(grid), CFG).apply,
-        wfr_normal_operator(DensityField.constant(grid, 1.7), CFG),
-    ):
-        back = fourier_inverse(apply_op, grid)(apply_op(v))
-        assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+    apply_op = MetricNormOperator(_constant_metric(grid), CFG).apply
+    back = fourier_inverse(apply_op, grid)(apply_op(v))
+    assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+    # the density preconditioner at a constant density inverts S exactly
+    rho = DensityField.constant(grid, 1.7)
+    f = band_limited_scalar(grid, substream(dim, "fi-f"), 3, 1.0).values
+    back = density_norm_preconditioner(rho, CFG)(wfr_normal_operator(rho, CFG)(f))
+    assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -427,7 +465,7 @@ def test_preconditioned_values_match_plain_cg_oracle(n, monkeypatch):
 
 
 def test_preconditioned_iterations_bounded_at_n128():
-    # plain CG takes about 560 (metric) and 680 (density) iterations here
+    # plain CG takes about 570 (metric) and 330 (density) iterations here
     grid = Grid(2, "torus", 128)
     g, dg, rho, drho = _pc_problem(grid, 128)
     assert we_tangent_norm(g, dg, CFG).iterations <= 40
@@ -440,11 +478,9 @@ def test_preconditioned_energy_never_rises_as_tol_tightens():
     grid = Grid(2, "torus", 32)
     g, dg, rho, drho = _pc_problem(grid, 5)
     op = MetricNormOperator(g, CFG)
-    wfr_op = wfr_normal_operator(rho, CFG)
-    wfr_rhs = CFG.lam * rho.values * gradient_array(drho.values / rho.values, grid)
     systems = [
         (op.apply, op.rhs(dg.components), metric_norm_preconditioner(g, CFG)),
-        (wfr_op, wfr_rhs, density_norm_preconditioner(rho, CFG)),
+        (wfr_normal_operator(rho, CFG), drho.values, density_norm_preconditioner(rho, CFG)),
     ]
     for apply_op, b, precondition in systems:
         energies = []
@@ -575,12 +611,15 @@ def test_metric_operator_keeps_the_lane_axis(dim):
     assert np.array_equal(op.lie(v), dg)
     precondition = metric_norm_preconditioner(g, CFG)
     rho = band_limited_density(grid, substream(dim, "ax-rho"), 3, 0.3)
+    f = np.stack(
+        [band_limited_scalar(grid, substream(j, "ax-f"), 3, 1.0).values for j in range(3)]
+    )
     for method, arg in (
         (op.apply, v),
         (precondition, v),
         (op.rhs, dg),
-        (wfr_normal_operator(rho, CFG), v),
-        (density_norm_preconditioner(rho, CFG), v),
+        (wfr_normal_operator(rho, CFG), f),
+        (density_norm_preconditioner(rho, CFG), f),
     ):
         lanes = method(arg)
         for j in range(3):

@@ -18,7 +18,9 @@ digests; flat-factorize on the box 64 of extent 0.02 (seed 7), where its
 flatness and integration budgets differ from those at extent 2;
 toy-geodesic at amplitude 0.18 (box 64, seed 7), whose late midpoint maps
 take the most Newton steps to invert, so the set of nodes still moving
-shrinks over six steps; and the steps of the benchmark's declared workloads
+shrinks over six steps; wfr-norm at amplitude 2 (torus n = 32, seed 7),
+whose high-contrast densities make the density norm's preconditioner work
+hardest, at about 40-80 iterations per solve; and the steps of the benchmark's declared workloads
 (``BENCHMARK.json``, configs from ``perfbench/run.py``).
 The digests skip what a run does not compute: manifests drop ``wall_time_s``
 and ``output_path``, and the divergence-sweep CSV drops its ``runtime_ms``
@@ -45,6 +47,7 @@ GRIDS = {
 }
 SMALL_BOX64 = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 0.02}
 TORUS1D = {"dim": 1, "topology": "torus", "n_per_axis": 32}
+TORUS32 = {"dim": 2, "topology": "torus", "n_per_axis": 32}
 DIM1 = (
     "we-norm", "wfr-norm", "divergence-sweep", "second-variation", "path-energy", "static-eval"
 )
@@ -71,6 +74,7 @@ def runs(experiments):
     yield "lambda10/static-eval", "static-eval", TORUS16, {"lambda_balance": 10.0}, 7
     yield "extent0.02/flat-factorize", "flat-factorize", SMALL_BOX64, {}, 7
     yield "amp0.18/toy-geodesic", "toy-geodesic", GRIDS["toy-geodesic"], {"amplitude": 0.18}, 7
+    yield "amp2/wfr-norm", "wfr-norm", TORUS32, {"amplitude": 2.0}, 7
     for label, name, grid, params in benchmark_steps():
         yield label, name, grid, params, 7
 
