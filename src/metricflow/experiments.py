@@ -5,8 +5,8 @@ Each experiment function takes a validated ExperimentConfig and returns
 (results, rows, artifacts).  The keys of the first row, in order, are the CSV
 columns.  The runner adds the config echo, a version string and the wall
 time, and writes the manifest plus CSV atomically (temp file + rename).
-Given identical config and seed the manifest is bit-identical up to the
-wall-time field.
+Given identical config and seed every artifact is bit-identical, except the
+manifest's wall-time field.
 
 EXPERIMENTS is the one registry of experiment names: the CLI subcommands,
 the config schema and the dispatch in run_experiment are all read from it.
@@ -19,9 +19,7 @@ from ``substream(cfg.seed, "div-<kind>")``; its ``pair`` column is the
 0-based index, so a run of n pairs is a prefix of a longer run at the same
 seed.  It evaluates the pairs in blocks of stacked pairs, about
 SWEEP_BLOCK_NODES grid nodes each (16 pairs at n = 16), and its rows do not
-depend on the block size, except its ``runtime_ms`` column: the time of a
-pair's block divided by the number of pairs in that block, not a per-pair
-time.
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -174,15 +172,12 @@ def _sweep_block(cfg: ExperimentConfig, kind, rng, pairs):
     grid, p = cfg.grid, cfg.params
     metric = kind in METRIC_KINDS
     draw = random_spd_stack if metric else band_limited_density_stack
-    t0 = time.perf_counter()
     fields = draw(grid, [rng], p["modes"], p["amplitude"], count=2 * len(pairs))
     a, b = fields[0::2], fields[1::2]
     values = divergence_stack(kind, grid, a, b)
     gaps = eigenvalue_gap_stack(grid.dim, a, b) if metric else density_ratio_gap_stack(a, b)
-    runtime_ms = (time.perf_counter() - t0) * 1e3 / len(pairs)
     return [
-        {"kind": kind.value, "pair": pair, "value": value, "min_eigen_gap": gap,
-         "runtime_ms": runtime_ms}
+        {"kind": kind.value, "pair": pair, "value": value, "min_eigen_gap": gap}
         for pair, value, gap in zip(pairs, values.tolist(), gaps.tolist())
     ]
 

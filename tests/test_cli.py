@@ -386,14 +386,14 @@ def test_divergence_sweep_csv_columns(tmp_path):
     assert main(["divergence-sweep", "--config", path, "--out", str(out_dir)]) == 0
     with open(out_dir / "divergence_sweep.csv") as fh:
         reader = csv.DictReader(fh)
-        assert reader.fieldnames == ["kind", "pair", "value", "min_eigen_gap", "runtime_ms"]
+        assert reader.fieldnames == ["kind", "pair", "value", "min_eigen_gap"]
         rows = list(reader)
     assert len(rows) == 18  # 3 pairs x 6 kinds
     assert all(float(r["value"]) >= -1e-12 for r in rows)
 
 
 def per_pair_sweep_rows(cfg):
-    """The divergence-sweep rows, without runtime_ms, drawn and evaluated one pair at a time.
+    """The divergence-sweep rows, drawn and evaluated one pair at a time.
 
     Each kind draws its pairs in order from one stream: a0, b0, a1, b1, ...
     """
@@ -433,14 +433,7 @@ def test_sweep_blocks_match_per_pair_oracle(dim, n, extra):
     # one pair, one block, one block and one pair
     cfg = sweep_config(grid, 1 if extra is None else block + extra)
     _, rows = run_divergence_sweep(cfg)
-    assert [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows] == (
-        per_pair_sweep_rows(cfg)
-    )
-    # runtime_ms is the block's time over its pairs, the same for each pair of a block
-    n_pairs = cfg.params["n_pairs"]
-    for start in range(0, len(rows), n_pairs):
-        first = [r["runtime_ms"] for r in rows[start : start + min(block, n_pairs)]]
-        assert len(set(first)) == 1 and first[0] > 0.0
+    assert rows == per_pair_sweep_rows(cfg)
 
 
 def test_sweep_of_n_pairs_is_a_prefix_of_more_pairs(monkeypatch):
@@ -450,8 +443,7 @@ def test_sweep_of_n_pairs_is_a_prefix_of_more_pairs(monkeypatch):
     def rows_by_kind(n_pairs):
         cfg = parse_config({"experiment": "divergence-sweep", "grid": grid, "seed": 7,
                             "params": {"n_pairs": n_pairs}})
-        rows = [{k: v for k, v in r.items() if k != "runtime_ms"}
-                for r in run_divergence_sweep(cfg)[1]]
+        rows = run_divergence_sweep(cfg)[1]
         return [rows[i : i + n_pairs] for i in range(0, len(rows), n_pairs)]
 
     assert [kind[:3] for kind in rows_by_kind(9)] == rows_by_kind(3)
@@ -464,8 +456,7 @@ def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, block_nodes):
     cfg = sweep_config({"dim": 2, "topology": "torus", "n_per_axis": 16}, 37)
 
     def rows():
-        return [{k: v for k, v in r.items() if k != "runtime_ms"}
-                for r in run_divergence_sweep(cfg)[1]]
+        return run_divergence_sweep(cfg)[1]
 
     default = rows()
     monkeypatch.setattr(experiments, "SWEEP_BLOCK_NODES", block_nodes)
@@ -546,7 +537,7 @@ CSV_SCHEMA = {
         {**TORUS12, "n_per_axis": 16}, {"n_trials": 1, "n_perturb": 1},
     ),
     "divergence-sweep": (
-        ["kind", "pair", "value", "min_eigen_gap", "runtime_ms"], TORUS12, {"n_pairs": 1},
+        ["kind", "pair", "value", "min_eigen_gap"], TORUS12, {"n_pairs": 1},
     ),
     "second-variation": (
         ["trial", "kind", "mixed_second", "ebin_half", "richardson", "relative_error",
@@ -587,23 +578,21 @@ CSV_SCHEMA = {
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_csv_columns_are_pinned(tmp_path, name):
     """Pinned columns, and the determinism contract: a second run writes the same
-    manifest apart from wall_time_s, the same CSV apart from runtime_ms, and
-    every other artifact byte for byte."""
+    manifest apart from wall_time_s, and the CSV and every other artifact byte
+    for byte."""
     columns, grid, params = CSV_SCHEMA[name]
     cfg = parse_config({"experiment": name, "grid": grid, "seed": 3, "params": params})
     runs = []
     for run in ("a", "b"):
         manifest, paths = run_experiment(cfg, out_dir=str(tmp_path / run))
         manifest.pop("wall_time_s")
-        with open(paths.pop("csv")) as fh:
+        with open(paths["csv"]) as fh:
             header, *rows = csv.reader(fh)
         assert header == columns
         assert rows and all(len(row) == len(columns) for row in rows)
-        timing = [i for i, column in enumerate(header) if column == "runtime_ms"]
-        rows = [[v for i, v in enumerate(row) if i not in timing] for row in rows]
         paths.pop("manifest")
         others = {key: pathlib.Path(path).read_bytes() for key, path in paths.items()}
-        runs.append((json.dumps(manifest, sort_keys=True), rows, others))
+        runs.append((json.dumps(manifest, sort_keys=True), others))
     assert runs[0] == runs[1]
 
 

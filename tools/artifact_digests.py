@@ -23,15 +23,12 @@ whose high-contrast densities make the density norm's preconditioner work
 hardest, at about 40-80 iterations per solve; and the steps of the benchmark's declared workloads
 (``BENCHMARK.json``, configs from ``perfbench/run.py``).
 The digests skip what a run does not compute: manifests drop ``wall_time_s``
-and ``output_path``, and the divergence-sweep CSV drops its ``runtime_ms``
-column.  Each line reads ``<run>/<artifact> <sha256>``.
+and ``output_path``.  Each line reads ``<run>/<artifact> <sha256>``.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import sys
 import tempfile
@@ -51,7 +48,6 @@ TORUS32 = {"dim": 2, "topology": "torus", "n_per_axis": 32}
 DIM1 = (
     "we-norm", "wfr-norm", "divergence-sweep", "second-variation", "path-energy", "static-eval"
 )
-TIMING_COLUMNS = ("runtime_ms",)
 
 
 def benchmark_steps():
@@ -86,16 +82,6 @@ def canonical(name, text):
         del manifest["wall_time_s"]
         del manifest["config"]["output_path"]
         return json.dumps(manifest, sort_keys=True)
-    if name.endswith(".csv"):
-        rows = list(csv.DictReader(io.StringIO(text)))
-        columns = [c for c in rows[0] if c not in TIMING_COLUMNS]
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
     return text
 
 
