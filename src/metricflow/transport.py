@@ -124,8 +124,9 @@ class NormResult(NamedTuple):
     """A tangent norm and its minimizing (v, source) pair.
 
     ``source`` is the growth rate f (a ScalarField) for the density norm and
-    h = dg + L_v g (a SymTensorField) for the metric norm; ``iterations`` and
-    ``residual`` are those of the solve.
+    h = dg + L_v g (a SymTensorField) for the metric norm; ``iterations`` is
+    that of the solve, and ``residual`` its final relative residual
+    ||r|| / ||b||, 0 for a zero right-hand side.
     """
 
     value: float
@@ -193,6 +194,12 @@ def _solve(what, field, apply_op, rhs, cfg, preconditioner):
     except SolverFailure as exc:
         message = f"{what} on {field.grid!r}: {exc}"
         raise SolverFailure(message, exc.residual, exc.iterations, exc.lane) from exc
+
+
+def _relative_residuals(sol, rhs):
+    """Each lane's final ||r|| / ||b||; 0 for a zero lane, which x = 0 solves exactly."""
+    norms = np.linalg.norm(rhs.reshape(len(rhs), -1), axis=1)
+    return [float(r / n) if n > 0.0 else 0.0 for r, n in zip(sol.lane_residuals, norms)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +272,14 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
     lam Int f drho at the exact minimizer.
     """
     grid = require_same_grid(rho, drho)
-    sol = _solve("wfr_tangent_norm", rho, wfr_normal_operator(rho, cfg), drho.values[None], cfg,
+    rhs = drho.values[None]
+    sol = _solve("wfr_tangent_norm", rho, wfr_normal_operator(rho, cfg), rhs, cfg,
                  density_norm_preconditioner)
     f = sol.x[0]
     v = cfg.lam * gradient_array(f, grid)
     value = integrate_array(rho.values * (np.sum(v**2, axis=0) + cfg.lam * f**2), grid)
     return NormResult(float(value), VectorField(grid, v), ScalarField(grid, f),
-                      sol.iterations, sol.residual)
+                      sol.iterations, _relative_residuals(sol, rhs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +406,18 @@ def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
     grid = require_same_grid(g, *dgs)
     op = MetricNormOperator(g, cfg)
     dg = np.stack([t.components for t in dgs])
-    sol = _solve("we_tangent_norm", g, op.apply, op.rhs(dg), cfg, metric_norm_preconditioner)
+    rhs = op.rhs(dg)
+    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, metric_norm_preconditioner)
     h = dg + op.lie(sol.x)
     values = op.energy(sol.x, h)
+    residuals = _relative_residuals(sol, rhs)
     return [
         NormResult(
             float(values[lane]),
             VectorField(grid, sol.x[lane]),
             SymTensorField(grid, h[lane]),
             sol.lane_iterations[lane],
-            sol.lane_residuals[lane],
+            residuals[lane],
         )
         for lane in range(len(dgs))
     ]
