@@ -313,14 +313,13 @@ def run_euler_alpha(cfg: ExperimentConfig):
 
     Any other dimension is refused: in 1-D, v = sin 2 pi x gives 2 pi^2.
     """
-    p = cfg.params
     if cfg.grid.dim != 2:
         raise ValueError(f"{cfg.experiment} requires a 2-D grid")
     x = cfg.grid.coordinates()
     comps = np.zeros((2,) + cfg.grid.shape)
     comps[0] = np.sin(2.0 * np.pi * x[1])
     v = VectorField(cfg.grid, comps)
-    trace_form, def_form, kinetic = euler_alpha_lagrangian(v, stencil_order=p["stencil_order"])
+    trace_form, def_form, kinetic = euler_alpha_lagrangian(v)
     rows = [
         {
             "trace_form": trace_form,
@@ -456,7 +455,7 @@ EXPERIMENTS = {
         {"ns": [8, 12, 16, 20, 24], "n_max": 64, "quad_points": 2049},
         minimums={"quad_points": 2},
     ),
-    "euler-alpha": Experiment(run_euler_alpha, {"stencil_order": 4}),
+    "euler-alpha": Experiment(run_euler_alpha, {}),
     "path-energy": Experiment(
         run_path_energy, {"n_paths": 10, "n_t": 8, "modes": 3, "amplitude": 0.2}
     ),

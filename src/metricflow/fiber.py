@@ -126,7 +126,7 @@ def verify_pi1_submersion(
     )
 
 
-def euler_alpha_lagrangian(v: VectorField, stencil_order=4):
+def euler_alpha_lagrangian(v: VectorField):
     """Kinetic and gradient-penalty terms of the flat-background fiber form.
 
     Returns (trace_form, def_form, kinetic):
@@ -137,14 +137,13 @@ def euler_alpha_lagrangian(v: VectorField, stencil_order=4):
 
     Both quadratic forms are assembled from the same derivative arrays, so
     their agreement (asserted to 1e-10) is an algebraic identity of the
-    discretization.  The default fourth-order stencil resolves the trig
-    benchmark at 64 nodes to ~1e-4; pass stencil_order=2 for the plain
-    second-order calculus.
+    discretization.  The fourth-order stencil resolves the trig benchmark at
+    64 nodes to ~1e-4.
     """
     grid = v.grid
     if grid.topology != "torus":
         raise ValueError("flat-background fiber form is evaluated on torus grids")
-    dv = gradient_array(v.components, grid, stencil_order)  # dv[i, j] = d_i v_j
+    dv = gradient_array(v.components, grid, order=4)  # dv[i, j] = d_i v_j
     lie = dv + np.swapaxes(dv, 0, 1)
     trace_sq = np.einsum("ij...,ji...->...", lie, lie)
     trace_form = 0.25 * float(integrate_array(trace_sq, grid))
