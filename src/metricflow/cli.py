@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         # solver guards and dumps_result instead
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            manifest, paths = run_experiment(cfg, out_dir=args.out)
+            _, paths = run_experiment(cfg)
         print(f"wrote {paths['manifest']}")
         print(f"wrote {paths['csv']}")
         for key, path in paths.items():

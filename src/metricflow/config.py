@@ -119,9 +119,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
         _expect(_same_json_type(solver_obj.get(key, 1.0), 1.0), f"solver {key!r} must be a number")
     try:
         solver = SolverConfig(
-            tol=float(solver_obj.get("tol", 1e-10)),
-            max_iter=solver_obj.get("max_iter"),
-            lam=float(solver_obj.get("lambda", 1.0)),
+            tol=float(solver_obj.get("tol", SolverConfig.tol)),
+            max_iter=solver_obj.get("max_iter", SolverConfig.max_iter),
+            lam=float(solver_obj.get("lambda", SolverConfig.lam)),
         )
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from exc

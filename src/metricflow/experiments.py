@@ -45,7 +45,7 @@ from .divergences import (
     second_variation_probe,
     static_local_search,
 )
-from .fiber import euler_alpha_lagrangian, verify_pi1_submersion
+from .fiber import SOLVER_SLACK, euler_alpha_lagrangian, verify_pi1_submersion
 from .fields import Grid, VectorField
 from .flatmaps import (
     factorize_flat_metric,
@@ -342,15 +342,15 @@ def run_path_energy(cfg: ExperimentConfig):
         we = path_energy(path, cfg.solver, which="we")
         ebin = path_energy(path, cfg.solver, which="ebin")
         wfr = path_energy(path, cfg.solver, which="wfr")
-        d, lam = cfg.grid.dim, cfg.solver.lam
+        bound = cfg.grid.dim * cfg.solver.lam / 4.0 * ebin
         rows.append(
             {
                 "trial": trial,
                 "we_energy": we,
                 "ebin_energy": ebin,
                 "wfr_projected_energy": wfr,
-                "pure_source_bound": d * lam / 4.0 * ebin,
-                "sandwich_ok": wfr - 1e-8 <= we <= d * lam / 4.0 * ebin + 1e-8,
+                "pure_source_bound": bound,
+                "sandwich_ok": wfr - SOLVER_SLACK <= we <= bound + SOLVER_SLACK,
             }
         )
     return {"all_sandwich_ok": all(r["sandwich_ok"] for r in rows)}, rows

@@ -57,9 +57,10 @@ def optimal_lift(g: MetricField, drho, cfg: SolverConfig = SolverConfig()):
     return SymTensorField(g.grid, -lie.components + scale * g.components), res
 
 
-# A volume-neutral perturbation of the lift may fall below the density norm
-# by at most this much (solver tolerance), or the submersion check fails.
-LIFT_TOLERANCE = 1e-8
+# How far a solved value may cross an inequality that the exact discrete
+# minima satisfy (a perturbed lift's gap, the path-energy sandwich): the
+# solver's error.
+SOLVER_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class LiftReport:
 
     gap = metric-norm of the optimal lift minus the density norm;
     perturbation_gaps are the same differences for volume-neutral
-    perturbations of the lift and may not fall below -LIFT_TOLERANCE.
+    perturbations of the lift and may not fall below -SOLVER_SLACK.
     """
 
     wfr_value: float
@@ -80,11 +81,11 @@ class LiftReport:
         return self.we_value_of_lift - self.wfr_value
 
     def __post_init__(self):
-        if any(p < -LIFT_TOLERANCE for p in self.perturbation_gaps):
+        if any(p < -SOLVER_SLACK for p in self.perturbation_gaps):
             worst = min(self.perturbation_gaps)
             raise ValueError(
                 f"a perturbed lift fell below the density norm by {-worst:.3e} "
-                f"(tolerance {LIFT_TOLERANCE:.1e}): submersion inequality violated"
+                f"(tolerance {SOLVER_SLACK:.1e}): submersion inequality violated"
             )
 
 
@@ -108,7 +109,7 @@ def verify_pi1_submersion(
     Equality of infima is certified one-sidedly: the lift is explicit, and
     one random trace-free perturbation of it per generator in ``rngs``
     (amplitude 0.2; exactly fiber tangent, independent of finite-difference
-    error) must not beat the density norm by more than LIFT_TOLERANCE
+    error) must not beat the density norm by more than SOLVER_SLACK
     (1e-8).  The full infimum over all lifts is not checkable.  The lift and
     the density norm come from ``optimal_lift``; the lift and its
     perturbations are the len(rngs) + 1 lanes of one metric-norm solve at g.

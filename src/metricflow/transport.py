@@ -124,9 +124,8 @@ class NormResult(NamedTuple):
     """A tangent norm and its minimizing (v, source) pair.
 
     ``source`` is the growth rate f (a ScalarField) for the density norm and
-    h = dg + L_v g (a SymTensorField) for the metric norm; ``iterations`` is
-    that of the solve, and ``residual`` its final relative residual
-    ||r|| / ||b||, 0 for a zero right-hand side.
+    h = dg + L_v g (a SymTensorField) for the metric norm; ``iterations`` and
+    ``residual`` are those of the solve, the residual relative (``_solve``).
     """
 
     value: float
@@ -181,10 +180,11 @@ def _solve(what, field, apply_op, rhs, cfg, preconditioner):
 
     ``preconditioner(field, cfg)`` builds M^-1.  An all-zero right-hand side
     is solved by x = 0 without iterating, so it skips the build (and the FFT).
+    Returns the CGResult and each lane's final ||r|| / ||b||, 0 for a zero lane.
     """
     precondition = preconditioner(field, cfg) if np.any(rhs) else None
     try:
-        return solve_spd(
+        sol = solve_spd(
             apply_op,
             rhs,
             tol=cfg.tol,
@@ -194,12 +194,8 @@ def _solve(what, field, apply_op, rhs, cfg, preconditioner):
     except SolverFailure as exc:
         message = f"{what} on {field.grid!r}: {exc}"
         raise SolverFailure(message, exc.residual, exc.iterations, exc.lane) from exc
-
-
-def _relative_residuals(sol, rhs):
-    """Each lane's final ||r|| / ||b||; 0 for a zero lane, which x = 0 solves exactly."""
     norms = np.linalg.norm(rhs.reshape(len(rhs), -1), axis=1)
-    return [float(r / n) if n > 0.0 else 0.0 for r, n in zip(sol.lane_residuals, norms)]
+    return sol, [float(r / n) if n > 0.0 else 0.0 for r, n in zip(sol.lane_residuals, norms)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +268,13 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
     lam Int f drho at the exact minimizer.
     """
     grid = require_same_grid(rho, drho)
-    rhs = drho.values[None]
-    sol = _solve("wfr_tangent_norm", rho, wfr_normal_operator(rho, cfg), rhs, cfg,
-                 density_norm_preconditioner)
+    sol, residuals = _solve("wfr_tangent_norm", rho, wfr_normal_operator(rho, cfg),
+                            drho.values[None], cfg, density_norm_preconditioner)
     f = sol.x[0]
     v = cfg.lam * gradient_array(f, grid)
     value = integrate_array(rho.values * (np.sum(v**2, axis=0) + cfg.lam * f**2), grid)
     return NormResult(float(value), VectorField(grid, v), ScalarField(grid, f),
-                      sol.iterations, _relative_residuals(sol, rhs)[0])
+                      sol.iterations, residuals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +284,7 @@ def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = S
 def _metric_norm_coefficients(comps, grid, lam):
     """Per-node matrices of the metric tangent norm for packed metric comps.
 
-    Returns (K, C, Q, vol(g)), K, C and Q as in ``MetricNormOperator``.
+    Returns (K, C, Q, vol(g), w), K, C, Q and w as in ``MetricNormOperator``.
     comps may have size-1 spatial axes (a constant metric); the matrices keep
     that shape.
     """
@@ -306,7 +301,7 @@ def _metric_norm_coefficients(comps, grid, lam):
             if s < d and q == s:
                 entry += vol
             normal[q, s] = normal[s, q] = entry
-    return jet_map, source_weight, normal, vol
+    return jet_map, source_weight, normal, vol, weight
 
 
 def _apply_normal(normal, vc, grid):
@@ -341,9 +336,8 @@ class MetricNormOperator:
         _require_torus(grid, "we_tangent_norm")
         self.grid = grid
         self.dim = grid.dim
-        self.weight = (grid.dim * cfg.lam) / 4.0
-        self.jet_map, self.source_weight, self.normal, self.vol = _metric_norm_coefficients(
-            g.components, grid, cfg.lam
+        self.jet_map, self.source_weight, self.normal, self.vol, self.weight = (
+            _metric_norm_coefficients(g.components, grid, cfg.lam)
         )
 
     def lie(self, vc):
@@ -406,11 +400,10 @@ def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
     grid = require_same_grid(g, *dgs)
     op = MetricNormOperator(g, cfg)
     dg = np.stack([t.components for t in dgs])
-    rhs = op.rhs(dg)
-    sol = _solve("we_tangent_norm", g, op.apply, rhs, cfg, metric_norm_preconditioner)
+    sol, residuals = _solve("we_tangent_norm", g, op.apply, op.rhs(dg), cfg,
+                            metric_norm_preconditioner)
     h = dg + op.lie(sol.x)
     values = op.energy(sol.x, h)
-    residuals = _relative_residuals(sol, rhs)
     return [
         NormResult(
             float(values[lane]),
