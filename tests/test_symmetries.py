@@ -8,7 +8,8 @@ R v(R^T x), symmetric tensors as R g(R^T x) R^T.  Each value may move by
 roundoff only (1e-13 relative; the pi1 lift gap relative to the norms it
 is the difference of), and each solve by at most one iteration.
 The scaling laws WE(c g, c dg) = c^(d/2) WE and WFR(c rho, c drho) = c WFR
-hold to the same tolerance.
+hold to the same tolerance, and so do the WE, Ebin and WFR energies of a
+linear metric path under each symmetry.
 """
 
 import itertools
@@ -25,6 +26,8 @@ from metricflow import (
     SymTensorField,
     divergence,
     ebin_inner,
+    linear_metric_path,
+    path_energy,
     verify_pi1_submersion,
     we_tangent_norm,
     wfr_tangent_norm,
@@ -130,3 +133,17 @@ def test_scaling_laws(problem, reference, c):
         assert abs(value - expected) <= REL * abs(expected)
     assert abs(we.iterations - ref_iterations["we"]) <= 1
     assert abs(wfr.iterations - ref_iterations["wfr"]) <= 1
+
+
+def test_path_energies_are_invariant(problem):
+    g0, g1 = problem[:2]
+
+    def energies(a, b):
+        path = linear_metric_path(a, b, n_t=4)
+        return {which: path_energy(path, which=which) for which in ("we", "ebin", "wfr")}
+
+    reference = energies(g0, g1)
+    for (rotation, shift), name in zip(SYMMETRIES, IDS):
+        moved = energies(_carry(g0, rotation, shift), _carry(g1, rotation, shift))
+        for which, value in moved.items():
+            assert abs(value - reference[which]) <= REL * abs(reference[which]), (name, which)
