@@ -46,7 +46,8 @@ SMALL_BOX64 = {"dim": 2, "topology": "box", "n_per_axis": 64, "extent": 0.02}
 TORUS1D = {"dim": 1, "topology": "torus", "n_per_axis": 32}
 TORUS32 = {"dim": 2, "topology": "torus", "n_per_axis": 32}
 DIM1 = (
-    "we-norm", "wfr-norm", "divergence-sweep", "second-variation", "path-energy", "static-eval"
+    "we-norm", "wfr-norm", "submersion", "divergence-sweep", "second-variation", "path-energy",
+    "static-eval", "bounds",
 )
 
 
