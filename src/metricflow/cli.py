@@ -13,8 +13,8 @@ default a freed temporary of 128 KB or more can go back to the kernel, and
 the next one page-faults it in again: at box n = 128 one
 ``invert_displacement`` of the toy map then takes 7.1-7.9 ms instead of
 4.1-6.2 ms (timeit minima of six processes each, shared 2-vCPU host).  Keeping
-the pages lowers the box-geodesic benchmark's wall time by about 17 % and
-raises its peak RSS by about 0.6 MB (+0.8 %).  Importing metricflow and
+the pages lowers the box-geodesic benchmark's wall time by about 16 % and
+raises its peak RSS by about 0.3 MB (+0.5 %).  Importing metricflow and
 calling the library leave the allocator alone.
 """
 
