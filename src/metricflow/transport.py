@@ -125,7 +125,7 @@ class NormResult(NamedTuple):
 
     ``source`` is the growth rate f (a ScalarField) for the density norm and
     h = dg + L_v g (a SymTensorField) for the metric norm; ``iterations`` and
-    ``residual`` are those of the solve, the residual relative (``_solve``).
+    ``residual`` (relative, ||r|| / ||b||) are those of the solve.
     """
 
     value: float
