@@ -64,7 +64,7 @@ def _lane_dots(a, b):
 def solve_spd(
     apply_operator: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
-    tol: float = 1e-10,
+    tol: float,
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import sys
 import warnings
 
 import numpy as np
 
-from .config import load_config
+from .config import load_config, parse_config
 from .errors import ConfigError, InvalidResultError, SolverFailure
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -84,12 +83,13 @@ def main(argv=None) -> int:
                 f"config is for experiment {cfg.experiment!r} but "
                 f"{args.command!r} was requested"
             )
+        # the overrides pass the schema again, as if the file had held them
+        overrides = {}
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("seed must be a 64-bit unsigned integer")
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            overrides["seed"] = args.seed
         if args.out is not None:
-            cfg = dataclasses.replace(cfg, output_path=args.out)
+            overrides["output_path"] = args.out
+        cfg = parse_config({**cfg.to_dict(), **overrides})
         # floating-point and Python warnings (such as the divergences' ratio
         # clamp) would precede the one-line error message or print on a
         # successful run; non-finite values are refused by the fields, the
@@ -97,11 +97,8 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, paths = run_experiment(cfg)
-        print(f"wrote {paths['manifest']}")
-        print(f"wrote {paths['csv']}")
-        for key, path in paths.items():
-            if key not in ("manifest", "csv"):
-                print(f"wrote {path}")
+        for path in paths.values():
+            print(f"wrote {path}")
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

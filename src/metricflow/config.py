@@ -11,8 +11,9 @@ A config is a single JSON object:
 
 Unknown keys anywhere are rejected; "experiment" and "seed" are mandatory.
 The known experiments, their params, the params' defaults, JSON types and
-least values all come from ``experiments.EXPERIMENTS``.  ``--seed`` /
-``--out`` on the command line override the file's values.
+least values all come from ``experiments.EXPERIMENTS``.  ``--seed`` and
+``--out`` on the command line replace the file's "seed" and "output_path"
+and pass this same schema, with its messages.
 """
 
 from __future__ import annotations

@@ -64,11 +64,6 @@ class DivergenceKind(Enum):
 
 
 METRIC_KINDS = (DivergenceKind.KL_MET, DivergenceKind.SHAPE, DivergenceKind.TILDE_KL_MET)
-DENSITY_KINDS = (
-    DivergenceKind.KL_DENSITY_FD,
-    DivergenceKind.CLASSICAL_KL,
-    DivergenceKind.ITAKURA_SAITO,
-)
 
 
 def _safe_ratio(num, den):
@@ -273,7 +268,7 @@ class SearchTrace:
     accepted: int
 
 
-def static_local_search(problem: StaticProblem, rng, iters=20, modes=2):
+def static_local_search(problem: StaticProblem, rng, iters, modes):
     """Coordinate descent on (conformal factor of gbar0, displacement of phi).
 
     Alternates (i) line-searched steps of gbar0 along band-limited conformal

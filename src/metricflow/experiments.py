@@ -172,7 +172,7 @@ def _sweep_block(cfg: ExperimentConfig, kind, rng, pairs):
     grid, p = cfg.grid, cfg.params
     metric = kind in METRIC_KINDS
     draw = random_spd_stack if metric else band_limited_density_stack
-    fields = draw(grid, [rng], p["modes"], p["amplitude"], count=2 * len(pairs))
+    fields = draw(grid, rng, p["modes"], p["amplitude"], count=2 * len(pairs))
     a, b = fields[0::2], fields[1::2]
     values = divergence_stack(kind, grid, a, b)
     gaps = eigenvalue_gap_stack(grid.dim, a, b) if metric else density_ratio_gap_stack(a, b)
@@ -500,9 +500,9 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None):
-    """Execute one experiment; returns (manifest dict, artifact paths)."""
-    out_dir = out_dir or cfg.output_path or "."
+def run_experiment(cfg: ExperimentConfig):
+    """Run one experiment into ``cfg.output_path`` or "."; returns (manifest, paths)."""
+    out_dir = cfg.output_path or "."
     started = time.perf_counter()
     results, rows, *artifacts = EXPERIMENTS[cfg.experiment].run(cfg)
     wall = time.perf_counter() - started

@@ -23,18 +23,15 @@ SPD fields are built as (I + eps)^T (I + eps) with the perturbation eps
 capped strictly below 1/2 in operator norm, so positive definiteness holds
 by construction.
 
-The kernels take a sequence of generators and a field ``count`` and return
-a stack with a leading field (or pair) axis: per generator,
-``band_limited_values`` returns ``count`` scalar series,
-``random_spd_stack`` ``count`` metrics' packed components and
-``band_limited_density_stack`` ``count`` densities.  Each generator, in the
-order listed, draws the coefficients of its ``count`` fields in one
-``normal`` call; ``normal`` fills its values in order, so that call draws
-what ``count`` one-field calls would.  Every field of the stack is then
+The kernels take one generator and a field ``count`` and return a stack
+with a leading field axis: ``band_limited_values`` returns ``count`` scalar
+series, ``random_spd_stack`` ``count`` metrics' packed components and
+``band_limited_density_stack`` ``count`` densities.  The coefficients of all
+``count`` fields come from one ``normal`` call, which fills its values in
+order, so it draws what ``count`` one-field calls would; the stack is then
 synthesized in one batched product, bit-identical to drawing the fields one
 at a time.  The typed one-field functions (``band_limited_scalar``,
-``band_limited_vector``, ``random_spd_metric``, ...) are one-generator
-calls of the same kernels.
+``band_limited_vector``, ``random_spd_metric``, ...) call the same kernels.
 """
 
 from __future__ import annotations
@@ -85,21 +82,16 @@ def _trig_tables(grid, modes):
     return tables
 
 
-def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, count=1):
-    """``count`` truncated Fourier series per generator, each at the max amplitude.
+def band_limited_values(grid, rng, modes=4, amplitude=1.0, *, count=1):
+    """``count`` truncated Fourier series, each at the max amplitude.
 
-    Returns shape (len(rngs) * count,) + grid.shape, a generator's fields
-    next to each other, each generator's drawn in one ``normal`` call.  A
-    single field is ``band_limited_values(grid, [rng], ...)[0]``.
+    Returns shape (count,) + grid.shape, drawn in one ``normal`` call.  A
+    single field is ``band_limited_values(grid, rng, ...)[0]``.
     """
     _check_modes(grid, modes)
     cos, sin = _trig_tables(grid, modes)
-
-    def draw(per_field):
-        return np.concatenate([rng.normal(size=(count, per_field, 2)) for rng in rngs])
-
     if grid.dim == 1:
-        coeffs = draw(modes)
+        coeffs = rng.normal(size=(count, modes, 2))
         # one (1, m) row per field: a stacked (F, m) @ (m, n) product rounds
         # differently from the one-field vector-matrix product
         out = (
@@ -110,7 +102,7 @@ def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, count=1):
         # drawn in row-major order over the half plane that skips (k0 <= 0, k1 = 0)
         kept = np.ones((2 * modes + 1, modes + 1), dtype=bool)
         kept[: modes + 1, 0] = False
-        coeffs = draw(int(kept.sum()))
+        coeffs = rng.normal(size=(count, int(kept.sum()), 2))
         a = np.zeros((len(coeffs),) + kept.shape)
         b = np.zeros((len(coeffs),) + kept.shape)
         a[:, kept] = coeffs[..., 0]
@@ -129,17 +121,17 @@ def band_limited_values(grid, rngs, modes=4, amplitude=1.0, *, count=1):
 
 
 def band_limited_scalar(grid, rng, modes=4, amplitude=1.0) -> ScalarField:
-    return ScalarField(grid, band_limited_values(grid, [rng], modes, amplitude)[0])
+    return ScalarField(grid, band_limited_values(grid, rng, modes, amplitude)[0])
 
 
 def band_limited_vector(grid, rng, modes=4, amplitude=1.0) -> VectorField:
-    values = band_limited_values(grid, [rng], modes, amplitude, count=grid.dim)
+    values = band_limited_values(grid, rng, modes, amplitude, count=grid.dim)
     return VectorField(grid, values)
 
 
 def band_limited_sym_tensor(grid, rng, modes=4, amplitude=1.0) -> SymTensorField:
     count = sym_component_count(grid.dim)
-    values = band_limited_values(grid, [rng], modes, amplitude, count=count)
+    values = band_limited_values(grid, rng, modes, amplitude, count=count)
     return SymTensorField(grid, values)
 
 
@@ -155,32 +147,31 @@ def _checked(stack, valid, field):
     return stack
 
 
-def band_limited_density_stack(grid, rngs, modes=4, amplitude=0.5, *, count=1):
-    """exp of ``band_limited_values``, checked as densities: (len(rngs) * count,) + grid.shape."""
-    values = np.exp(band_limited_values(grid, rngs, modes, amplitude, count=count))
+def band_limited_density_stack(grid, rng, modes=4, amplitude=0.5, *, count=1):
+    """exp of ``band_limited_values``, checked as densities: (count,) + grid.shape."""
+    values = np.exp(band_limited_values(grid, rng, modes, amplitude, count=count))
     valid = np.all(values > 0.0) and np.all(np.isfinite(values))
     return _checked(values, valid, lambda v: DensityField(grid, v))
 
 
 def band_limited_density(grid, rng, modes=4, amplitude=0.5) -> DensityField:
     """exp of a band-limited field; amplitude bounds |log density|."""
-    return DensityField(grid, band_limited_density_stack(grid, [rng], modes, amplitude)[0])
+    return DensityField(grid, band_limited_density_stack(grid, rng, modes, amplitude)[0])
 
 
-def random_spd_stack(grid, rngs, modes=4, amplitude=0.3, *, count=1):
-    """Packed components of ``count`` metrics per generator: (len(rngs) * count, C) + grid.shape.
+def random_spd_stack(grid, rng, modes=4, amplitude=0.3, *, count=1):
+    """Packed components of ``count`` metrics: (count, C) + grid.shape.
 
     Each metric is (I + eps)^T (I + eps) with ||eps||_op <= min(amplitude,
-    0.499) nodewise, its entries drawn from its generator, and is checked as
-    MetricField checks it.
+    0.499) nodewise, and is checked as MetricField checks it.
     """
     cap = min(float(amplitude), 0.499)
     if grid.dim == 1:
-        eps = band_limited_values(grid, rngs, modes, cap, count=count)
+        eps = band_limited_values(grid, rng, modes, cap, count=count)
         comps = ((1.0 + eps) ** 2)[:, None]
     else:
         # four entries per metric; the matrix axes go first, as the tensor kernels take them
-        entries = band_limited_values(grid, rngs, modes, 1.0, count=4 * count)
+        entries = band_limited_values(grid, rng, modes, 1.0, count=4 * count)
         entries = entries.reshape(-1, 2, 2, *grid.shape).transpose(1, 2, 0, 3, 4)
         # exact nodewise spectral norm of a 2x2 matrix via its singular values
         sq = np.einsum("ki...,kj...->ij...", entries, entries)
@@ -199,4 +190,4 @@ def random_spd_stack(grid, rngs, modes=4, amplitude=0.3, *, count=1):
 
 def random_spd_metric(grid, rng, modes=4, amplitude=0.3) -> MetricField:
     """One metric of ``random_spd_stack``."""
-    return MetricField(grid, random_spd_stack(grid, [rng], modes, amplitude)[0])
+    return MetricField(grid, random_spd_stack(grid, rng, modes, amplitude)[0])

@@ -129,11 +129,6 @@ def test_criterion_03_second_variation_recovers_half_ebin():
     )
 
 
-def generators(keys):
-    """The ``substream`` of each (seed, label)."""
-    return [substream(seed, label) for seed, label in keys]
-
-
 def test_criterion_04_divergence_axioms():
     grid = Grid(2, "torus", 16)
     min_value = np.inf
@@ -144,8 +139,12 @@ def test_criterion_04_divergence_axioms():
         amplitude = 0.45 if metric_kind else 0.5
         labels = [f"acc4-{kind.value}-{trial}" for trial in range(1000)]
         a, b = (
-            draw(grid, generators((trial, label + side) for trial, label in enumerate(labels)),
-                 3, amplitude)
+            np.concatenate(
+                [
+                    draw(grid, substream(trial, label + side), 3, amplitude)
+                    for trial, label in enumerate(labels)
+                ]
+            )
             for side in ("-a", "-b")
         )
         values = divergence_stack(kind, grid, a, b)

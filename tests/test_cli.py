@@ -262,18 +262,46 @@ def test_seed_override(tmp_path):
     assert man_a["results"] != man_b["results"]
 
 
-def test_manifest_deterministic_up_to_wall_time(tmp_path):
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_override_exits_2(tmp_path, capsys, seed):
     path = write_config(tmp_path, BASE)
-    manifests = []
-    for name in ("r1", "r2"):
-        cfg = load_config(path)
-        manifest, _ = run_experiment(cfg, out_dir=str(tmp_path / name))
+    out_dir = tmp_path / "out"
+    assert main(["wfr-norm", "--config", path, "--out", str(out_dir), "--seed", seed]) == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: seed must be a 64-bit unsigned integer\n"
+
+
+def test_out_override_is_the_echoed_output_path(tmp_path, capsys):
+    path = write_config(tmp_path, {**BASE, "output_path": str(tmp_path / "from-file")})
+    out_dir = str(tmp_path / "from-cli")
+    assert main(["wfr-norm", "--config", path, "--out", out_dir]) == 0
+    manifest_path = os.path.join(out_dir, "wfr_norm_manifest.json")
+    manifest = json.loads(pathlib.Path(manifest_path).read_text())
+    assert manifest["config"]["output_path"] == out_dir
+    assert not (tmp_path / "from-file").exists()
+    csv_path = os.path.join(out_dir, "wfr_norm.csv")
+    assert capsys.readouterr().out == f"wrote {manifest_path}\nwrote {csv_path}\n"
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_config_round_trips_through_its_dict(name):
+    # the command line's overrides re-parse cfg.to_dict(), so it must give cfg back
+    for output_path in (None, "out"):
+        cfg = parse_config({"experiment": name, "seed": 2**64 - 1, "output_path": output_path})
+        assert parse_config(cfg.to_dict()) == cfg
+
+
+def test_manifest_deterministic_up_to_wall_time(tmp_path):
+    path = write_config(tmp_path, {**BASE, "output_path": str(tmp_path / "run")})
+    runs = []
+    for _ in range(2):
+        manifest, paths = run_experiment(load_config(path))
         manifest.pop("wall_time_s")
-        manifests.append(json.dumps(manifest, sort_keys=True))
-    assert manifests[0] == manifests[1]
-    csv_a = (tmp_path / "r1" / "wfr_norm.csv").read_text()
-    csv_b = (tmp_path / "r2" / "wfr_norm.csv").read_text()
-    assert csv_a == csv_b
+        csv_text = pathlib.Path(paths["csv"]).read_text()
+        runs.append((json.dumps(manifest, sort_keys=True), csv_text))
+    assert runs[0] == runs[1]
 
 
 def test_seq_demo_csv_monotone(tmp_path):
@@ -581,10 +609,11 @@ def test_csv_columns_are_pinned(tmp_path, name):
     manifest apart from wall_time_s, and the CSV and every other artifact byte
     for byte."""
     columns, grid, params = CSV_SCHEMA[name]
-    cfg = parse_config({"experiment": name, "grid": grid, "seed": 3, "params": params})
+    cfg = parse_config({"experiment": name, "grid": grid, "seed": 3, "params": params,
+                        "output_path": str(tmp_path / "run")})
     runs = []
-    for run in ("a", "b"):
-        manifest, paths = run_experiment(cfg, out_dir=str(tmp_path / run))
+    for _ in range(2):
+        manifest, paths = run_experiment(cfg)
         manifest.pop("wall_time_s")
         with open(paths["csv"]) as fh:
             header, *rows = csv.reader(fh)
@@ -618,8 +647,9 @@ def test_flat_factorize_artifacts_are_instance_zeros(tmp_path):
     texts = []
     for n in (1, 3):
         cfg = parse_config({"experiment": "flat-factorize", "grid": BOX64, "seed": 3,
-                            "params": {"n_instances": n, "n_non_flat": 0}})
-        _, paths = run_experiment(cfg, out_dir=str(tmp_path / str(n)))
+                            "params": {"n_instances": n, "n_non_flat": 0},
+                            "output_path": str(tmp_path / str(n))})
+        _, paths = run_experiment(cfg)
         texts.append([pathlib.Path(paths[k]).read_text() for k in ("displacement.json",
                                                                     "report.json")])
     assert texts[0] == texts[1]
@@ -837,8 +867,8 @@ def test_only_main_sets_the_allocator_policy(tmp_path, monkeypatch, library):
         "without-mallopt": lambda name: _LibcWithoutMallopt(),
     }
     monkeypatch.setattr(cli.ctypes, "CDLL", loaders[library])
-    path = write_config(tmp_path, BASE)
-    run_experiment(load_config(path), out_dir=str(tmp_path / "library"))
+    path = write_config(tmp_path, {**BASE, "output_path": str(tmp_path / "library")})
+    run_experiment(load_config(path))
     assert libc.calls == []
     out_dir = tmp_path / "cli"
     assert main(["wfr-norm", "--config", path, "--out", str(out_dir)]) == 0

@@ -295,7 +295,9 @@ def test_static_local_search_monotone_decrease(torus16):
     g1 = random_spd_metric(torus16, substream(13, "ls-b"), 2, 0.2)
     problem = StaticProblem(g0, g1, lambda_balance=1.0, kind=K.KL_MET)
     start = static_objective(problem, g0, DisplacementMap.identity(torus16))
-    gbar, phi, value, trace = static_local_search(problem, substream(13, "static-search"), iters=6)
+    gbar, phi, value, trace = static_local_search(
+        problem, substream(13, "static-search"), iters=6, modes=2
+    )
     assert value <= start + 1e-12
     assert all(a >= b - 1e-12 for a, b in zip(trace.values, trace.values[1:]))
     assert trace.accepted >= 1
@@ -315,8 +317,12 @@ def test_stacked_divergences_match_per_pair_calls(kind, dim, n):
     grid = Grid(dim, "torus", n)
     metric = kind in METRIC_KINDS
     draw = random_spd_stack if metric else band_limited_density_stack
-    a = draw(grid, [substream(seed, f"stack-{kind.value}-a") for seed in range(5)], 3, 0.45)
-    b = draw(grid, [substream(seed, f"stack-{kind.value}-b") for seed in range(5)], 3, 0.45)
+    a, b = (
+        np.concatenate(
+            [draw(grid, substream(seed, f"stack-{kind.value}-{s}"), 3, 0.45) for seed in range(5)]
+        )
+        for s in "ab"
+    )
     b[2] = a[2]  # one pair on the diagonal
     values = divergence_stack(kind, grid, a, b)
     gaps = eigenvalue_gap_stack(dim, a, b) if metric else density_ratio_gap_stack(a, b)
@@ -337,8 +343,12 @@ def test_stacked_divergences_match_per_pair_calls(kind, dim, n):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_eigenvalue_gap_stack_matches_linalg(dim):
     grid = Grid(dim, "torus", 8)
-    g0 = random_spd_stack(grid, [substream(9, f"gap0-{i}") for i in range(3)], 2, 0.45)
-    g1 = random_spd_stack(grid, [substream(9, f"gap1-{i}") for i in range(3)], 2, 0.45)
+    g0, g1 = (
+        np.concatenate(
+            [random_spd_stack(grid, substream(9, f"gap{j}-{i}"), 2, 0.45) for i in range(3)]
+        )
+        for j in range(2)
+    )
     expected = []
     for c0, c1 in zip(g0, g1):
         full0, full1 = (

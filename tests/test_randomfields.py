@@ -80,7 +80,7 @@ def test_spd_by_construction_sweep(torus16):
 
 def test_unresolvable_modes_rejected(torus16):
     with pytest.raises(ValueError):
-        band_limited_values(torus16, [substream(1, "x")], modes=5)  # 4*5 > 16
+        band_limited_values(torus16, substream(1, "x"), modes=5)  # 4*5 > 16
 
 
 def test_generators_require_torus():
@@ -122,7 +122,7 @@ def test_separable_synthesis_matches_loop_oracle(dim, n, amplitude):
     for modes in sorted({1, 3, n // 4}):
         label = f"oracle-{dim}-{n}-{modes}-{amplitude}"
         rng_new, rng_ref = substream(3, label), substream(3, label)
-        values = band_limited_values(grid, [rng_new], modes, amplitude)[0]
+        values = band_limited_values(grid, rng_new, modes, amplitude)[0]
         expected = _loop_band_limited_values(grid, rng_ref, modes, amplitude)
         assert values.shape == grid.shape
         assert np.max(np.abs(values - expected)) <= 1e-13
@@ -131,7 +131,7 @@ def test_separable_synthesis_matches_loop_oracle(dim, n, amplitude):
 
 
 def test_trig_tables_are_read_only(torus16):
-    band_limited_values(torus16, [substream(1, "x")], modes=3)
+    band_limited_values(torus16, substream(1, "x"), modes=3)
     for table in _trig_tables(torus16, 3):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -143,29 +143,30 @@ def test_trig_tables_are_read_only(torus16):
 )
 @pytest.mark.parametrize("amplitude", [0.0, 0.45, -2.0])
 def test_stacked_draws_match_per_generator_calls(dim, n, modes, amplitude):
+    # a stack of three fields equals three one-field calls of the twin generator
     grid = Grid(dim, "torus", n)
 
-    def streams():
-        return [substream(seed, f"stack-{dim}-{n}") for seed in range(3)]
+    def twins():
+        return substream(0, f"stack-{dim}-{n}"), substream(0, f"stack-{dim}-{n}")
 
-    stacked, single = streams(), streams()
-    values = band_limited_values(grid, stacked, modes, amplitude)
+    stacked, single = twins()
+    values = band_limited_values(grid, stacked, modes, amplitude, count=3)
     assert values.shape == (3,) + grid.shape
-    for field, rng in zip(values, single):
-        assert np.array_equal(field, band_limited_values(grid, [rng], modes, amplitude)[0])
-    assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
+    for field in values:
+        assert np.array_equal(field, band_limited_values(grid, single, modes, amplitude)[0])
+    assert stacked.normal() == single.normal()
 
-    stacked, single = streams(), streams()
-    metrics = random_spd_stack(grid, stacked, modes, amplitude)
-    for comps, rng in zip(metrics, single):
-        assert np.array_equal(comps, random_spd_metric(grid, rng, modes, amplitude).components)
-    assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
+    stacked, single = twins()
+    metrics = random_spd_stack(grid, stacked, modes, amplitude, count=3)
+    for comps in metrics:
+        assert np.array_equal(comps, random_spd_metric(grid, single, modes, amplitude).components)
+    assert stacked.normal() == single.normal()
 
-    stacked, single = streams(), streams()
-    densities = band_limited_density_stack(grid, stacked, modes, amplitude)
-    for rho, rng in zip(densities, single):
-        assert np.array_equal(rho, band_limited_density(grid, rng, modes, amplitude).values)
-    assert [rng.normal() for rng in stacked] == [rng.normal() for rng in single]
+    stacked, single = twins()
+    densities = band_limited_density_stack(grid, stacked, modes, amplitude, count=3)
+    for rho in densities:
+        assert np.array_equal(rho, band_limited_density(grid, single, modes, amplitude).values)
+    assert stacked.normal() == single.normal()
 
 
 @pytest.mark.parametrize("dim, n, modes", [(1, 16, 2), (1, 32, 8), (2, 12, 3), (2, 16, 4)])
@@ -173,24 +174,13 @@ def test_stacked_draws_match_per_generator_calls(dim, n, modes, amplitude):
 def test_fields_per_generator_match_repeated_listing(dim, n, modes, count):
     grid = Grid(dim, "torus", n)
 
-    def streams():
-        return [substream(seed, f"per-gen-{dim}-{n}") for seed in range(3)]
-
-    # k fields per generator in one draw equal the generator listed k times in a row
-    merged, listed = streams(), streams()
-    values = band_limited_values(grid, merged, modes, 0.4, count=count)
-    expected = band_limited_values(grid, [rng for rng in listed for _ in range(count)], modes, 0.4)
-    assert values.shape == (3 * count,) + grid.shape
-    assert np.array_equal(values, expected)
-    assert [rng.normal() for rng in merged] == [rng.normal() for rng in listed]
-
     # k metrics or densities from one generator equal k one-field draws from its twin
-    rng, twin = streams()[0], streams()[0]
-    metrics = random_spd_stack(grid, [rng], modes, 0.4, count=count)
+    rng, twin = substream(0, f"per-gen-{dim}-{n}"), substream(0, f"per-gen-{dim}-{n}")
+    metrics = random_spd_stack(grid, rng, modes, 0.4, count=count)
     assert metrics.shape == (count, 1 if dim == 1 else 3) + grid.shape
     for comps in metrics:
         assert np.array_equal(comps, random_spd_metric(grid, twin, modes, 0.4).components)
-    densities = band_limited_density_stack(grid, [rng], modes, 0.4, count=count)
+    densities = band_limited_density_stack(grid, rng, modes, 0.4, count=count)
     assert densities.shape == (count,) + grid.shape
     for rho in densities:
         assert np.array_equal(rho, band_limited_density(grid, twin, modes, 0.4).values)
@@ -200,28 +190,15 @@ def test_fields_per_generator_match_repeated_listing(dim, n, modes, count):
 @pytest.mark.parametrize("dim, n, modes", [(1, 16, 3), (2, 16, 3)])
 @pytest.mark.parametrize("count", [1, 4])
 def test_runs_of_one_generator_match_one_field_draws_in_listing_order(dim, n, modes, count):
+    # successive stacks of one generator continue its stream, as the sweep's blocks do
     grid = Grid(dim, "torus", n)
-
-    def streams():
-        return [substream(seed, f"runs-{dim}") for seed in range(2)]
-
-    grouped, single = streams(), streams()
-    order = [0, 0, 1, 0, 1, 1]
-    values = band_limited_values(grid, [grouped[i] for i in order], modes, 0.4, count=count)
-    expected = [
-        band_limited_values(grid, [single[i]], modes, 0.4)[0]
-        for i in order
-        for _ in range(count)
-    ]
+    rng, twin = substream(0, f"runs-{dim}"), substream(0, f"runs-{dim}")
+    runs = [band_limited_values(grid, rng, modes, 0.4, count=k * count) for k in (2, 1, 3)]
+    expected = [band_limited_values(grid, twin, modes, 0.4)[0] for _ in range(6 * count)]
+    values = np.concatenate(runs)
     assert values.shape == (len(expected),) + grid.shape
     assert all(np.array_equal(v, e) for v, e in zip(values, expected))
-    assert [rng.normal() for rng in grouped] == [rng.normal() for rng in single]
-
-    # two equal-seeded generators each draw their own first entry
-    twins = [substream(9, f"twin-{dim}"), substream(9, f"twin-{dim}")]
-    first = band_limited_values(grid, [substream(9, f"twin-{dim}")], modes, 0.4)[0]
-    for field in band_limited_values(grid, twins, modes, 0.4):
-        assert np.array_equal(field, first)
+    assert rng.normal() == twin.normal()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -232,5 +209,7 @@ def test_typed_multi_field_draws_match_repeated_listing(dim):
     v = band_limited_vector(grid, rng, 3, 0.5).components
     h = band_limited_sym_tensor(grid, rng, 3, 0.5).components
     ref = substream(4, f"typed-{dim}")
-    assert np.array_equal(v, band_limited_values(grid, [ref] * dim, 3, 0.5))
-    assert np.array_equal(h, band_limited_values(grid, [ref] * count, 3, 0.5))
+    for field, components in ((v, dim), (h, count)):
+        assert np.array_equal(
+            field, [band_limited_values(grid, ref, 3, 0.5)[0] for _ in range(components)]
+        )

@@ -38,7 +38,6 @@ from metricflow.randomfields import (
     band_limited_sym_tensor,
     band_limited_vector,
     random_spd_metric,
-    random_spd_stack,
     substream,
 )
 from metricflow.tensors import (
@@ -124,9 +123,8 @@ def _full_nodes(comps, dim):
 
 def _oracle_metrics(dim, count):
     grid = Grid(dim, "torus", 8)
-    rngs = [substream(5, f"oracle-{i}") for i in range(count)]
-    comps = random_spd_stack(grid, rngs, 2, 0.45)
-    return grid, [MetricField(grid, c) for c in comps]
+    metrics = [random_spd_metric(grid, substream(5, f"oracle-{i}"), 2, 0.45) for i in range(count)]
+    return grid, metrics
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -94,9 +94,9 @@ def main(argv):
     from metricflow.experiments import EXPERIMENTS, run_experiment
 
     for label, name, grid, params, seed in runs(EXPERIMENTS):
-        cfg = parse_config({"experiment": name, "seed": seed, "grid": grid, "params": params})
         with tempfile.TemporaryDirectory() as out:
-            _, paths = run_experiment(cfg, out)
+            cfg = {"experiment": name, "seed": seed, "grid": grid, "params": params}
+            _, paths = run_experiment(parse_config({**cfg, "output_path": out}))
             for path in sorted(paths.values()):
                 path = Path(path)
                 text = canonical(path.name, path.read_text(encoding="utf-8"))
