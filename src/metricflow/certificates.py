@@ -27,7 +27,14 @@ from .fields import (
 )
 from .flatmaps import bump_and_gradient
 from .tensors import MetricField
-from .transport import displacement_path_energy, map_path, toy_geodesic, we_tangent_norm
+from .transport import (
+    SolverConfig,
+    displacement_path_energy,
+    map_path,
+    toy_geodesic,
+    we_tangent_norm,
+    wfr_normal_operator,
+)
 
 # ---------------------------------------------------------------------------
 # criterion 10: the discrete calculus
@@ -77,27 +84,18 @@ def refinement_ratio(name):
     return float(err(coarse) / err(fine))
 
 
-def screened_laplacian(grid: Grid, eps=0.05):
-    """The SPD operator ``u -> u - eps lap u`` on a torus grid."""
-
-    def apply(u):
-        lap = np.zeros_like(u)
-        for ax in range(grid.dim):
-            lap += diff_array(diff_array(u, grid, ax), grid, ax)
-        return u - eps * lap
-
-    return apply
-
-
 def discrete_calculus(f: ScalarField, w, rng):
     """Adjointness, CG-vs-dense agreement and order-2 refinement of the stencils.
 
     ``f`` is a scalar field and ``w`` an array of vector components on the
     same torus grid; ``rng`` draws a standard normal right-hand side for the
-    screened Laplacian ``u - 0.05 lap u`` on the 8x8 torus.  Returns the
-    integration-by-parts residual ``|Int f div w + Int grad f . w|``, the
-    largest difference between the CG solve and a dense direct solve, and the
-    coarse-to-fine error ratio of four calculus probes (4 for second order).
+    density normal operator (``transport.wfr_normal_operator``) at rho = 1,
+    lam = 0.05 on the 8x8 torus.  That is the screened Laplacian
+    ``u - 0.05 lap u``, so CG is checked on the operator the density norm
+    solves.  Returns the integration-by-parts residual
+    ``|Int f div w + Int grad f . w|``, the largest difference between the CG
+    solve and a dense direct solve, and the coarse-to-fine error ratio of four
+    calculus probes (4 for second order).
     """
     grid = f.grid
     ibp = float(integrate_array(f.values * divergence_array(w, grid), grid)) + float(
@@ -105,7 +103,7 @@ def discrete_calculus(f: ScalarField, w, rng):
     )
 
     g8 = Grid(2, "torus", 8)
-    screened = screened_laplacian(g8)
+    screened = wfr_normal_operator(DensityField.constant(g8, 1.0), SolverConfig(lam=0.05))
     rhs = rng.normal(size=g8.shape)
     n = g8.node_count
     # column j is the operator applied to the j-th unit vector, all in one apply

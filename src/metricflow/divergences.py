@@ -184,7 +184,7 @@ def _shifted(g: MetricField, h, s) -> MetricField:
     return MetricField(g.grid, g.components + s * h.components)
 
 
-def second_variation_probe(kind: DivergenceKind, g: MetricField, h, k, step=1e-2):
+def second_variation_probe(kind: DivergenceKind, g: MetricField, h, k, step):
     """Mixed second difference of D(g+sh || g+tk) across the diagonal.
 
     Returns (mixed_second, ebin_half, richardson): the centered estimate at

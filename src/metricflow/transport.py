@@ -32,15 +32,14 @@ operators with their discrete adjoints, which on the torus are exact
 (skew-adjointness under the rectangle rule); the solvers therefore require
 torus grids.
 
-Both solves are preconditioned (``cg.solve_spd``) by the FFT inverse of the
-normal operator at constant coefficients, which on the torus is circulant;
-its inverse is SPD whenever the operator is, and the iteration counts no
-longer grow with the grid:
-
-  * metric norm: at the grid-mean metric, one Hermitian dim x dim matrix per
-    Fourier mode (``fourier_inverse``);
-  * density norm: S at the constant mean(rho), one positive real per mode;
-    the two are spectrally equivalent with ratio at most max rho / min rho.
+Both solves are preconditioned (``cg.solve_spd``) by their normal operator
+at the grid-mean coefficient, inverted by the one FFT kernel
+``fourier_inverse``: at constant coefficients the operator is circulant on
+the torus, its inverse is SPD whenever the operator is, and the iteration
+counts no longer grow with the grid.  The metric norm's symbol is one
+Hermitian dim x dim matrix per Fourier mode (at the grid-mean metric), the
+density norm's one positive real per mode (S at the constant mean(rho),
+spectrally equivalent to S with ratio at most max rho / min rho).
 
 Every solve is lane-stacked (``cg.solve_spd``): velocities have shape
 (L, dim) + grid.shape, growth rates (L,) + grid.shape, and both normal
@@ -143,34 +142,39 @@ def _require_torus(grid, what):
         )
 
 
-def fourier_inverse(apply_op, grid):
+def fourier_inverse(apply_op, grid, components):
     """r -> A^-1 r for a constant-coefficient SPD operator A on the torus.
 
-    A acts on velocity arrays of shape (dim,) + grid.shape and commutes with
-    grid translations, so it is a circular convolution: its symbol at each
-    Fourier mode is the dim x dim matrix whose column j is the transform of
-    A's response to a unit impulse in component j at node 0.  Symmetric A
-    has Hermitian symbols, positive definite A positive definite ones, so the
-    returned map (closed-form inverse per mode) is SPD as well.  The map
-    takes an optional leading lane axis, (L, dim) + grid.shape.
+    The package's one FFT inverse: both tangent norms' preconditioners are
+    their normal operator at constant coefficients, inverted here.  A acts
+    on arrays of shape components + grid.shape, with ``components`` () for a
+    scalar unknown and (grid.dim,) for a velocity, and commutes with grid
+    translations, so it is a circular convolution: its symbol at each
+    Fourier mode is the matrix whose column j is the transform of A's
+    response to a unit impulse in component j at node 0.  Symmetric A has
+    Hermitian symbols, positive definite A positive definite ones, so the
+    returned map is SPD as well.  A one-component symbol is applied by
+    division, a 2 x 2 one by its adjugate over its determinant.  The map
+    takes an optional leading lane axis, (L,) + components + grid.shape.
     """
     d = grid.dim
     axes = tuple(range(-d, 0))
     cols = []
-    for j in range(d):
-        impulse = np.zeros((d,) + grid.shape)
-        impulse[(j,) + (0,) * d] = 1.0
+    for j in np.ndindex(components):
+        impulse = np.zeros(components + grid.shape)
+        impulse[j + (0,) * d] = 1.0
         cols.append(np.fft.rfftn(apply_op(impulse), axes=axes))
-    if d == 1:
-        inverse = 1.0 / cols[0][None].real
+    if len(cols) == 1:
+        symbol = cols[0].real
+        invert = lambda r_hat: r_hat / symbol
     else:
         a, c, b = cols[0][0].real, cols[1][1].real, cols[1][0]
         det = a * c - (b * b.conj()).real
         inverse = np.stack([np.stack([c, -b]), np.stack([-b.conj(), a])]) / det
+        invert = lambda r_hat: nodewise_einsum("ij,...j->...i", d, inverse, r_hat)
 
     def precondition(r):
-        out_hat = nodewise_einsum("ij,...j->...i", d, inverse, np.fft.rfftn(r, axes=axes))
-        return np.fft.irfftn(out_hat, s=grid.shape, axes=axes)
+        return np.fft.irfftn(invert(np.fft.rfftn(r, axes=axes)), s=grid.shape, axes=axes)
 
     return precondition
 
@@ -245,18 +249,9 @@ def wfr_normal_operator(rho: DensityField, cfg: SolverConfig):
 
 
 def density_norm_preconditioner(rho: DensityField, cfg: SolverConfig):
-    """r -> Sbar^-1 r with Sbar the normal operator at the constant mean(rho).
-
-    Sbar is a circulant, so its symbol is one positive real per Fourier mode,
-    read off its response to a unit impulse.  Lanes are kept.
-    """
-    grid = rho.grid
-    axes = tuple(range(-grid.dim, 0))
-    impulse = np.zeros(grid.shape)
-    impulse[(0,) * grid.dim] = 1.0
-    mean = DensityField.constant(grid, np.mean(rho.values))
-    symbol = np.fft.rfftn(wfr_normal_operator(mean, cfg)(impulse)).real
-    return lambda r: np.fft.irfftn(np.fft.rfftn(r, axes=axes) / symbol, s=grid.shape, axes=axes)
+    """S at the constant mean(rho), inverted by ``fourier_inverse``: one real per mode."""
+    mean = DensityField.constant(rho.grid, np.mean(rho.values))
+    return fourier_inverse(wfr_normal_operator(mean, cfg), rho.grid, ())
 
 
 def wfr_tangent_norm(rho: DensityField, drho: ScalarField, cfg: SolverConfig = SolverConfig()):
@@ -368,16 +363,16 @@ class MetricNormOperator:
 
 
 def metric_norm_preconditioner(g: MetricField, cfg: SolverConfig):
-    """r -> M^-1 r with M the metric normal operator at the grid-mean metric.
+    """The metric normal operator at the grid-mean metric, inverted by ``fourier_inverse``.
 
     The mean of SPD matrices is SPD, and at a constant metric the operator
-    has constant coefficients, so FFT inverts it exactly.  Its normal matrix
-    is built once, at one node, and broadcast over the grid.
+    has constant coefficients, so the FFT inverts it exactly.  Its normal
+    matrix is built once, at one node, and broadcast over the grid.
     """
     grid = g.grid
     mean = np.mean(g.components, axis=tuple(range(1, grid.dim + 1)), keepdims=True)
     normal = _metric_norm_coefficients(mean, grid, cfg.lam)[2]
-    return fourier_inverse(lambda vc: _apply_normal(normal, vc, grid), grid)
+    return fourier_inverse(lambda vc: _apply_normal(normal, vc, grid), grid, (grid.dim,))
 
 
 def we_tangent_norm(g: MetricField, dg: SymTensorField, cfg: SolverConfig = SolverConfig()):
@@ -420,7 +415,7 @@ def we_tangent_norms(g: MetricField, dgs, cfg: SolverConfig = SolverConfig()):
 # paths
 
 
-def linear_metric_path(g0: MetricField, g1: MetricField, n_t=16):
+def linear_metric_path(g0: MetricField, g1: MetricField, n_t):
     """Componentwise linear interpolation between two metrics: its n_t + 1 samples."""
     grid = require_same_grid(g0, g1)
     return [
@@ -549,7 +544,7 @@ def map_path(grid, ts, terms, name, collar_width=1):
             ) from exc
 
 
-def toy_geodesic(f: VectorField, n_t=16):
+def toy_geodesic(f: VectorField, n_t):
     """Straight transport path phi(t) = id + t f pushing the flat metric g0 = I.
 
     Returns the per-interval transport energies of the path of pushforward
@@ -613,7 +608,7 @@ class DistanceBounds(NamedTuple):
 
 
 def we_distance_bounds(
-    g0: MetricField, g1: MetricField, cfg: SolverConfig = SolverConfig(), n_t=16
+    g0: MetricField, g1: MetricField, cfg: SolverConfig, n_t
 ) -> DistanceBounds:
     """A certified upper bound on the transport-metric distance between two
     metrics, and the density-transport distance of their volumes.

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from metricflow import Grid, SolverFailure, solve_spd
-from metricflow.certificates import screened_laplacian
+from metricflow import DensityField, Grid, SolverConfig, SolverFailure, solve_spd
+from metricflow.transport import wfr_normal_operator
+
+
+def _screened(grid, eps):
+    """u - eps lap u: the density normal operator at rho = 1, lam = eps."""
+    return wfr_normal_operator(DensityField.constant(grid, 1.0), SolverConfig(lam=eps))
 
 
 def test_identity_system_one_iteration():
@@ -30,7 +35,7 @@ def test_cg_matches_dense_direct_solve_oracle():
     # oracle: assemble the operator column by column on an 8x8 torus and
     # solve with LAPACK
     grid = Grid(2, "torus", 8)
-    apply_op = screened_laplacian(grid)
+    apply_op = _screened(grid, 0.05)
     n = grid.node_count
     dense = np.zeros((n, n))
     for j in range(n):
@@ -48,7 +53,7 @@ def test_cg_matches_dense_direct_solve_oracle():
 
 def test_nonconvergence_raises_with_residual():
     grid = Grid(2, "torus", 8)
-    apply_op = screened_laplacian(grid, eps=1.0)
+    apply_op = _screened(grid, 1.0)
     b = np.random.default_rng(1).normal(size=grid.shape)
     with pytest.raises(SolverFailure) as err:
         solve_spd(apply_op, b[None], tol=1e-14, max_iter=2)
@@ -96,7 +101,7 @@ def test_exact_preconditioner_one_iteration():
 def _variable_screened(grid):
     # screened Laplacian with a rough positive coefficient, and the SPD
     # Jacobi-like scaling by that coefficient as the preconditioner
-    lap = screened_laplacian(grid)
+    lap = _screened(grid, 0.05)
     w = np.exp(np.random.default_rng(8).normal(size=grid.shape))
     return (lambda x: w * x + lap(x)), (lambda r: r / (w + 1.0))
 

@@ -7,6 +7,8 @@ when its fields are carried along: scalars as f(R^T x), vectors as
 R v(R^T x), symmetric tensors as R g(R^T x) R^T.  Each value may move by
 roundoff only (1e-13 relative; the pi1 lift gap relative to the norms it
 is the difference of), and each solve by at most one iteration.
+Hypothesis also draws translations and draw seeds for the WE and WFR norms:
+the FFT preconditioners are exactly what a translation must commute with.
 The scaling laws WE(c g, c dg) = c^(d/2) WE and WFR(c rho, c drho) = c WFR
 hold to the same tolerance, and so do the WE, Ebin and WFR energies of a
 linear metric path under each symmetry.
@@ -16,6 +18,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricflow import (
     DensityField,
@@ -116,6 +120,23 @@ def test_norms_and_divergences_are_invariant(problem, reference, rotation, shift
     # against the norms it is the difference of
     gap, ref_gap = (v["lift_we"] - v["lift_wfr"] for v in (values, ref_values))
     assert abs(gap - ref_gap) <= REL * ref_values["lift_we"]
+
+
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(
+    shift=st.tuples(*[st.integers(0, GRID.n_per_axis - 1)] * 2).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drawn_translations_keep_both_norms(shift, seed):
+    g = random_spd_metric(GRID, substream(seed, "sym-g"), modes=3, amplitude=0.25)
+    dg = band_limited_sym_tensor(GRID, substream(seed, "sym-dg"), modes=3, amplitude=0.25)
+    rho = band_limited_density(GRID, substream(seed, "sym-rho"), modes=3, amplitude=0.4)
+    drho = band_limited_scalar(GRID, substream(seed, "sym-drho"), modes=3, amplitude=0.4)
+    for norm, base, tangent in ((we_tangent_norm, g, dg), (wfr_tangent_norm, rho, drho)):
+        ref = norm(base, tangent)
+        moved = norm(*(_carry(f, np.eye(2), shift) for f in (base, tangent)))
+        assert abs(moved.value - ref.value) <= REL * abs(ref.value), norm.__name__
+        assert abs(moved.iterations - ref.iterations) <= 1, norm.__name__
 
 
 @pytest.mark.parametrize("c", [0.5, 3.0])

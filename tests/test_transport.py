@@ -31,12 +31,13 @@ from metricflow import (
 )
 from metricflow.certificates import toy_field, toy_geodesic_probe
 from metricflow.fiber import optimal_lift, trace_free_perturbation
-from metricflow.fields import gradient_array, integrate_array
+from metricflow.fields import diff_array, gradient_array, integrate_array
 from metricflow.flatmaps import bump_and_gradient
 from metricflow.randomfields import (
     band_limited_density,
     band_limited_scalar,
     band_limited_sym_tensor,
+    band_limited_values,
     band_limited_vector,
     random_spd_metric,
     substream,
@@ -428,16 +429,33 @@ def _constant_metric(grid):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fourier_inverse_exact_at_constant_coefficients(dim):
+    # the one kernel inverts either normal operator at constant coefficients,
+    # for velocities (components (dim,)) and scalars (components ()), on a
+    # lane stack; each preconditioner is that kernel at its mean coefficient
     grid = Grid(dim, "torus", 16)
-    v = band_limited_vector(grid, substream(dim, "fi-v"), 3, 1.0).components
-    apply_op = MetricNormOperator(_constant_metric(grid), CFG).apply
-    back = fourier_inverse(apply_op, grid)(apply_op(v))
-    assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
-    # the density preconditioner at a constant density inverts S exactly
-    rho = DensityField.constant(grid, 1.7)
-    f = band_limited_scalar(grid, substream(dim, "fi-f"), 3, 1.0).values
-    back = density_norm_preconditioner(rho, CFG)(wfr_normal_operator(rho, CFG)(f))
-    assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+    g, rho = _constant_metric(grid), DensityField.constant(grid, 1.7)
+    v = band_limited_values(grid, substream(dim, "fi-v"), 3, 1.0, count=3 * dim)
+    f = band_limited_values(grid, substream(dim, "fi-f"), 3, 1.0, count=3)
+    for x, apply_op, components, inverse in (
+        (v.reshape((3, dim) + grid.shape), MetricNormOperator(g, CFG).apply, (dim,),
+         metric_norm_preconditioner(g, CFG)),
+        (f, wfr_normal_operator(rho, CFG), (), density_norm_preconditioner(rho, CFG)),
+    ):
+        for invert in (fourier_inverse(apply_op, grid, components), inverse):
+            back = invert(apply_op(x))
+            assert back.shape == x.shape
+            assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_density_operator_at_unit_density_is_the_screened_laplacian(dim):
+    # criterion 10 checks CG on the density normal operator at rho = 1,
+    # lam = eps: that is u - eps sum_a D_a D_a u, to the last bit
+    grid, eps = Grid(dim, "torus", 8), 0.05
+    u = band_limited_values(grid, substream(dim, "sl-u"), 2, 1.0, count=3)
+    lap = sum(diff_array(diff_array(u, grid, a), grid, a) for a in range(dim))
+    apply_op = wfr_normal_operator(DensityField.constant(grid, 1.0), SolverConfig(lam=eps))
+    assert np.array_equal(apply_op(u), u - eps * lap)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -884,7 +902,7 @@ def test_probe_refuses_a_folding_competitor_and_names_its_time(box64):
 
 def test_bounds_equal_endpoints(torus16):
     g = MetricField.euclidean(torus16)
-    b = we_distance_bounds(g, g, CFG)
+    b = we_distance_bounds(g, g, CFG, n_t=16)
     assert b.projected_wfr == 0.0
     assert b.upper == pytest.approx(0.0, abs=1e-12)
 
@@ -909,7 +927,7 @@ def test_bounds_equal_volumes_degenerate(torus16):
             [np.full(torus16.shape, 2.0), np.zeros(torus16.shape), np.full(torus16.shape, 0.5)]
         ),
     )
-    b = we_distance_bounds(g0, g1, CFG)
+    b = we_distance_bounds(g0, g1, CFG, n_t=16)
     assert b.projected_wfr == 0.0
     assert b.upper > 0.0
 
